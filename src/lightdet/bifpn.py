@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import ConvBnAct, Module, Upsample2x, channel_shuffle
-from .tensor import Tensor, concat
+from .nn import ConvBnAct, Module, channel_shuffle
+from .tensor import Tensor, concat, upsample_nearest2x
 
 
 class DSSConv(Module):
@@ -26,12 +26,6 @@ class DSSConv(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return channel_shuffle(self.pw(self.dw(x)), 2)
-
-    def out_hw(self, hw):
-        return self.dw.out_hw(hw)
-
-    def flops(self, hw):
-        return self.dw.flops(hw) + self.pw.flops(self.dw.out_hw(hw))
 
 
 class DSSBottleneck(Module):
@@ -52,12 +46,6 @@ class DSSBottleneck(Module):
         if self.attn is not None:
             y = self.attn(y)
         return x + y if self.add else y
-
-    def flops(self, hw):
-        total = self.cv1.flops(hw) + self.cv2.flops(hw)
-        if self.attn is not None:
-            total += self.attn.flops(hw)
-        return total
 
 
 class DSSC3(Module):
@@ -84,11 +72,6 @@ class DSSC3(Module):
             y = b(y)
         return self.cv3(concat([y, self.cv2(x)], axis=1))
 
-    def flops(self, hw):
-        total = self.cv1.flops(hw) + self.cv2.flops(hw) + self.cv3.flops(hw)
-        total += sum(b.flops(hw) for b in self.m)
-        return total
-
 
 class LightBiFpn(Module):
     """(P3, P4, P5) -> (N3, N4, N5) with strides 8/16/32 preserved per level.
@@ -105,7 +88,6 @@ class LightBiFpn(Module):
                  rng: np.random.Generator | None = None):
         super().__init__()
         self.lat5 = ConvBnAct(c5, mid, 1, act=act, rng=rng)
-        self.up = Upsample2x()
         self.td4 = DSSC3(mid + c4, mid, n=1, shortcut=False, act=act,
                          attentions=[attn_td], rng=rng)
         self.out3 = DSSC3(mid + c3, out3, n=1, shortcut=False, act=act, rng=rng)
@@ -117,33 +99,8 @@ class LightBiFpn(Module):
 
     def forward(self, p3: Tensor, p4: Tensor, p5: Tensor):
         lat = self.lat5(p5)
-        td = self.td4(concat([self.up(lat), p4], axis=1))
-        n3 = self.out3(concat([self.up(td), p3], axis=1))
+        td = self.td4(concat([upsample_nearest2x(lat), p4], axis=1))
+        n3 = self.out3(concat([upsample_nearest2x(td), p3], axis=1))
         n4 = self.out4(concat([self.down3(n3), td, p4], axis=1))
         n5 = self.out5(concat([self.down4(n4), lat], axis=1))
         return n3, n4, n5
-
-    def cost_rows(self, hw3: tuple[int, int]):
-        """Per-stage (name, params, flops) at the given P3 spatial size."""
-        hw4 = (hw3[0] // 2, hw3[1] // 2)
-        hw5 = (hw3[0] // 4, hw3[1] // 4)
-        rows = [
-            ("neck.lat5", self.lat5.param_count(), self.lat5.flops(hw5)),
-            ("neck.td4", self.td4.param_count(), self.td4.flops(hw4)),
-            ("neck.out3", self.out3.param_count(), self.out3.flops(hw3)),
-            ("neck.down3", self.down3.param_count(), self.down3.flops(hw3)),
-            ("neck.out4", self.out4.param_count(), self.out4.flops(hw4)),
-            ("neck.down4", self.down4.param_count(), self.down4.flops(hw4)),
-            ("neck.out5", self.out5.param_count(), self.out5.flops(hw5)),
-        ]
-        return rows
-
-
-def bifpn_fuse(neck: LightBiFpn, levels):
-    """Functional wrapper; exactly three levels, finest first."""
-    if len(levels) != 3:
-        raise ValueError("the fusion neck is defined for exactly 3 levels")
-    h3, h4, h5 = levels[0].shape[2], levels[1].shape[2], levels[2].shape[2]
-    if h3 != 2 * h4 or h4 != 2 * h5:
-        raise ValueError("levels must halve in resolution, finest first")
-    return neck(*levels)

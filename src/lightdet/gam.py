@@ -42,9 +42,3 @@ class GAM(Module):
             raise ValueError(f"expected {self.c} channels, got {x.shape[1]}")
         gated = x * self.channel_gate(x)
         return gated * self.spatial_gate(gated)
-
-    def flops(self, hw):
-        h, w = hw
-        macs = 2 * h * w * self.c * self.hidden              # the two mlp layers
-        macs += 2 * self.k * self.k * h * w * self.c * self.hidden  # the two convs
-        return 2 * macs

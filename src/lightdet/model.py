@@ -20,7 +20,7 @@ from .gam import GAM
 from .metrics import Detection
 from .nn import C3, Concat, ConvBnAct, Conv2d, Module, SPPF, Upsample2x, make_divisible
 from .sepvit import SepViTBlock
-from .tensor import Tensor, concat, no_grad
+from .tensor import Tensor, concat, count_flops, no_grad
 
 ANCHORS_BASE = np.array([
     [[10, 13], [16, 30], [33, 23]],
@@ -57,20 +57,12 @@ class Detect(Module):
             raise ValueError("head expects 3 pyramid levels")
         return [conv(f) for conv, f in zip(self.m, feats)]
 
-    def flops_rows(self, hw3: tuple[int, int]):
-        rows = []
-        for i, conv in enumerate(self.m):
-            hw = (hw3[0] >> i, hw3[1] >> i)
-            rows.append((f"detect.m.{i}", conv.param_count(), conv.flops(hw)))
-        return rows
-
 
 @dataclass
 class Row:
     name: str
     src: object  # -1 = previous row (or model input for row 0), int, or list[int]
     layer: Module
-    c_out: int
 
 
 class DetectorModel(Module):
@@ -102,42 +94,29 @@ class DetectorModel(Module):
         return outs[-1]
 
     def cost_rows(self, img_size: int | None = None):
-        """(name, params, flops) per row at batch 1; shapes propagated exactly."""
+        """(name, params, flops) per row for one batch-1 forward at img_size.
+
+        The neck and the head are listed by their children. FLOPs are those the
+        ops count (`tensor.count_flops`) on a zero image, run in eval mode
+        without gradients; every module's training flag is put back afterwards.
+        """
         size = img_size or self.img_size
-        shapes: list = []
-        rows_out: list[tuple[str, int, int]] = []
-        for i, row in enumerate(self._rows):
-            if row.src == -1:
-                src_shape = (3, size, size) if i == 0 else shapes[i - 1]
-            elif isinstance(row.src, int):
-                src_shape = shapes[row.src]
+        modes = [(m, m.training) for m in self.modules()]
+        self.eval()
+        try:
+            with no_grad(), count_flops() as count:
+                self(Tensor(np.zeros((1, 3, size, size), np.float32)))
+        finally:
+            for m, mode in modes:
+                m.training = mode
+        rows = []
+        for row in self._rows:
+            if isinstance(row.layer, (LightBiFpn, Detect)):
+                parts = [(f"{row.name}.{n}", m) for n, m in row.layer.named_children()]
             else:
-                src_shape = [shapes[s] for s in row.src]
-                if len(src_shape) == 1 and isinstance(src_shape[0][0], tuple):
-                    src_shape = list(src_shape[0])
-            layer = row.layer
-            if isinstance(layer, LightBiFpn):
-                hw3 = src_shape[0][1:]
-                rows_out.extend(layer.cost_rows(hw3))
-                out_shape = (
-                    (layer.out3.cv3.conv.c2, hw3[0], hw3[1]),
-                    (layer.out4.cv3.conv.c2, hw3[0] // 2, hw3[1] // 2),
-                    (layer.out5.cv3.conv.c2, hw3[0] // 4, hw3[1] // 4),
-                )
-            elif isinstance(layer, Detect):
-                rows_out.extend(layer.flops_rows(src_shape[0][1:]))
-                out_shape = tuple(src_shape)
-            elif isinstance(layer, Concat):
-                out_shape = (sum(s[0] for s in src_shape),
-                             src_shape[0][1], src_shape[0][2])
-                rows_out.append((row.name, 0, 0))
-            else:
-                hw = src_shape[1:]
-                oh, ow = layer.out_hw(hw)
-                out_shape = (row.c_out, oh, ow)
-                rows_out.append((row.name, layer.param_count(), layer.flops(hw)))
-            shapes.append(out_shape)
-        return rows_out
+                parts = [(row.name, row.layer)]
+            rows += [(name, m.param_count(), count.get(m, 0)) for name, m in parts]
+        return rows
 
     def total_cost(self, img_size: int | None = None) -> tuple[int, int]:
         rows = self.cost_rows(img_size)
@@ -152,44 +131,55 @@ def _widths(width: float) -> tuple[int, ...]:
     return tuple(make_divisible(c * width) for c in (64, 128, 256, 512, 1024))
 
 
-def build_baseline(nc: int = 2, width: float = 0.25, depth: float = 0.33,
-                   act: str = "mish", img_size: int = 640,
-                   rng: np.random.Generator | None = None) -> DetectorModel:
-    rng = rng or np.random.default_rng(0)
+def _trunk(width: float, depth: float, act: str, rng: np.random.Generator):
+    """Rows stem ... down4, which both graphs share.
+
+    Returns the row list, the `add` that appends to it, and the P3 and P4 rows.
+    """
     c0, c1, c2, c3, c4 = _widths(width)
     d1, d2, d3 = _depth(3, depth), _depth(6, depth), _depth(9, depth)
     r: list[Row] = []
 
-    def add(name, src, layer, c_out):
-        r.append(Row(name, src, layer, c_out))
+    def add(name, src, layer):
+        r.append(Row(name, src, layer))
         return len(r) - 1
 
-    add("stem", -1, ConvBnAct(3, c0, 6, 2, p=2, act=act, rng=rng), c0)
-    add("down1", -1, ConvBnAct(c0, c1, 3, 2, act=act, rng=rng), c1)
-    add("stage1", -1, C3(c1, c1, d1, act=act, rng=rng), c1)
-    add("down2", -1, ConvBnAct(c1, c2, 3, 2, act=act, rng=rng), c2)
-    p3 = add("stage2", -1, C3(c2, c2, d2, act=act, rng=rng), c2)
-    add("down3", -1, ConvBnAct(c2, c3, 3, 2, act=act, rng=rng), c3)
-    p4 = add("stage3", -1, C3(c3, c3, d3, act=act, rng=rng), c3)
-    add("down4", -1, ConvBnAct(c3, c4, 3, 2, act=act, rng=rng), c4)
-    add("stage4", -1, C3(c4, c4, d1, act=act, rng=rng), c4)
-    spp = add("sppf", -1, SPPF(c4, c4, 5, act=act, rng=rng), c4)
+    add("stem", -1, ConvBnAct(3, c0, 6, 2, p=2, act=act, rng=rng))
+    add("down1", -1, ConvBnAct(c0, c1, 3, 2, act=act, rng=rng))
+    add("stage1", -1, C3(c1, c1, d1, act=act, rng=rng))
+    add("down2", -1, ConvBnAct(c1, c2, 3, 2, act=act, rng=rng))
+    p3 = add("stage2", -1, C3(c2, c2, d2, act=act, rng=rng))
+    add("down3", -1, ConvBnAct(c2, c3, 3, 2, act=act, rng=rng))
+    p4 = add("stage3", -1, C3(c3, c3, d3, act=act, rng=rng))
+    add("down4", -1, ConvBnAct(c3, c4, 3, 2, act=act, rng=rng))
+    return r, add, p3, p4
 
-    lat5 = add("lat5", spp, ConvBnAct(c4, c3, 1, act=act, rng=rng), c3)
-    up1 = add("up1", -1, Upsample2x(), c3)
-    add("cat_td4", [up1, p4], Concat(), c3 * 2)
-    add("td4", -1, C3(c3 * 2, c3, d1, shortcut=False, act=act, rng=rng), c3)
-    lat4 = add("lat4", -1, ConvBnAct(c3, c2, 1, act=act, rng=rng), c2)
-    up2 = add("up2", -1, Upsample2x(), c2)
-    add("cat_out3", [up2, p3], Concat(), c2 * 2)
-    out3 = add("out3", -1, C3(c2 * 2, c2, d1, shortcut=False, act=act, rng=rng), c2)
-    dn3 = add("pan_down3", -1, ConvBnAct(c2, c2, 3, 2, act=act, rng=rng), c2)
-    add("cat_out4", [dn3, lat4], Concat(), c2 * 2)
-    out4 = add("out4", -1, C3(c2 * 2, c3, d1, shortcut=False, act=act, rng=rng), c3)
-    dn4 = add("pan_down4", -1, ConvBnAct(c3, c3, 3, 2, act=act, rng=rng), c3)
-    add("cat_out5", [dn4, lat5], Concat(), c3 * 2)
-    out5 = add("out5", -1, C3(c3 * 2, c4, d1, shortcut=False, act=act, rng=rng), c4)
-    add("detect", [out3, out4, out5], Detect(nc, (c2, c3, c4), img_size, rng=rng), 0)
+
+def build_baseline(nc: int = 2, width: float = 0.25, depth: float = 0.33,
+                   act: str = "mish", img_size: int = 640,
+                   rng: np.random.Generator | None = None) -> DetectorModel:
+    rng = rng or np.random.default_rng(0)
+    _, _, c2, c3, c4 = _widths(width)
+    d1 = _depth(3, depth)
+    r, add, p3, p4 = _trunk(width, depth, act, rng)
+    add("stage4", -1, C3(c4, c4, d1, act=act, rng=rng))
+    spp = add("sppf", -1, SPPF(c4, c4, 5, act=act, rng=rng))
+
+    lat5 = add("lat5", spp, ConvBnAct(c4, c3, 1, act=act, rng=rng))
+    up1 = add("up1", -1, Upsample2x())
+    add("cat_td4", [up1, p4], Concat())
+    add("td4", -1, C3(c3 * 2, c3, d1, shortcut=False, act=act, rng=rng))
+    lat4 = add("lat4", -1, ConvBnAct(c3, c2, 1, act=act, rng=rng))
+    up2 = add("up2", -1, Upsample2x())
+    add("cat_out3", [up2, p3], Concat())
+    out3 = add("out3", -1, C3(c2 * 2, c2, d1, shortcut=False, act=act, rng=rng))
+    dn3 = add("pan_down3", -1, ConvBnAct(c2, c2, 3, 2, act=act, rng=rng))
+    add("cat_out4", [dn3, lat4], Concat())
+    out4 = add("out4", -1, C3(c2 * 2, c3, d1, shortcut=False, act=act, rng=rng))
+    dn4 = add("pan_down4", -1, ConvBnAct(c3, c3, 3, 2, act=act, rng=rng))
+    add("cat_out5", [dn4, lat5], Concat())
+    out5 = add("out5", -1, C3(c3 * 2, c4, d1, shortcut=False, act=act, rng=rng))
+    add("detect", [out3, out4, out5], Detect(nc, (c2, c3, c4), img_size, rng=rng))
     return DetectorModel(r, nc, img_size, "baseline")
 
 
@@ -197,27 +187,13 @@ def build_light(nc: int = 2, width: float = 0.25, depth: float = 0.33,
                 act: str = "mish", img_size: int = 640,
                 rng: np.random.Generator | None = None) -> DetectorModel:
     rng = rng or np.random.default_rng(0)
-    c0, c1, c2, c3, c4 = _widths(width)
-    d1, d2, d3 = _depth(3, depth), _depth(6, depth), _depth(9, depth)
-    r: list[Row] = []
-
-    def add(name, src, layer, c_out):
-        r.append(Row(name, src, layer, c_out))
-        return len(r) - 1
-
-    add("stem", -1, ConvBnAct(3, c0, 6, 2, p=2, act=act, rng=rng), c0)
-    add("down1", -1, ConvBnAct(c0, c1, 3, 2, act=act, rng=rng), c1)
-    add("stage1", -1, C3(c1, c1, d1, act=act, rng=rng), c1)
-    add("down2", -1, ConvBnAct(c1, c2, 3, 2, act=act, rng=rng), c2)
-    p3 = add("stage2", -1, C3(c2, c2, d2, act=act, rng=rng), c2)
-    add("down3", -1, ConvBnAct(c2, c3, 3, 2, act=act, rng=rng), c3)
-    p4 = add("stage3", -1, C3(c3, c3, d3, act=act, rng=rng), c3)
-    add("down4", -1, ConvBnAct(c3, c4, 3, 2, act=act, rng=rng), c4)
+    _, c1, c2, c3, c4 = _widths(width)
+    r, add, p3, p4 = _trunk(width, depth, act, rng)
     # deepest stage: channel-reduced global attention instead of a conv block
-    add("attn_reduce", -1, ConvBnAct(c4, c3, 1, act=act, rng=rng), c3)
-    add("attn", -1, SepViTBlock(c3, rng=rng), c3)
-    add("attn_expand", -1, ConvBnAct(c3, c4, 1, act=act, rng=rng), c4)
-    spp = add("sppf", -1, SPPF(c4, c4, 5, act=act, rng=rng), c4)
+    add("attn_reduce", -1, ConvBnAct(c4, c3, 1, act=act, rng=rng))
+    add("attn", -1, SepViTBlock(c3, rng=rng))
+    add("attn_expand", -1, ConvBnAct(c3, c4, 1, act=act, rng=rng))
+    spp = add("sppf", -1, SPPF(c4, c4, 5, act=act, rng=rng))
 
     neck = LightBiFpn(
         c3=c2, c4=c3, c5=c4, mid=c1, out3=c2, out4=c3, out5=c4, act=act,
@@ -225,8 +201,8 @@ def build_light(nc: int = 2, width: float = 0.25, depth: float = 0.33,
         attn_out4=GAM(c3 // 2, hidden=min(4, c3 // 2), rng=rng),
         rng=rng,
     )
-    nk = add("neck", [p3, p4, spp], neck, 0)
-    add("detect", [nk], Detect(nc, (c2, c3, c4), img_size, rng=rng), 0)
+    nk = add("neck", [p3, p4, spp], neck)
+    add("detect", [nk], Detect(nc, (c2, c3, c4), img_size, rng=rng))
     return DetectorModel(r, nc, img_size, "light")
 
 

@@ -1,9 +1,8 @@
-"""Layer zoo: modules with parameters, activations, norms, and the cost model.
+"""Layer zoo: modules with parameters, activations and norms.
 
-Cost convention used throughout: one multiply-accumulate = 2 FLOPs, conv/linear
-FLOPs = 2 * weight_params * output_positions per image, bias/norm/activation/pool/
-resize cost excluded. Parameter counts come from the live tensors so the reported
-numbers can never drift from the built model.
+Parameter counts come from the live tensors, and FLOPs are counted by the ops
+themselves (`tensor.count_flops`), so the reported numbers can never drift from
+the built model.
 """
 from __future__ import annotations
 
@@ -11,6 +10,7 @@ import math
 
 import numpy as np
 
+from . import tensor as _tensor
 from .tensor import Tensor, concat, conv2d, max_pool2d, upsample_nearest2x
 
 
@@ -72,39 +72,40 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        count = _tensor._flops
+        if count is None:
+            return self.forward(*args, **kwargs)
+        # inside count_flops(): credit this module with the FLOPs spent in the call
+        before = count.total
+        out = self.forward(*args, **kwargs)
+        count[self] = count.get(self, 0) + count.total - before
+        return out
 
-    def _owned(self):
+    def _members(self):
+        """Public attributes in definition order; a list `m` gives `m.0`, `m.1`, ..."""
         for name, value in vars(self).items():
             if name.startswith("_") or name == "training":
                 continue
-            yield name, value
+            if isinstance(value, (list, tuple)):
+                for i, item in enumerate(value):
+                    yield f"{name}.{i}", item
+            else:
+                yield name, value
 
     def named_parameters(self, prefix: str = ""):
-        for name, value in self._owned():
-            full = f"{prefix}{name}"
-            if isinstance(value, Tensor):
-                if value.requires_grad and name not in self._buffer_names:
-                    yield full, value
-            elif isinstance(value, Module):
-                yield from value.named_parameters(full + ".")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{full}.{i}.")
+        for name, value in self._members():
+            if isinstance(value, Module):
+                yield from value.named_parameters(f"{prefix}{name}.")
+            elif (isinstance(value, Tensor) and value.requires_grad
+                  and name not in self._buffer_names):
+                yield prefix + name, value
 
     def named_buffers(self, prefix: str = ""):
-        for name, value in self._owned():
-            full = f"{prefix}{name}"
-            if isinstance(value, Tensor):
-                if name in self._buffer_names:
-                    yield full, value
-            elif isinstance(value, Module):
-                yield from value.named_buffers(full + ".")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_buffers(f"{full}.{i}.")
+        for name, value in self._members():
+            if isinstance(value, Module):
+                yield from value.named_buffers(f"{prefix}{name}.")
+            elif name in self._buffer_names:
+                yield prefix + name, value
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -114,15 +115,13 @@ class Module:
         yield from self.named_parameters(prefix)
         yield from self.named_buffers(prefix)
 
+    def named_children(self):
+        return ((name, v) for name, v in self._members() if isinstance(v, Module))
+
     def modules(self):
         yield self
-        for _, value in self._owned():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
+        for _, child in self.named_children():
+            yield from child.modules()
 
     def train(self, mode: bool = True):
         for m in self.modules():
@@ -138,13 +137,6 @@ class Module:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def flops(self, hw: tuple[int, int]) -> int:
-        """FLOPs for one image at the given input spatial size; override per layer."""
-        return 0
-
-    def out_hw(self, hw: tuple[int, int]) -> tuple[int, int]:
-        return hw
 
 
 # ---- parameterized layers ----
@@ -170,15 +162,6 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.s, padding=self.p, groups=self.g)
-
-    def out_hw(self, hw):
-        h, w = hw
-        return ((h + 2 * self.p - self.k) // self.s + 1,
-                (w + 2 * self.p - self.k) // self.s + 1)
-
-    def flops(self, hw):
-        ho, wo = self.out_hw(hw)
-        return 2 * self.weight.size * ho * wo
 
 
 class BatchNorm2d(Module):
@@ -263,12 +246,6 @@ class ConvBnAct(Module):
             y = self.bn(y)
         return self.act(y)
 
-    def out_hw(self, hw):
-        return self.conv.out_hw(hw)
-
-    def flops(self, hw):
-        return self.conv.flops(hw)
-
 
 def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
     """Interleave channel groups; a pure permutation, hence exactly invertible."""
@@ -298,9 +275,6 @@ class Bottleneck(Module):
         y = self.cv2(self.cv1(x))
         return x + y if self.add else y
 
-    def flops(self, hw):
-        return self.cv1.flops(hw) + self.cv2.flops(hw)
-
 
 class C3(Module):
     """Cross-stage block: split 1x1 branches, n bottlenecks on one, concat, fuse."""
@@ -319,11 +293,6 @@ class C3(Module):
         for b in self.m:
             y = b(y)
         return self.cv3(concat([y, self.cv2(x)], axis=1))
-
-    def flops(self, hw):
-        total = self.cv1.flops(hw) + self.cv2.flops(hw) + self.cv3.flops(hw)
-        total += sum(b.flops(hw) for b in self.m)
-        return total
 
 
 class SPPF(Module):
@@ -344,16 +313,10 @@ class SPPF(Module):
         p3 = max_pool2d(p2, self.k, 1, padding=self.k // 2)
         return self.cv2(concat([y, p1, p2, p3], axis=1))
 
-    def flops(self, hw):
-        return self.cv1.flops(hw) + self.cv2.flops(hw)
-
 
 class Upsample2x(Module):
     def forward(self, x: Tensor) -> Tensor:
         return upsample_nearest2x(x)
-
-    def out_hw(self, hw):
-        return (hw[0] * 2, hw[1] * 2)
 
 
 class Concat(Module):

@@ -101,18 +101,3 @@ class SepViTBlock(Module):
         fhat = self.cross_window_attention(fpix, wt) + f
         y = self.fc2(self.fc1(self.norm2(fhat)).gelu()) + fhat
         return window_merge(y, ws, h, w)
-
-    def flops(self, hw: tuple[int, int]) -> int:
-        h, w = hw
-        ws = self.window_size or pick_window_size(h, w)
-        d = self.d
-        nw = (h // ws) * (w // ws)
-        t = ws * ws
-        tw = t + 1
-        macs = 3 * nw * tw * d * d          # qkv over pixel+window tokens
-        macs += 2 * nw * tw * tw * d        # in-window scores and mix
-        macs += 2 * nw * d * d              # cross-window q, k
-        macs += nw * nw * d                 # cross-window scores
-        macs += nw * nw * t * d             # cross-window value mix
-        macs += h * w * 2 * (d * 4 * d)     # mlp on pixel tokens
-        return 2 * macs

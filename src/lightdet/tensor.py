@@ -15,6 +15,7 @@ import numpy as np
 
 _FLOATS = (np.float32, np.float64)
 _grad_enabled = True
+_flops: "FlopCount | None" = None  # set only inside count_flops()
 
 
 @contextlib.contextmanager
@@ -30,6 +31,29 @@ def no_grad():
 
 def grad_enabled() -> bool:
     return _grad_enabled
+
+
+class FlopCount(dict):
+    """FLOPs spent so far in `total`; as a dict, the share each Module claimed."""
+
+    total = 0
+
+
+@contextlib.contextmanager
+def count_flops():
+    """Count the FLOPs of every conv2d and matmul run inside the block.
+
+    One multiply-accumulate is 2 FLOPs: conv2d costs 2*|W|*Ho*Wo per image and
+    matmul 2*K per output element. Nothing else is counted: bias, norms,
+    activations, pooling, resizing and reshapes are free by convention.
+    """
+    global _flops
+    prev = _flops
+    _flops = FlopCount()
+    try:
+        yield _flops
+    finally:
+        _flops = prev
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -183,6 +207,8 @@ class Tensor:
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul needs 2-D or batched operands")
         out = _node(self.data @ other.data, (self, other), "matmul")
+        if _flops is not None:
+            _flops.total += 2 * out.data.size * self.shape[-1]
         if out.requires_grad:
             a, b = self.data, other.data
 
@@ -622,6 +648,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     out_data = out_data.reshape(n, cout, ho, wo)
     if b is not None:
         out_data = out_data + b.data.reshape(1, cout, 1, 1)
+    if _flops is not None:
+        _flops.total += 2 * w.data.size * ho * wo * n
 
     parents = (xp, w) if b is None else (xp, w, b)
     out = _node(out_data, parents, "conv2d")

@@ -1,5 +1,7 @@
 import numpy as np
 
+from lightdet.tensor import Tensor, count_flops, no_grad
+
 
 def cast_f64(module):
     """Promote a module's params and buffers so grad_check runs in float64."""
@@ -8,6 +10,14 @@ def cast_f64(module):
     for _, b in module.named_buffers():
         b.data = b.data.astype(np.float64)
     return module
+
+
+def counted_flops(module, shape):
+    """FLOPs the ops credit to `module` for one no-grad forward on zeros of `shape`."""
+    with no_grad(), count_flops() as count:
+        y = module(Tensor(np.zeros(shape, np.float32)))
+    assert count[module] == count.total
+    return count.total, y
 
 
 class ScriptedClock:

@@ -153,6 +153,14 @@ class TestCost:
         main(["cost"])
         assert capsys.readouterr().out == first
 
+    def test_matches_frozen_table(self, capsys):
+        # pins every row's params and FLOPs, not only the totals
+        path = os.path.join(os.path.dirname(__file__), "data", "cost_640.tsv")
+        with open(path, encoding="utf-8") as fh:
+            frozen = fh.read()
+        assert main(["cost"]) == 0
+        assert capsys.readouterr().out == frozen
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):

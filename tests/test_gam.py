@@ -4,7 +4,7 @@ import pytest
 from lightdet.gam import GAM
 from lightdet.tensor import Tensor, grad_check
 
-from helpers import cast_f64
+from helpers import cast_f64, counted_flops
 
 
 class TestGAM:
@@ -65,4 +65,5 @@ class TestGAM:
 
     def test_flops_positive_and_quadratic_free(self, rng):
         gam = GAM(16, hidden=4, rng=rng)
-        assert gam.flops((10, 10)) == 2 * (2 * 100 * 16 * 4 + 2 * 49 * 100 * 16 * 4)
+        flops, _ = counted_flops(gam, (1, 16, 10, 10))
+        assert flops == 2 * (2 * 100 * 16 * 4 + 2 * 49 * 100 * 16 * 4)

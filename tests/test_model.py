@@ -50,6 +50,15 @@ class TestBudgets:
         for m in (baseline, light):
             assert sum(r[1] for r in m.cost_rows(640)) == m.param_count()
 
+    def test_cost_rows_leave_a_training_model_untouched(self):
+        # a train-mode forward would move the BatchNorm running stats
+        for build in (build_baseline, build_light):
+            m = build(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(3))
+            before = {k: t.numpy().tobytes() for k, t in m.named_state()}
+            m.cost_rows(64)
+            assert all(sub.training for sub in m.modules())
+            assert {k: t.numpy().tobytes() for k, t in m.named_state()} == before
+
     def test_flops_at_640(self, baseline, light):
         assert baseline.total_cost(640)[1] == BASELINE_FLOPS
         assert light.total_cost(640)[1] == LIGHT_FLOPS

@@ -5,9 +5,9 @@ from lightdet.nn import (
     ACTIVATIONS, BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm,
     Linear, SPPF, activation, channel_shuffle, hswish, make_divisible, mish, silu,
 )
-from lightdet.tensor import Tensor, grad_check
+from lightdet.tensor import Tensor, count_flops, grad_check, no_grad
 
-from helpers import cast_f64
+from helpers import cast_f64, counted_flops
 
 
 class TestActivations:
@@ -139,8 +139,17 @@ class TestModules:
 
     def test_conv_cost_formula(self, rng):
         conv = ConvBnAct(16, 32, 3, s=2, rng=rng)
-        assert conv.out_hw((64, 64)) == (32, 32)
-        assert conv.flops((64, 64)) == 2 * (32 * 16 * 9) * 32 * 32
+        flops, y = counted_flops(conv, (1, 16, 64, 64))
+        assert y.shape == (1, 32, 32, 32)
+        assert flops == 2 * (32 * 16 * 9) * 32 * 32
+
+    def test_block_credit_is_the_sum_of_its_convs(self, rng):
+        block = C3(8, 8, n=2, rng=rng)
+        with no_grad(), count_flops() as count:
+            block(Tensor(np.zeros((2, 8, 6, 6), np.float32)))
+        convs = [m for m in block.modules() if isinstance(m, Conv2d)]
+        assert count[block] == count.total == sum(count[c] for c in convs)
+        assert count[block.cv1] == 2 * (4 * 8) * 36 * 2
 
     def test_c3_reference_param_count(self, rng):
         assert C3(64, 64, n=2, rng=rng).param_count() == 29184

@@ -4,7 +4,7 @@ import pytest
 from lightdet.sepvit import SepViTBlock, pick_window_size, window_merge, window_partition
 from lightdet.tensor import Tensor, grad_check
 
-from helpers import cast_f64
+from helpers import cast_f64, counted_flops
 
 
 class TestWindows:
@@ -133,5 +133,7 @@ class TestBlock:
 
     def test_flops_scales_with_area(self, rng):
         block = SepViTBlock(16, rng=rng)
-        assert block.flops((8, 8)) > 0
-        assert block.flops((16, 16)) > 3 * block.flops((8, 8))
+        small, _ = counted_flops(block, (1, 16, 8, 8))
+        large, _ = counted_flops(block, (1, 16, 16, 16))
+        assert small > 0
+        assert large > 3 * small

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from lightdet import tensor as tensor_mod
 from lightdet.tensor import (
-    Tensor, concat, conv2d, grad_check, max_pool2d, no_grad, stack, toposort,
-    upsample_nearest2x, where,
+    Tensor, concat, conv2d, count_flops, grad_check, max_pool2d, no_grad, stack,
+    toposort, upsample_nearest2x, where,
 )
 
 
@@ -297,3 +298,37 @@ class TestSpatial:
 
         err, _ = grad_check(f, [x])
         assert err <= 1e-4
+
+
+class TestCountFlops:
+    def test_matmul_counts_two_per_multiply_accumulate(self, rng):
+        a = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32))
+        b = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
+        with count_flops() as count:
+            a @ b
+        assert count.total == 2 * (2 * 3 * 5) * 4
+
+    def test_conv2d_counts_weights_times_output_positions_per_image(self, rng):
+        x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
+        w = Tensor(rng.standard_normal((8, 2, 3, 3)).astype(np.float32))
+        b = Tensor(np.zeros(8, np.float32))
+        with count_flops() as count:
+            conv2d(x, w, b, stride=2, padding=1, groups=2)
+        assert count.total == 2 * w.size * 3 * 3 * 2
+
+    def test_nothing_else_is_counted(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32), requires_grad=True)
+        with count_flops() as count:
+            y = upsample_nearest2x(max_pool2d(x * 2.0 + 1.0, 2)).sigmoid().sum()
+            y.backward()
+        assert count.total == 0
+
+    def test_counts_only_inside_the_block(self, rng):
+        a = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
+        with count_flops() as outer:
+            with count_flops() as inner:
+                a @ a
+            a @ a
+        a @ a
+        assert (inner.total, outer.total) == (16, 16)
+        assert tensor_mod._flops is None
