@@ -105,6 +105,18 @@ def _bn():
     return _module_err(m, [_x((2, 3, 3, 3), 5)])
 
 
+@_check("batchnorm_eval")
+def _bn_eval():
+    rng = np.random.default_rng(32)
+    m = BatchNorm2d(3)
+    m.weight.data = rng.uniform(0.5, 1.5, 3).astype(np.float32)
+    m.bias.data = rng.standard_normal(3).astype(np.float32)
+    m.running_mean.data = rng.standard_normal(3).astype(np.float32)
+    m.running_var.data = rng.uniform(0.2, 3.0, 3).astype(np.float32)
+    m.eval()
+    return _module_err(m, [_x((2, 3, 3, 3), 33)])
+
+
 @_check("layernorm")
 def _ln():
     m = LayerNorm(6)
@@ -121,6 +133,14 @@ def _act_check(name: str, seed: int):
 
 for _name, _seed in (("mish", 7), ("hswish", 8), ("leakyrelu", 9), ("gelu", 10)):
     CHECKS[_name] = (lambda nm=_name, sd=_seed: _act_check(nm, sd))
+
+
+@_check("mish_wide")
+def _mish_wide():
+    # both sides of the exp clamp at x = 20 inside the fused mish
+    x = Tensor(np.linspace(-30.0, 30.0, 61) + 0.0137, requires_grad=True)
+    err, _ = grad_check(lambda t: activation("mish")(t).sum(), [x])
+    return err
 
 
 @_check("window_attention")

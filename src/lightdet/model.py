@@ -118,10 +118,6 @@ class DetectorModel(Module):
             rows += [(name, m.param_count(), count.get(m, 0)) for name, m in parts]
         return rows
 
-    def total_cost(self, img_size: int | None = None) -> tuple[int, int]:
-        rows = self.cost_rows(img_size)
-        return sum(r[1] for r in rows), sum(r[2] for r in rows)
-
 
 def _depth(n: int, mult: float) -> int:
     return max(round(n * mult), 1)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import tensor as _tensor
-from .tensor import Tensor, concat, conv2d, max_pool2d, upsample_nearest2x
+from .tensor import Tensor, batch_norm, concat, conv2d, max_pool2d, mish, upsample_nearest2x
 
 
 def make_divisible(x: float, divisor: int = 8) -> int:
@@ -27,10 +27,6 @@ def autopad(k: int) -> int:
 
 def hswish(x: Tensor) -> Tensor:
     return x * (x + 3.0).clamp(0.0, 6.0) * (1.0 / 6.0)
-
-
-def mish(x: Tensor) -> Tensor:
-    return x * x.softplus().tanh()
 
 
 def silu(x: Tensor) -> Tensor:
@@ -176,22 +172,17 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError("BatchNorm2d expects NCHW")
-        if self.training:
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-            n = x.size // x.shape[1]
-            with np.errstate(all="ignore"):
-                unbiased = var.numpy() * (n / max(n - 1, 1))
-            m = self.momentum
-            self.running_mean.data = ((1 - m) * self.running_mean.data
-                                      + m * mu.numpy().reshape(-1)).astype(np.float32)
-            self.running_var.data = ((1 - m) * self.running_var.data
-                                     + m * unbiased.reshape(-1)).astype(np.float32)
-        else:
-            mu = self.running_mean.reshape(1, self.c, 1, 1)
-            var = self.running_var.reshape(1, self.c, 1, 1)
-        xhat = (x - mu) / ((var + self.eps) ** 0.5)
-        return xhat * self.weight.reshape(1, self.c, 1, 1) + self.bias.reshape(1, self.c, 1, 1)
+        if not self.training:
+            return batch_norm(x, self.weight, self.bias, self.running_mean.data,
+                              self.running_var.data, self.eps)[0]
+        y, mu, var = batch_norm(x, self.weight, self.bias, eps=self.eps)
+        n = x.size // x.shape[1]
+        with np.errstate(all="ignore"):
+            unbiased = var * (n / max(n - 1, 1))
+        m = self.momentum
+        self.running_mean.data = ((1 - m) * self.running_mean.data + m * mu).astype(np.float32)
+        self.running_var.data = ((1 - m) * self.running_var.data + m * unbiased).astype(np.float32)
+        return y
 
 
 class LayerNorm(Module):

@@ -342,8 +342,8 @@ class TestGradcheckCmd:
             assert re.search(r"max_err \d\.\d{3}e[+-]\d{2}", line)
 
     def test_registry_covers_required_layers(self):
-        need = {"conv2d", "depthwise_conv", "batchnorm", "layernorm", "mish",
-                "hswish", "leakyrelu", "gelu", "window_attention",
+        need = {"conv2d", "depthwise_conv", "batchnorm", "batchnorm_eval", "layernorm",
+                "mish", "mish_wide", "hswish", "leakyrelu", "gelu", "window_attention",
                 "cross_window_attention", "sepvit_block", "dss_conv", "dss_c3",
                 "gam", "gam_bottleneck", "training_loss"}
         need |= {f"box_{k}" for k in ("iou", "giou", "diou", "ciou", "eiou", "siou")}

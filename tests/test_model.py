@@ -60,8 +60,8 @@ class TestBudgets:
             assert {k: t.numpy().tobytes() for k, t in m.named_state()} == before
 
     def test_flops_at_640(self, baseline, light):
-        assert baseline.total_cost(640)[1] == BASELINE_FLOPS
-        assert light.total_cost(640)[1] == LIGHT_FLOPS
+        assert sum(r[2] for r in baseline.cost_rows(640)) == BASELINE_FLOPS
+        assert sum(r[2] for r in light.cost_rows(640)) == LIGHT_FLOPS
 
     def test_reductions(self):
         p = 1 - LIGHT_PARAMS / BASELINE_PARAMS
@@ -74,7 +74,7 @@ class TestBudgets:
 
     def test_conv_flops_scale_with_area(self, baseline):
         # conv-only graph: halving each side quarters the FLOPs
-        assert baseline.total_cost(320)[1] * 4 == BASELINE_FLOPS
+        assert sum(r[2] for r in baseline.cost_rows(320)) * 4 == BASELINE_FLOPS
 
     def test_build_model_dispatch(self):
         assert build_model("light", nc=1, width=0.125, img_size=64).kind == "light"

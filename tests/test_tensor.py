@@ -1,10 +1,14 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
 from lightdet import tensor as tensor_mod
+from lightdet.nn import BatchNorm2d
 from lightdet.tensor import (
-    Tensor, concat, conv2d, count_flops, grad_check, max_pool2d, no_grad, stack,
-    toposort, upsample_nearest2x, where,
+    Tensor, batch_norm, concat, conv2d, count_flops, grad_check, max_pool2d, mish,
+    no_grad, stack, toposort, upsample_nearest2x, where,
 )
 
 
@@ -110,6 +114,27 @@ class TestBackward:
         y.backward()
         assert np.allclose(x.grad, x.numpy())
 
+    def test_graph_is_freed_without_the_cycle_collector(self, rng):
+        # a backward closure that held its own output node would form a cycle,
+        # and every graph would then live until the cycle collector ran
+        x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 1, 3, 3)), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            y = conv2d(x, w, padding=1, groups=4)
+            y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)))[0]
+            y = upsample_nearest2x(max_pool2d(mish(y), 2, padding=1)).pad2d(1)
+            y = concat([y.sigmoid(), y.softplus(), y.tanh(), y.gelu(), y.leaky_relu(0.1)], axis=1)
+            y = where(y.numpy() > 0.5, y.exp(), -y) ** 2 / (y.abs() + 1.0)
+            z = y.reshape(2, -1).transpose(1, 0)[:5].astype(np.float32).softmax(axis=0)
+            loss = (z @ Tensor(np.ones((2, 3)), requires_grad=True)).max(axis=0).mean()
+            loss.backward()
+            del y, z, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestGradCheck:
     def test_composite_chain(self, rng):
@@ -188,14 +213,100 @@ class TestGradCheck:
             bad._prev = (t,)
             bad.requires_grad = True
 
-            def _bw():
-                t._accum_grad(bad.grad * 0.5)  # not the tanh derivative
+            def _bw(g):
+                t._accum_grad(g * 0.5)  # not the tanh derivative
 
             bad._backward = _bw
             return bad.sum()
 
         err, _ = grad_check(f, [x])
         assert err > 1e-2
+
+
+def composite_bn(bn, x):
+    """BatchNorm2d built from generic ops, running stats updated as the layer does."""
+    c = bn.c
+    if bn.training:
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
+        n = x.size // c
+        m = bn.momentum
+        bn.running_mean.data = ((1 - m) * bn.running_mean.data
+                                + m * mu.numpy().reshape(-1)).astype(np.float32)
+        bn.running_var.data = ((1 - m) * bn.running_var.data
+                               + m * var.numpy().reshape(-1) * (n / (n - 1))).astype(np.float32)
+    else:
+        mu = bn.running_mean.reshape(1, c, 1, 1)
+        var = bn.running_var.reshape(1, c, 1, 1)
+    xhat = (x - mu) / ((var + bn.eps) ** 0.5)
+    return xhat * bn.weight.reshape(1, c, 1, 1) + bn.bias.reshape(1, c, 1, 1)
+
+
+def _bn_pair(rng, training):
+    """Two identical float64 BatchNorm2d layers with non-trivial affine and running stats."""
+    layers = []
+    for _ in range(2):
+        bn = BatchNorm2d(3, momentum=0.25)
+        bn.weight = Tensor(np.array([0.5, 1.5, -0.75]), requires_grad=True)
+        bn.bias = Tensor(np.array([0.1, -0.2, 0.3]), requires_grad=True)
+        bn.running_mean.data = np.array([0.2, -0.4, 1.0])
+        bn.running_var.data = np.array([0.5, 2.0, 1.25])
+        layers.append(bn.train(training))
+    x = rng.standard_normal((4, 3, 5, 5)) * 2.0 + 0.5
+    r = rng.standard_normal((4, 3, 5, 5))
+    return layers, x, r
+
+
+class TestFusedLayers:
+    def test_mish_matches_composite_float64(self, rng):
+        raw = np.concatenate([rng.standard_normal(200) * 8.0, np.linspace(-30.0, 30.0, 61)])
+        xf = Tensor(raw, requires_grad=True)
+        xc = Tensor(raw, requires_grad=True)
+        fused, ref = mish(xf), xc * xc.softplus().tanh()
+        assert fused._op == "mish" and fused._prev == (xf,) and fused.dtype == np.float64
+        assert np.max(np.abs(fused.numpy() - ref.numpy())) <= 1e-12
+        fused.sum().backward()
+        ref.sum().backward()
+        assert np.max(np.abs(xf.grad - xc.grad)) <= 1e-12
+
+    def test_mish_float32_wide_range_is_silent(self):
+        x = np.linspace(-100.0, 100.0, 2001, dtype=np.float32)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            y = mish(Tensor(x)).numpy()
+        assert y.dtype == np.float32 and np.isfinite(y).all()
+        assert y[-1] == 100.0 and -1e-30 < y[0] < 0.0
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm_matches_composite_float64(self, rng, training):
+        (fused, ref), x, r = _bn_pair(rng, training)
+        xf, xc = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        yf, yc = fused(xf), composite_bn(ref, xc)
+        assert yf._op == "batch_norm" and yf.dtype == np.float64
+        assert np.max(np.abs(yf.numpy() - yc.numpy())) <= 1e-12
+        (yf * Tensor(r)).sum().backward()
+        (yc * Tensor(r)).sum().backward()
+        for a, b in ((xf, xc), (fused.weight, ref.weight), (fused.bias, ref.bias)):
+            assert a.grad.shape == a.shape
+            assert np.max(np.abs(a.grad - b.grad)) <= 1e-10
+        # training: both sides round the same float64 statistics to float32;
+        # eval: neither touches them
+        for name in ("running_mean", "running_var"):
+            got, want = getattr(fused, name).numpy(), getattr(ref, name).numpy()
+            assert got.dtype == want.dtype == (np.float32 if training else np.float64)
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    def test_batch_norm_returns_the_statistics_it_used(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        w, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        _, mean, var = batch_norm(x, w, b)
+        assert np.allclose(mean, x.numpy().mean(axis=(0, 2, 3)), atol=1e-12)
+        assert np.allclose(var, x.numpy().var(axis=(0, 2, 3)), atol=1e-12)
+        rm, rv = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        y, mean, var = batch_norm(x, w, b, rm, rv, eps=0.0)
+        assert mean is rm and var is rv
+        assert np.allclose(y.numpy(), (x.numpy() - rm.reshape(1, 3, 1, 1))
+                           / np.sqrt(rv).reshape(1, 3, 1, 1), atol=1e-12)
 
 
 class TestSpatial:
