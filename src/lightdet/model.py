@@ -377,19 +377,40 @@ def decode_predictions(preds_np: list[np.ndarray], anchors_px: np.ndarray,
     return np.concatenate(out, axis=1)
 
 
+# NMS settles this many sorted candidates per step: enough to spread the fixed
+# cost of each step's numpy calls, few enough that the block-by-block IoU matrix
+# stays small (on ~1,000-candidate images 64 and 128 time the same, 256 slower)
+_NMS_BLOCK = 128
+
+
 def nms_indices(boxes_xyxy: np.ndarray, scores: np.ndarray, iou_thr: float = 0.45,
                 max_det: int = 300) -> np.ndarray:
-    """Greedy suppression; ties in score keep the lower index first."""
+    """Greedy suppression; ties in score keep the lower index first.
+
+    A candidate is kept when its IoU with every higher-ranked kept box is at
+    most `iou_thr`. The sorted candidates go in blocks: one IoU matrix against
+    the boxes kept so far drops those already suppressed, and a greedy pass
+    over the block's own IoU matrix settles the rest. IoU is symmetric to the
+    bit, so the kept set is the one a box-at-a-time loop finds.
+    """
     order = np.lexsort((np.arange(len(scores)), -scores))
-    keep = []
-    while order.size and len(keep) < max_det:
-        i = order[0]
-        keep.append(i)
-        rest = order[1:]
-        if not rest.size:
+    keep: list[int] = []
+    for start in range(0, order.size, _NMS_BLOCK):
+        if len(keep) >= max_det:
             break
-        ious = iou_matrix(boxes_xyxy[i:i + 1], boxes_xyxy[rest])[0]
-        order = rest[ious <= iou_thr]
+        cand = order[start:start + _NMS_BLOCK]
+        if keep:
+            # kept only where `<=` holds, so a NaN IoU suppresses
+            clear = iou_matrix(boxes_xyxy[cand], boxes_xyxy[keep]) <= iou_thr
+            cand = cand[clear.all(axis=1)]
+        clear = iou_matrix(boxes_xyxy[cand], boxes_xyxy[cand]) <= iou_thr
+        alive = np.ones(cand.size, dtype=bool)
+        for r in range(cand.size):
+            if alive[r]:
+                keep.append(cand[r])
+                if len(keep) == max_det:
+                    break
+                alive &= clear[r]
     return np.asarray(keep, dtype=np.int64)
 
 

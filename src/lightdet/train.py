@@ -114,6 +114,7 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
         model.zero_grad()
         total.backward()
         opt.step()
+        del preds, total  # free this step's graph before the next forward
         trace.append(parts)
         epoch_rows.append(parts)
         if len(trace) % steps_per_epoch == 0:

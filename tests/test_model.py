@@ -324,6 +324,47 @@ class TestDecode:
         assert np.all(np.abs(dec[0, flat, :4] - gt) <= 1.0)
 
 
+def _corners(cxy, wh):
+    return np.concatenate([cxy - wh / 2, cxy + wh / 2], axis=1)
+
+
+def _clustered(rng, n, centres=12):
+    """n boxes jittered around a few centres: dense overlap inside each cluster."""
+    mid = rng.uniform(30, 170, size=(centres, 2))
+    cxy = mid[rng.integers(0, centres, n)] + rng.normal(0, 6, size=(n, 2))
+    return _corners(cxy, rng.uniform(8, 30, size=(n, 2)))
+
+
+def _nms_case(case, rng):
+    """(boxes, scores, iou_thr, max_det) for one named NMS oracle case."""
+    if case == "random":
+        n = 200
+        boxes = _corners(rng.uniform(20, 80, size=(n, 2)), rng.uniform(5, 30, size=(n, 2)))
+        return boxes, rng.uniform(0.01, 1.0, size=n), 0.5, n
+    n = 700
+    if case == "class_offset":
+        # what detect_images feeds NMS: boxes clipped to the image, shifted per class
+        img = 200
+        boxes = np.clip(_clustered(rng, n), 0.0, float(img))
+        cls = rng.integers(0, 3, size=n)
+        return boxes + cls[:, None] * (img * 2.0), rng.uniform(0, 1, size=n), 0.45, n
+    boxes = _clustered(rng, n)
+    scores = rng.uniform(0, 1, size=n)
+    if case == "clusters":
+        return boxes, scores, 0.45, n
+    if case == "tied_scores":
+        return boxes, np.round(scores, 1), 0.45, n
+    if case == "max_det_mid_block":
+        return boxes, scores, 0.45, 150
+    if case == "zero_area":
+        flat = rng.random(n) < 0.15
+        boxes[flat, 2] = boxes[flat, 0]  # zero width
+        boxes[flat[::-1], 3] = boxes[flat[::-1], 1]  # zero height, some both
+        boxes[1::50] = boxes[0::50]  # exact duplicates, zero-area ones among them
+        return boxes, scores, 0.45, n
+    raise ValueError(case)
+
+
 class TestNms:
     def test_overlap_suppressed(self):
         boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11], [50, 50, 60, 60.0]])
@@ -346,28 +387,35 @@ class TestNms:
         keep = nms_indices(boxes, np.array([0.5, 0.5]))
         assert keep.tolist() == [0, 1]
 
-    def test_matches_bruteforce_suppression(self, rng):
-        # independent scalar-loop oracle over 200 random boxes
-        n = 200
-        cxy = rng.uniform(20, 80, size=(n, 2))
-        wh = rng.uniform(5, 30, size=(n, 2))
-        boxes = np.concatenate([cxy - wh / 2, cxy + wh / 2], axis=1)
-        scores = rng.uniform(0.01, 1.0, size=n)
-        thr = 0.5
+    def test_empty_input(self):
+        keep = nms_indices(np.zeros((0, 4)), np.zeros(0))
+        assert keep.shape == (0,) and keep.dtype == np.int64
+
+    @pytest.mark.parametrize("case", ["random", "clusters", "tied_scores",
+                                      "max_det_mid_block", "zero_area", "class_offset"])
+    def test_matches_bruteforce_suppression(self, rng, case):
+        # independent scalar-loop oracle; the 700-box cases span several NMS blocks
+        boxes, scores, thr, max_det = _nms_case(case, rng)
+        n = len(scores)
 
         def iou(a, b):
             ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
             iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
             inter = ix * iy
             ua = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-            return inter / ua
+            return inter / ua if ua > 0 else 0.0  # two zero-area boxes do not overlap
 
         expect = []
         for i in sorted(range(n), key=lambda i: (-scores[i], i)):
+            if len(expect) == max_det:
+                break
             if all(iou(boxes[i], boxes[j]) <= thr for j in expect):
                 expect.append(i)
-        got = nms_indices(boxes, scores, iou_thr=thr, max_det=n)
+        got = nms_indices(boxes, scores, iou_thr=thr, max_det=max_det)
+        assert got.dtype == np.int64
         assert got.tolist() == expect
+        if max_det < n:
+            assert len(got) == max_det  # the cap, not the candidates, ended the pass
 
     def test_detect_images_runs(self):
         m = build_light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,33 @@ class TestFit:
         t1 = fit(_toy_model(), imgs, targets, iters=3, batch=2, seed=1, augment=True)
         t2 = fit(_toy_model(), imgs, targets, iters=3, batch=2, seed=1, augment=True)
         assert [r["total"] for r in t1] == [r["total"] for r in t2]
+
+    def test_previous_step_graph_freed_before_next_forward(self, monkeypatch):
+        # each step's loss takes in a fresh leaf that nothing but its graph holds
+        class Probe(Tensor):  # a subclass gains the weakref slot Tensor lacks
+            pass
+
+        probes = []
+
+        def loss_with_probe(*args, **kwargs):
+            total, parts = training_loss(*args, **kwargs)
+            probe = Probe(np.zeros((), np.float32), requires_grad=True)
+            probes.append(weakref.ref(probe))
+            return total + probe, parts
+
+        monkeypatch.setattr("lightdet.train.training_loss", loss_with_probe)
+        model = _toy_model()
+        forward, live = model.forward, []
+
+        def counting_forward(x):
+            live.append(sum(ref() is not None for ref in probes))
+            return forward(x)
+
+        model.forward = counting_forward
+        imgs, targets = _toy_batch(4)
+        fit(model, imgs, targets, iters=3, batch=2)
+        assert len(probes) == 3
+        assert live == [0, 0, 0]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
