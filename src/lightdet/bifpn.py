@@ -29,15 +29,13 @@ class DSSConv(Module):
 
 
 class DSSBottleneck(Module):
-    """1x1 reduce then separable 3x3; optional residual and an optional gate module."""
+    """1x1 conv then separable 3x3; optional residual and an optional gate module."""
 
-    def __init__(self, c1: int, c2: int, shortcut: bool = True, e: float = 1.0,
-                 act: str = "mish", attention: Module | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, c1: int, c2: int, shortcut: bool = True, act: str = "mish",
+                 attention: Module | None = None, rng: np.random.Generator | None = None):
         super().__init__()
-        ch = int(c2 * e)
-        self.cv1 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
-        self.cv2 = DSSConv(ch, c2, 3, 1, act=act, rng=rng)
+        self.cv1 = ConvBnAct(c1, c2, 1, act=act, rng=rng)
+        self.cv2 = DSSConv(c2, c2, 3, 1, act=act, rng=rng)
         self.attn = attention
         self.add = shortcut and c1 == c2
 
@@ -49,20 +47,19 @@ class DSSBottleneck(Module):
 
 
 class DSSC3(Module):
-    """Cross-stage block built from separable bottlenecks."""
+    """Cross-stage block built from separable bottlenecks; branches are half-width."""
 
     def __init__(self, c1: int, c2: int, n: int = 1, shortcut: bool = True,
-                 e: float = 0.5, act: str = "mish",
-                 attentions: list[Module | None] | None = None,
+                 act: str = "mish", attentions: list[Module | None] | None = None,
                  rng: np.random.Generator | None = None):
         super().__init__()
-        ch = int(c2 * e)
+        ch = c2 // 2
         attns = attentions or [None] * n
         if len(attns) != n:
             raise ValueError("one attention slot per bottleneck")
         self.cv1 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
         self.cv2 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
-        self.m = [DSSBottleneck(ch, ch, shortcut, e=1.0, act=act, attention=a, rng=rng)
+        self.m = [DSSBottleneck(ch, ch, shortcut, act=act, attention=a, rng=rng)
                   for a in attns]
         self.cv3 = ConvBnAct(2 * ch, c2, 1, act=act, rng=rng)
 

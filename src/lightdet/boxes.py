@@ -32,9 +32,6 @@ class Box:
     def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> "Box":
         return cls((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
 
-    def area(self) -> float:
-        return max(self.w, 0.0) * max(self.h, 0.0)
-
     def array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
@@ -57,20 +54,7 @@ def _as_tensor(b) -> Tensor:
     return Tensor(np.asarray(b))
 
 
-def iou_tensor(pred, gt, eps: float = EPS) -> Tensor:
-    """Plain intersection over union on center-form tensors, (...,4) -> (...)."""
-    pred, gt = _as_tensor(pred), _as_tensor(gt)
-    ax1, ay1, ax2, ay2 = _corners_t(pred)
-    bx1, by1, bx2, by2 = _corners_t(gt)
-    iw = (ax2.minimum(bx2) - ax1.maximum(bx1)).clamp(0.0)
-    ih = (ay2.minimum(by2) - ay1.maximum(by1)).clamp(0.0)
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / (union + eps)
-
-
-def box_loss(kind: str, pred, gt, squared_distance: bool = True,
-             eps: float = EPS) -> Tensor:
+def box_loss(kind: str, pred, gt, eps: float = EPS) -> Tensor:
     """1 - score for the requested IoU family member; batches over leading dims."""
     pred, gt = _as_tensor(pred), _as_tensor(gt)
     ax1, ay1, ax2, ay2 = _corners_t(pred)
@@ -124,10 +108,7 @@ def box_loss(kind: str, pred, gt, squared_distance: bool = True,
         gamma = 2.0 - angle
         rho_x = dx / (ew + eps)
         rho_y = dy / (eh + eps)
-        if squared_distance:
-            rho_x, rho_y = rho_x * rho_x, rho_y * rho_y
-        else:
-            rho_x, rho_y = rho_x.abs(), rho_y.abs()
+        rho_x, rho_y = rho_x * rho_x, rho_y * rho_y  # squared, as SIoU defines it
         dist = (1.0 - (-gamma * rho_x).exp()) + (1.0 - (-gamma * rho_y).exp())
         ww = (pw - gw).abs() / pw.maximum(gw)
         wh = (ph - gh).abs() / ph.maximum(gh)

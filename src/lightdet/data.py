@@ -74,12 +74,6 @@ def read_ppm(path: str) -> np.ndarray:
     return np.frombuffer(payload, np.uint8).reshape(h, w, 3).copy()
 
 
-def decode_image(path: str) -> np.ndarray:
-    """PPM file -> (3, H, W) float32 in [0, 1], RGB order."""
-    img = read_ppm(path)
-    return (img.transpose(2, 0, 1).astype(np.float32)) / 255.0
-
-
 # ---- labels ----
 
 
@@ -337,7 +331,7 @@ def synth_generate(n: int, seed: int, out_dir: str, size: int = 96) -> list[str]
 
 
 def load_sample(root: str, stem: str, nc: int, img_size: int | None = None):
-    """One (image (3,S,S) float32, labels (n,5)) pair, letterboxed on demand."""
+    """One (image (3,S,S) float32 RGB in [0, 1], labels (n,5)) pair, letterboxed on demand."""
     img = read_ppm(os.path.join(root, "images", stem + ".ppm"))
     lbl_path = os.path.join(root, "labels", stem + ".txt")
     labels = parse_labels(lbl_path, nc) if os.path.exists(lbl_path) \

@@ -40,14 +40,13 @@ class Detect(Module):
             raise ValueError("need at least one class")
         self.nc = nc
         self.no = nc + 5
-        self.strides = STRIDES
         self.m = [Conv2d(c, 3 * self.no, 1, bias=True, rng=rng) for c in ch]
         self.register_buffer("anchors", Tensor(ANCHORS_BASE * (img_size / 640.0)))
         self._init_biases(img_size)
 
     def _init_biases(self, img_size: int) -> None:
         # objectness starts rare, classes near uniform-low: the usual priors
-        for conv, s in zip(self.m, self.strides):
+        for conv, s in zip(self.m, STRIDES):
             b = conv.bias.data.reshape(3, self.no)
             b[:, 4] += math.log(8.0 / (img_size / s) ** 2)
             b[:, 5:] += math.log(0.6 / (self.nc - 0.99999))
@@ -212,14 +211,17 @@ def build_model(kind: str, **kw) -> DetectorModel:
 
 # ---- target assignment and loss ----
 
+ANCHOR_RATIO_THR = 4.0  # largest w or h ratio, either way, between a box and its anchor
+
 
 def assign_targets(targets: list[np.ndarray], detect: Detect, img_size: int,
-                   grids: list[tuple[int, int]], ratio_thr: float = 4.0):
+                   grids: list[tuple[int, int]]):
     """Anchor/cell assignment per level.
 
     targets: per image, (n, 5) rows of (class, cx, cy, w, h) normalized to [0,1].
     A box lands in its center cell plus the two nearest neighbor cells, on every
-    anchor whose w/h ratio to the box is within ratio_thr in both directions.
+    anchor whose w/h ratio to the box is within ANCHOR_RATIO_THR in both
+    directions.
     Returns per level: (b, a, gj, gi, tbox, cls) with tbox in grid units and its
     xy relative to the assigned cell origin.
     """
@@ -236,7 +238,7 @@ def assign_targets(targets: list[np.ndarray], detect: Detect, img_size: int,
                 if tw <= 0 or th <= 0:
                     continue
                 ratio = np.stack([tw / anchors[:, 0], th / anchors[:, 1]], axis=1)
-                keep = np.maximum(ratio, 1.0 / ratio).max(axis=1) < ratio_thr
+                keep = np.maximum(ratio, 1.0 / ratio).max(axis=1) < ANCHOR_RATIO_THR
                 if not keep.any():
                     continue
                 gi0 = min(int(gx), gw - 1)
@@ -285,8 +287,7 @@ def _pair_iou_np(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 
 def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect,
-                  img_size: int, box_kind: str = "siou",
-                  gains: dict | None = None, obj_target: str = "iou"):
+                  img_size: int, box_kind: str = "siou", obj_target: str = "iou"):
     """Scalar loss Tensor plus float components.
 
     Objectness is logit-space BCE against a dense target field: zero at
@@ -297,9 +298,9 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
     rank good boxes above poor ones at inference; the value is detached so
     the optimizer cannot shrink boxes to make the term cheaper. A slot
     assigned more than once keeps the largest target. Class probabilities
-    use logit-space BCE per match, box the requested overlap loss.
+    use logit-space BCE per match, box the requested overlap loss. The parts
+    are weighted by LOSS_GAINS.
     """
-    gains = gains or LOSS_GAINS
     nc, no = detect.nc, detect.no
     grids = [(p.shape[2], p.shape[3]) for p in preds]
     assigned = assign_targets(targets, detect, img_size, grids)
@@ -341,11 +342,12 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
             onehot[np.arange(b.size), tcls] = 1.0
             lcls = lcls + _bce_sum(pm[:, 5:], Tensor(onehot)) * (1.0 / (b.size * nc))
         lobj = lobj + obj_sum * (OBJ_BALANCE[lvl] / pobj.size)
-    total = lbox * gains["box"] + lobj * gains["obj"] + lcls * gains["cls"]
+    total = (lbox * LOSS_GAINS["box"] + lobj * LOSS_GAINS["obj"]
+             + lcls * LOSS_GAINS["cls"])
     parts = {
-        "box": float(lbox.numpy()) * gains["box"],
-        "obj": float(lobj.numpy()) * gains["obj"],
-        "cls": float(lcls.numpy()) * gains["cls"],
+        "box": float(lbox.numpy()) * LOSS_GAINS["box"],
+        "obj": float(lobj.numpy()) * LOSS_GAINS["obj"],
+        "cls": float(lcls.numpy()) * LOSS_GAINS["cls"],
         "total": float(total.numpy()),
         "matched": n_matched,
     }

@@ -29,19 +29,12 @@ def hswish(x: Tensor) -> Tensor:
     return x * (x + 3.0).clamp(0.0, 6.0) * (1.0 / 6.0)
 
 
-def silu(x: Tensor) -> Tensor:
-    return x * x.sigmoid()
-
-
 ACTIVATIONS = {
     "leakyrelu": lambda x: x.leaky_relu(0.01),
     "hswish": hswish,
     "mish": mish,
     "gelu": lambda x: x.gelu(),
-    "silu": silu,
     "relu": lambda x: x.relu(),
-    "sigmoid": lambda x: x.sigmoid(),
-    "identity": lambda x: x,
 }
 
 
@@ -223,19 +216,14 @@ class ConvBnAct(Module):
     """Conv -> BN -> activation, the detector's standard building block."""
 
     def __init__(self, c1: int, c2: int, k: int = 1, s: int = 1, p: int | None = None,
-                 g: int = 1, act: str = "mish", bn: bool = True,
-                 rng: np.random.Generator | None = None):
+                 g: int = 1, act: str = "mish", rng: np.random.Generator | None = None):
         super().__init__()
-        self.conv = Conv2d(c1, c2, k, s, p, g, bias=not bn, rng=rng)
-        self.bn = BatchNorm2d(c2) if bn else None
-        self.act_name = act
+        self.conv = Conv2d(c1, c2, k, s, p, g, bias=False, rng=rng)
+        self.bn = BatchNorm2d(c2)
         self.act = activation(act)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = self.conv(x)
-        if self.bn is not None:
-            y = self.bn(y)
-        return self.act(y)
+        return self.act(self.bn(self.conv(x)))
 
 
 def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
@@ -252,14 +240,13 @@ def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
 
 
 class Bottleneck(Module):
-    """1x1 reduce -> 3x3 conv, optional residual."""
+    """1x1 conv -> 3x3 conv at the output width, optional residual."""
 
-    def __init__(self, c1: int, c2: int, shortcut: bool = True, e: float = 1.0,
-                 act: str = "mish", rng: np.random.Generator | None = None):
+    def __init__(self, c1: int, c2: int, shortcut: bool = True, act: str = "mish",
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        ch = int(c2 * e)
-        self.cv1 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
-        self.cv2 = ConvBnAct(ch, c2, 3, act=act, rng=rng)
+        self.cv1 = ConvBnAct(c1, c2, 1, act=act, rng=rng)
+        self.cv2 = ConvBnAct(c2, c2, 3, act=act, rng=rng)
         self.add = shortcut and c1 == c2
 
     def forward(self, x: Tensor) -> Tensor:
@@ -268,15 +255,15 @@ class Bottleneck(Module):
 
 
 class C3(Module):
-    """Cross-stage block: split 1x1 branches, n bottlenecks on one, concat, fuse."""
+    """Cross-stage block: two half-width 1x1 branches, n bottlenecks on one, concat, fuse."""
 
     def __init__(self, c1: int, c2: int, n: int = 1, shortcut: bool = True,
-                 e: float = 0.5, act: str = "mish", rng: np.random.Generator | None = None):
+                 act: str = "mish", rng: np.random.Generator | None = None):
         super().__init__()
-        ch = int(c2 * e)
+        ch = c2 // 2
         self.cv1 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
         self.cv2 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
-        self.m = [Bottleneck(ch, ch, shortcut, e=1.0, act=act, rng=rng) for _ in range(n)]
+        self.m = [Bottleneck(ch, ch, shortcut, act=act, rng=rng) for _ in range(n)]
         self.cv3 = ConvBnAct(2 * ch, c2, 1, act=act, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:

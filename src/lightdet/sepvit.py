@@ -47,9 +47,9 @@ def window_merge(tokens: Tensor, ws: int, h: int, w: int) -> Tensor:
 
 
 class SepViTBlock(Module):
-    """d-channel attention block; preserves NCHW shape."""
+    """d-channel attention block with a 4d-wide MLP; preserves NCHW shape."""
 
-    def __init__(self, d: int, window_size: int | None = None, mlp_ratio: int = 4,
+    def __init__(self, d: int, window_size: int | None = None,
                  rng: np.random.Generator | None = None):
         super().__init__()
         if d <= 0:
@@ -63,8 +63,8 @@ class SepViTBlock(Module):
         self.wv = Linear(d, d, bias=False, rng=rng)
         self.norm_token = LayerNorm(d, affine=False)
         self.norm2 = LayerNorm(d)
-        self.fc1 = Linear(d, mlp_ratio * d, rng=rng)
-        self.fc2 = Linear(mlp_ratio * d, d, rng=rng)
+        self.fc1 = Linear(d, 4 * d, rng=rng)
+        self.fc2 = Linear(4 * d, d, rng=rng)
         # learned summary token, one per window at run time, starts silent
         self.window_token = Tensor(np.zeros((1, 1, 1, d), np.float32), requires_grad=True)
 

@@ -31,10 +31,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class FlopCount(dict):
     """FLOPs spent so far in `total`; as a dict, the share each Module claimed."""
 
@@ -123,28 +119,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("item() needs a single-element tensor")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def astype(self, dtype) -> "Tensor":
-        if self.data.dtype == np.dtype(dtype):
-            return self
-        out = _node(self.data.astype(dtype), (self,), "astype")
-        if out.requires_grad:
-            src_dtype = self.data.dtype
-
-            def _bw(grad):
-                _accum(self, grad.astype(src_dtype))
-
-            out._backward = _bw
-        return out
-
-    def _accum_grad(self, g: np.ndarray) -> None:
-        _accum(self, g)
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -240,23 +214,6 @@ class Tensor:
         n = self.data.size if axis is None else _axis_size(self.data.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def max(self, axis=None, keepdims: bool = False):
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = _node(out_data, (self,), "max")
-        if out.requires_grad:
-            # subgradient: split among argmax ties
-            def _bw(g):
-                od = out_data
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                    od = np.expand_dims(od, axis)
-                mask = (self.data == od).astype(self.data.dtype)
-                count = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-                _accum(self, mask * (g / count))
-
-            out._backward = _bw
-        return out
-
     # ---- elementwise ----
 
     def exp(self):
@@ -265,17 +222,6 @@ class Tensor:
         if out.requires_grad:
             def _bw(grad):
                 _accum(self, grad * out_data)
-            out._backward = _bw
-        return out
-
-    def log(self):
-        out = _node(np.log(self.data), (self,), "log")
-        if out.requires_grad:
-            a = self.data
-
-            def _bw(grad):
-                _accum(self, grad / a)
-
             out._backward = _bw
         return out
 
@@ -511,10 +457,6 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _result_dtype(a: Tensor, b: Tensor):
-    return np.result_type(a.data.dtype, b.data.dtype)
-
-
 def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -543,7 +485,7 @@ def _binary(a, b, fwd, bwd, op: str) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b.dtype)
     b = _wrap(b, a.dtype)
-    dt = _result_dtype(a, b)
+    dt = np.result_type(a.data.dtype, b.data.dtype)
     ad = a.data.astype(dt, copy=False)
     bd = b.data.astype(dt, copy=False)
     out = _node(fwd(ad, bd), (a, b), op)
@@ -596,30 +538,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             for t, g in zip(tensors, np.split(grad, splits, axis=axis)):
                 _accum(t, g)
 
-        out._backward = _bw
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = []
-    for t in tensors:
-        t = t if isinstance(t, Tensor) else Tensor(t)
-        shape = list(t.shape)
-        shape.insert(axis if axis >= 0 else axis + t.ndim + 1, 1)
-        expanded.append(t.reshape(*shape))
-    return concat(expanded, axis=axis)
-
-
-def where(cond, a, b) -> Tensor:
-    cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _wrap(b, a.dtype)
-    dt = _result_dtype(a, b)
-    out = _node(np.where(cond, a.data.astype(dt, copy=False), b.data.astype(dt, copy=False)), (a, b), "where")
-    if out.requires_grad:
-        def _bw(grad):
-            _accum(a, _unbroadcast(grad * cond, a.data.shape).astype(a.data.dtype, copy=False))
-            _accum(b, _unbroadcast(grad * ~cond, b.data.shape).astype(b.data.dtype, copy=False))
         out._backward = _bw
     return out
 

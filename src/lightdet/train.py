@@ -18,7 +18,8 @@ class SGD:
     the first `warmup` steps. With `total_steps` set, the post-warmup rate
     follows a half-cosine down to `final_frac` of the base rate. Gradients are
     rescaled to a global norm of at most `clip_norm` before the update; small
-    batches drive the norm orders of magnitude past the useful step scale."""
+    batches drive the norm orders of magnitude past the useful step scale. A
+    non-finite norm raises FloatingPointError before any update."""
 
     def __init__(self, params, lr: float = 0.01, momentum: float = 0.937,
                  weight_decay: float = 5e-4, warmup: int = 20,
@@ -51,13 +52,15 @@ class SGD:
         return math.sqrt(sq)
 
     def step(self) -> None:
-        lr = self.lr_at(self.t)
-        self.t += 1
         scale = 1.0
         if self.clip_norm:
             total = self.grad_norm()
+            if not math.isfinite(total):
+                raise FloatingPointError(f"step {self.t}: gradient norm is {total}")
             if total > self.clip_norm:
                 scale = self.clip_norm / total
+        lr = self.lr_at(self.t)
+        self.t += 1
         for p, v in zip(self.params, self.vel):
             if p.grad is None:
                 continue
@@ -78,6 +81,8 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
 
     Batches cycle through a seeded shuffle, reshuffled each pass. `on_epoch`
     (if given) fires after every full pass with (epoch_index, mean_parts).
+    A non-finite loss or gradient norm raises FloatingPointError naming the
+    step (counted from 0), before the optimizer applies that step.
     """
     n = len(images)
     if n == 0:
@@ -94,7 +99,7 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
     trace: list[dict] = []
     epoch_rows: list[dict] = []
     epoch = 0
-    for _ in range(iters):
+    for step in range(iters):
         if cursor + b > n:
             order = rng.permutation(n)
             cursor = 0
@@ -111,6 +116,10 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
         preds = model(Tensor(imgs))
         total, parts = training_loss(preds, tgts, model.detect,
                                      model.img_size, box_kind)
+        if not math.isfinite(parts["total"]):
+            raise FloatingPointError(
+                f"step {step}: loss is not finite (box {parts['box']:.4g}, "
+                f"obj {parts['obj']:.4g}, cls {parts['cls']:.4g})")
         model.zero_grad()
         total.backward()
         opt.step()

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from lightdet.boxes import (
-    Box, LOSS_KINDS, box_loss, corners_np, iou_matrix, iou_tensor, rasterized_iou,
+    Box, LOSS_KINDS, box_loss, corners_np, iou_matrix, rasterized_iou,
 )
 from lightdet.tensor import Tensor, grad_check
+
+
+def iou(a, b) -> float:
+    """Plain IoU through the tensor path the training loss runs."""
+    return 1.0 - box_loss("iou", a, b).item()
 
 
 def random_box(rng, lo=0.15, hi=0.6):
@@ -18,17 +23,13 @@ class TestBox:
         b = Box(1.0, 2.0, 3.0, 4.0)
         assert Box.from_corners(*b.corners()) == b
 
-    def test_area(self):
-        assert Box(0, 0, 2.0, 3.0).area() == 6.0
-        assert Box(0, 0, -1.0, 3.0).area() == 0.0
-
 
 class TestIoU:
     def test_hand_cases(self):
         a = Box(1, 1, 2, 2)
-        assert iou_tensor(a, a).item() == pytest.approx(1.0, abs=1e-7)
-        assert iou_tensor(a, Box(5, 5, 2, 2)).item() == 0.0
-        third = iou_tensor(a, Box(2, 1, 2, 2)).item()
+        assert iou(a, a) == pytest.approx(1.0, abs=1e-7)
+        assert iou(a, Box(5, 5, 2, 2)) == 0.0
+        third = iou(a, Box(2, 1, 2, 2))
         assert third == pytest.approx(1 / 3, abs=1e-7)
 
     def test_matrix_agrees_with_tensor_path(self, rng):
@@ -39,7 +40,7 @@ class TestIoU:
         mat = iou_matrix(ca, cb)
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
-                assert mat[i, j] == pytest.approx(iou_tensor(a, b).item(), abs=1e-9)
+                assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-9)
 
     def test_oracle_dense_and_separable_identical(self, rng):
         for _ in range(25):
@@ -50,7 +51,7 @@ class TestIoU:
         worst = 0.0
         for _ in range(200):
             a, b = random_box(rng), random_box(rng)
-            got = iou_tensor(a, b).item()
+            got = iou(a, b)
             ref = rasterized_iou(a, b)
             worst = max(worst, abs(got - ref))
         assert worst <= 2e-3
@@ -105,12 +106,6 @@ class TestLossFamily:
 
         err, _ = grad_check(f, [pred])
         assert err <= 1e-4, kind
-
-    def test_siou_distance_flag_changes_value(self, rng):
-        p, g = random_box(rng), random_box(rng)
-        a = box_loss("siou", p, g, squared_distance=True).item()
-        b = box_loss("siou", p, g, squared_distance=False).item()
-        assert a != pytest.approx(b, abs=1e-9)
 
     def test_disjoint_boxes_giou_still_informative(self):
         pred = Tensor(np.array([[0.2, 0.2, 0.1, 0.1]]))

@@ -1,16 +1,21 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import ScriptedClock
+import lightdet
 from lightdet import checks, metrics
 from lightdet import model as model_mod
+from lightdet.boxes import LOSS_KINDS
 from lightdet.cli import (
-    CliError, PROFILES, RunConfig, build_config, main, make_parser,
-    parse_config_text,
+    ACT_KINDS, BOX_KINDS, MODEL_KINDS, CliError, PROFILES, RunConfig, build_config, main,
+    make_parser, parse_config_text,
 )
+from lightdet.nn import ACTIVATIONS
 from lightdet.tensor import Tensor, grad_check, no_grad
 
 
@@ -94,6 +99,20 @@ class TestValidation:
             RunConfig(box="l2").validate()
         with pytest.raises(CliError, match="act must be"):
             RunConfig(act="relu6").validate()
+
+
+def test_kind_lists_match_the_library_without_importing_numpy():
+    # cli keeps its own copies because it must not import numpy before
+    # --threads has set the BLAS variables
+    assert BOX_KINDS == LOSS_KINDS
+    assert set(ACT_KINDS) <= set(ACTIVATIONS)
+    for kind in MODEL_KINDS:
+        assert model_mod.build_model(kind, width=0.125, img_size=64).kind == kind
+    src = os.path.dirname(os.path.dirname(lightdet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c",
+                    "import lightdet.cli, sys; assert 'numpy' not in sys.modules"],
+                   env=env, check=True)
 
 
 class TestExitCodes:
@@ -230,6 +249,17 @@ class TestTrain:
 
     def test_unreadable_dataset_fails_before_training(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "void")] + TRAIN_ARGS) == 1
+
+    def test_diverging_lr_exits_2_without_last_checkpoint(self, tiny_dataset, tmp_path,
+                                                          capsys):
+        ckpt = str(tmp_path / "model.ckpt")
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", tiny_dataset, "--weights", ckpt]
+                        + TRAIN_ARGS + ["--lr", "1e6"])
+        assert code == 2
+        assert re.search(r"runtime failure: FloatingPointError: step \d+: ",
+                         capsys.readouterr().err)
+        assert not os.path.exists(str(tmp_path / "last.ckpt"))
 
     def test_weights_named_last_fails_before_training(self, tiny_dataset, tmp_path,
                                                       capsys):

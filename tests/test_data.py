@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from lightdet.data import (
-    decode_image,
     ensure_split,
     hflip,
     labels_from_canvas,
     labels_to_canvas,
     letterbox,
+    load_sample,
     load_split,
     parse_labels,
     read_ppm,
@@ -30,20 +30,25 @@ class TestPpm:
         write_ppm(p, img)
         assert np.array_equal(read_ppm(p), img)
 
+    @staticmethod
+    def _load(tmp_path, img):
+        # load_sample reads <root>/images/<stem>.ppm; a missing label file is a negative
+        (tmp_path / "images").mkdir()
+        write_ppm(str(tmp_path / "images" / "a.ppm"), img)
+        t, labels = load_sample(str(tmp_path), "a", nc=2)
+        assert labels.shape == (0, 5)
+        return t
+
     def test_white_pixel_decodes_to_ones(self, tmp_path):
-        p = str(tmp_path / "w.ppm")
-        write_ppm(p, np.full((1, 1, 3), 255, np.uint8))
-        t = decode_image(p)
-        assert t.shape == (3, 1, 1)
+        t = self._load(tmp_path, np.full((1, 1, 3), 255, np.uint8))
+        assert t.shape == (3, 1, 1) and t.dtype == np.float32
         assert np.allclose(t, 1.0)
 
     def test_channel_major_layout(self, tmp_path):
         img = np.zeros((1, 2, 3), np.uint8)
         img[0, 0] = (255, 0, 0)
         img[0, 1] = (0, 0, 255)
-        p = str(tmp_path / "c.ppm")
-        write_ppm(p, img)
-        t = decode_image(p)
+        t = self._load(tmp_path, img)
         assert t[0, 0, 0] == 1.0 and t[2, 0, 1] == 1.0
         assert t[0, 0, 1] == 0.0 and t[2, 0, 0] == 0.0
 

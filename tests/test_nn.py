@@ -3,7 +3,7 @@ import pytest
 
 from lightdet.nn import (
     ACTIVATIONS, BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm,
-    Linear, SPPF, activation, channel_shuffle, hswish, make_divisible, mish, silu,
+    Linear, SPPF, activation, channel_shuffle, hswish, make_divisible, mish,
 )
 from lightdet.tensor import Tensor, count_flops, grad_check, no_grad
 
@@ -27,15 +27,11 @@ class TestActivations:
         y = ACTIVATIONS["leakyrelu"](x).numpy()
         assert np.allclose(y, [-0.02, 2.0])
 
-    def test_silu_and_sigmoid_consistency(self, rng):
-        x = Tensor(rng.standard_normal(16), dtype=np.float64)
-        assert np.allclose(silu(x).numpy(), x.numpy() / (1 + np.exp(-x.numpy())), atol=1e-12)
-
     def test_unknown_activation_raises(self):
         with pytest.raises(ValueError):
             activation("swishish")
 
-    @pytest.mark.parametrize("name", ["leakyrelu", "hswish", "mish", "gelu", "silu", "sigmoid"])
+    @pytest.mark.parametrize("name", ["leakyrelu", "hswish", "mish", "gelu", "relu"])
     def test_activation_gradcheck(self, name, rng):
         # keep samples off the hswish/leaky kinks at {-3, 0, 3}
         raw = rng.uniform(0.3, 2.4, size=12) * rng.choice([-1.0, 1.0], size=12)

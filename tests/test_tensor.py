@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from lightdet import tensor as tensor_mod
+from lightdet.boxes import box_loss
 from lightdet.nn import BatchNorm2d
 from lightdet.tensor import (
-    Tensor, batch_norm, concat, conv2d, count_flops, grad_check, max_pool2d, mish,
-    no_grad, stack, toposort, upsample_nearest2x, where,
+    Tensor, _accum, batch_norm, concat, conv2d, count_flops, grad_check, max_pool2d,
+    mish, no_grad, toposort, upsample_nearest2x,
 )
 
 
@@ -46,12 +47,14 @@ class TestForward:
         assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-6)
         assert (s >= 0).all()
 
-    def test_sigmoid_extreme_inputs_stable(self):
+    def test_sigmoid_extreme_inputs_stable(self, rng):
         x = Tensor(np.array([-500.0, 500.0, 0.0], dtype=np.float32))
         s = x.sigmoid().numpy()
         assert np.isfinite(s).all()
         assert s[0] == pytest.approx(0.0, abs=1e-6)
         assert s[1] == pytest.approx(1.0, abs=1e-6)
+        mid = rng.standard_normal(16)  # and the plain formula where it does not overflow
+        assert np.allclose(Tensor(mid).sigmoid().numpy(), 1 / (1 + np.exp(-mid)), atol=1e-12)
 
     def test_softplus_no_overflow(self):
         x = Tensor(np.array([200.0, -200.0], dtype=np.float32))
@@ -107,18 +110,17 @@ class TestBackward:
         assert y._prev == ()
         assert not y.requires_grad
 
-    def test_detach_blocks_gradient(self, rng):
-        x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-        (x.detach() * 3).sum()
-        y = (x.detach() * x).sum()
-        y.backward()
-        assert np.allclose(x.grad, x.numpy())
-
     def test_graph_is_freed_without_the_cycle_collector(self, rng):
         # a backward closure that held its own output node would form a cycle,
-        # and every graph would then live until the cycle collector ran
+        # and every graph would then live until the cycle collector ran; the
+        # graph below runs every backward closure in tensor.py, the box
+        # losses' sqrt, sin, arcsin, arctan, clamp, maximum, minimum, neg and
+        # sub among them
         x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 1, 3, 3)), requires_grad=True)
+        boxes = np.concatenate([rng.uniform(0.3, 0.7, (4, 2)), rng.uniform(0.1, 0.4, (4, 2))], 1)
+        pred = Tensor(boxes, requires_grad=True)
+        gt = Tensor(boxes[::-1].copy())
         gc.collect()
         gc.disable()
         try:
@@ -126,9 +128,10 @@ class TestBackward:
             y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)))[0]
             y = upsample_nearest2x(max_pool2d(mish(y), 2, padding=1)).pad2d(1)
             y = concat([y.sigmoid(), y.softplus(), y.tanh(), y.gelu(), y.leaky_relu(0.1)], axis=1)
-            y = where(y.numpy() > 0.5, y.exp(), -y) ** 2 / (y.abs() + 1.0)
-            z = y.reshape(2, -1).transpose(1, 0)[:5].astype(np.float32).softmax(axis=0)
-            loss = (z @ Tensor(np.ones((2, 3)), requires_grad=True)).max(axis=0).mean()
+            y = (y.exp() - y) ** 2 / (y.abs() + 1.0)
+            z = y.reshape(2, -1).swapaxes(0, 1)[:5].softmax(axis=0)
+            loss = (z @ Tensor(np.ones((2, 3)), requires_grad=True)).mean()
+            loss = loss + box_loss("siou", pred, gt).sum() + box_loss("ciou", pred, gt).sum()
             loss.backward()
             del y, z, loss
             assert gc.collect() == 0
@@ -151,7 +154,7 @@ class TestGradCheck:
         b = Tensor(rng.standard_normal((4, 2)))
 
         def f(a_, b_):
-            return (a_ @ b_).softmax(axis=-1).sum(axis=0).max()
+            return ((a_ @ b_).softmax(axis=-1).sum(axis=0) ** 2).sum()
 
         err, _ = grad_check(f, [a, b])
         assert err <= 1e-4
@@ -161,7 +164,8 @@ class TestGradCheck:
 
         def f(t):
             y = t.transpose(1, 0, 2).reshape(3, 8)
-            return (y.exp() + 1).log().mean() + y.max()
+            return (y.softplus().mean() + (y.sum(axis=0, keepdims=True) ** 2).mean()
+                    + y.swapaxes(0, 1).mean(axis=1).tanh().sum())
 
         err, _ = grad_check(f, [x])
         assert err <= 1e-4
@@ -179,15 +183,13 @@ class TestGradCheck:
         assert err <= 1e-4
         assert not any(r[-1] for r in rep)  # nothing near a kink by construction
 
-    def test_concat_stack_where_slice(self, rng):
+    def test_concat_slice_maximum_minimum(self, rng):
         a = Tensor(rng.standard_normal((2, 3)))
         b = Tensor(rng.standard_normal((2, 3)))
 
         def f(a_, b_):
             c = concat([a_, b_], axis=1)
-            s = stack([a_, b_], axis=0).sum(axis=0)
-            w = where(a_.numpy() > 0, a_, b_ * 2)
-            return c[:, 1:4].sum() + s.mean() + w.sum()
+            return c[:, 1:4].sum() + a_.maximum(b_ * 2).sum() + (a_.minimum(b_) * a_).sum()
 
         err, _ = grad_check(f, [a, b])
         assert err <= 1e-4
@@ -214,7 +216,7 @@ class TestGradCheck:
             bad.requires_grad = True
 
             def _bw(g):
-                t._accum_grad(g * 0.5)  # not the tanh derivative
+                _accum(t, g * 0.5)  # not the tanh derivative
 
             bad._backward = _bw
             return bad.sum()

@@ -72,6 +72,14 @@ class TestSgd:
         opt.step()
         assert np.allclose(p.data, -5.0, atol=1e-6)  # 50 * 10/100
 
+    def test_non_finite_gradient_norm_raises_before_update(self):
+        p = Tensor(np.zeros(2, np.float32), requires_grad=True)
+        p.grad = np.array([1.0, np.inf], np.float32)
+        opt = SGD([p], lr=0.1, warmup=0)
+        with pytest.raises(FloatingPointError, match="step 0: gradient norm is inf"):
+            opt.step()
+        assert np.array_equal(p.data, np.zeros(2, np.float32)) and opt.t == 0
+
     def test_clip_leaves_small_gradients_alone(self):
         p = Tensor(np.zeros(4, np.float32), requires_grad=True)
         p.grad = np.full(4, 0.5, np.float32)
@@ -171,6 +179,35 @@ class TestFit:
         fit(model, imgs, targets, iters=3, batch=2)
         assert len(probes) == 3
         assert live == [0, 0, 0]
+
+    def test_non_finite_loss_stops_at_its_step(self, monkeypatch):
+        model = _toy_model()
+        calls, before = [], []
+
+        def nan_at_step_2(*args, **kwargs):
+            total, parts = training_loss(*args, **kwargs)
+            calls.append(parts)
+            if len(calls) == 3:
+                before.extend(p.data.copy() for p in model.parameters())
+                parts = dict(parts, obj=float("nan"), total=float("nan"))
+            return total, parts
+
+        monkeypatch.setattr("lightdet.train.training_loss", nan_at_step_2)
+        imgs, targets = _toy_batch(4)
+        with pytest.raises(FloatingPointError,
+                           match=r"step 2: loss is not finite \(box \S+, obj nan, cls "):
+            fit(model, imgs, targets, iters=5, batch=2)
+        assert len(calls) == 3
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
+
+    def test_diverging_run_stops_before_parameters_go_nan(self):
+        # lr 1e6 overflows within a few steps; the run must stop before an
+        # update writes NaN into the weights
+        imgs, targets = _toy_batch(24)
+        model = _toy_model()
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=r"^step \d+: "):
+            fit(model, imgs, targets, iters=12, batch=8, lr=1e6)
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
