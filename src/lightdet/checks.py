@@ -93,6 +93,26 @@ def _conv():
     return _module_err(m, [_x((2, 3, 4, 4), 2)])
 
 
+@_check("conv1x1")
+def _conv1x1():
+    m = Conv2d(3, 4, 1, rng=np.random.default_rng(34))
+    return _module_err(m, [_x((2, 3, 4, 4), 35)])
+
+
+@_check("conv_strided_grouped")
+def _conv_strided_grouped():
+    m = Conv2d(4, 6, 3, s=2, g=2, rng=np.random.default_rng(36))
+    return _module_err(m, [_x((2, 4, 5, 5), 37)])
+
+
+@_check("conv_output_side")
+def _conv_output_side():
+    # a GAM spatial-gate squeeze: 7x7 down to few channels, where the padded
+    # output side (2*14*14) is smaller than the input side (8*8*8)
+    m = Conv2d(8, 2, 7, rng=np.random.default_rng(38))
+    return _module_err(m, [_x((2, 8, 8, 8), 39)])
+
+
 @_check("depthwise_conv")
 def _dwconv():
     m = Conv2d(4, 4, 3, g=4, rng=np.random.default_rng(3))

@@ -198,6 +198,9 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.iters:
         iters = min(iters, cfg.iters)
     best = {"map50": -1.0, "epoch": -1}
+    # the best checkpoint so far waits beside out_path until fit returns, so a
+    # failed run leaves no weights behind and an earlier file there untouched
+    best_tmp = out_path + ".tmp"
 
     def on_epoch(epoch: int, parts: dict) -> None:
         rep = evaluate_model(model, val_images, val_targets)
@@ -206,15 +209,21 @@ def cmd_train(cfg: RunConfig) -> int:
               f"{val_tag}_map50 {rep.map50:.4f}", flush=True)
         if rep.map50 > best["map50"]:
             best.update(map50=rep.map50, epoch=epoch)
-            save_checkpoint(out_path, model)
+            save_checkpoint(best_tmp, model)
 
-    fit(model, images, targets, iters=iters, batch=batch, lr=cfg.lr,
-        momentum=cfg.momentum, box_kind=cfg.box, seed=cfg.seed,
-        augment=cfg.augment, cosine=cfg.cosine, on_epoch=on_epoch)
+    try:
+        fit(model, images, targets, iters=iters, batch=batch, lr=cfg.lr,
+            momentum=cfg.momentum, box_kind=cfg.box, seed=cfg.seed,
+            augment=cfg.augment, cosine=cfg.cosine, on_epoch=on_epoch)
+    except BaseException:
+        if os.path.exists(best_tmp):
+            os.remove(best_tmp)
+        raise
     if best["epoch"] < 0:  # fewer steps than one epoch: keep the final state
         rep = evaluate_model(model, val_images, val_targets)
         best.update(map50=rep.map50, epoch=0)
-        save_checkpoint(out_path, model)
+        save_checkpoint(best_tmp, model)
+    os.replace(best_tmp, out_path)
     save_checkpoint(last_path, model)
     done, tail = divmod(iters, steps_per_epoch)  # --iters can stop mid-epoch
     last_at = f"step {iters}" if tail else f"epoch {done - 1}"

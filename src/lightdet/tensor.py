@@ -128,6 +128,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None  # propagated; only leaves keep a gradient
 
     # ---- arithmetic ----
 
@@ -343,7 +344,7 @@ class Tensor:
         # tanh form; derivative matches this exact forward expression
         x = self.data
         c = float(np.sqrt(2.0 / np.pi))
-        inner = c * (x + 0.044715 * x ** 3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out = _node((0.5 * x * (1.0 + t)).astype(x.dtype), (self,), "gelu")
         if out.requires_grad:
@@ -640,57 +641,134 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, mean: np.ndarray | None 
 # ---- spatial primitives (NCHW) ----
 
 
+def _tap_slices(kh: int, kw: int, ho: int, wo: int, stride: int) -> list[tuple]:
+    """Index of each kernel tap's (ho, wo) window into a padded map, in (i, j) order."""
+    return [(Ellipsis, slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
+            for i in range(kh) for j in range(kw)]
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0, groups: int = 1) -> Tensor:
-    """Cross-correlation, the deep-learning convention. w: (Cout, Cin/groups, kh, kw)."""
+    """Cross-correlation, the deep-learning convention. w: (Cout, Cin/groups, kh, kw).
+
+    One rule on the shapes picks how the contraction runs; every path is a BLAS
+    matmul except the depthwise one, which has nothing to contract:
+    - depthwise (groups == Cin == Cout): multiply-accumulate over the k*k
+      shifted windows of the padded input, each scaled by its per-channel tap;
+    - 1x1 at stride 1: the input already is the column matrix, W @ X;
+    - output side smaller (Cout*Hp*Wp < Cin*Ho*Wo, e.g. a 7x7 conv down to a
+      few channels): contract channels first, one (k*k*Cout, Cin) @ (Cin, Hp*Wp)
+      matmul, then shift-add the k*k tap outputs;
+    - otherwise im2col: gather the k*k taps into columns, W @ cols.
+    The padded input is never a graph node: the gradient goes straight to x.
+    """
     n, c, h, wd = x.shape
     cout, cpg, kh, kw = w.shape
     if c != cpg * groups:
         raise ValueError(f"conv2d: {c} input channels, weight expects {cpg * groups}")
     if cout % groups:
         raise ValueError("conv2d: out channels not divisible by groups")
-    xp = x.pad2d(padding) if padding else x
-    hp, wp = xp.shape[2], xp.shape[3]
+    hp, wp = h + 2 * padding, wd + 2 * padding
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ValueError("conv2d: kernel larger than padded input")
-
-    xd = xp.data
-    dt = xd.dtype
-    # gather kernel taps: (n, c, kh, kw, ho, wo) without python-per-pixel loops
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=dt)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xd[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    cpgk = cpg * kh * kw
-    cols_g = cols.reshape(n, groups, cpgk, ho * wo)
-    wg = w.data.reshape(groups, cout // groups, cpgk)
-    out_data = np.einsum("gok,ngkl->ngol", wg, cols_g, optimize=True)
-    out_data = out_data.reshape(n, cout, ho, wo)
-    if b is not None:
-        out_data = out_data + b.data.reshape(1, cout, 1, 1)
     if _flops is not None:
         _flops.total += 2 * w.data.size * ho * wo * n
 
-    parents = (xp, w) if b is None else (xp, w, b)
-    out = _node(out_data, parents, "conv2d")
+    xd = x.data
+    if padding:
+        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dt = xd.dtype
+    og, kk, npix = cout // groups, kh * kw, ho * wo
+    taps = _tap_slices(kh, kw, ho, wo, stride)
+    if groups == c == cout:
+        mode = "depthwise"
+        wt = w.data.reshape(c, kk, 1, 1)
+        # one rounding per tap, as in a BLAS fused multiply-add: the product is
+        # exact in float64 and only the running sum rounds to the input's dtype
+        wt64 = wt.astype(np.float64)
+        out_data = np.multiply(xd[taps[0]], wt[:, 0])
+        prod = np.empty(out_data.shape, np.float64)
+        for t in range(1, kk):
+            np.multiply(xd[taps[t]], wt64[:, t], out=prod)
+            np.add(prod, out_data, out=out_data, casting="same_kind")
+    elif kh == kw == 1 and stride == 1:
+        mode = "pointwise"
+        wg = w.data.reshape(groups, og, cpg)
+        cols = xd.reshape(n, groups, cpg, npix)
+        out_data = np.matmul(wg, cols).reshape(n, cout, ho, wo)
+    elif cout * hp * wp < c * npix:
+        mode = "output_side"
+        # (G, k*k*og, cpg): row t*og + o holds tap t of output channel o
+        wg = w.data.reshape(groups, og, cpg, kk).transpose(0, 3, 1, 2).reshape(groups, kk * og, cpg)
+        xg = xd.reshape(n, groups, cpg, hp * wp)
+        y = np.matmul(wg, xg).reshape(n, groups, kk, og, hp, wp)
+        out_data = y[:, :, 0][taps[0]].copy()
+        for t in range(1, kk):
+            out_data += y[:, :, t][taps[t]]
+        out_data = out_data.reshape(n, cout, ho, wo)
+    else:
+        mode = "im2col"
+        cols = np.empty((n, c, kk, ho, wo), dtype=dt)
+        for t, sl in enumerate(taps):
+            cols[:, :, t] = xd[sl]
+        cols = cols.reshape(n, groups, cpg * kk, npix)
+        wg = w.data.reshape(groups, og, cpg * kk)
+        out_data = np.matmul(wg, cols).reshape(n, cout, ho, wo)
+    if b is not None:
+        out_data += b.data.reshape(1, cout, 1, 1)
+
+    out = _node(out_data, (x, w) if b is None else (x, w, b), "conv2d")
     if out.requires_grad:
         def _bw(grad):
-            g = grad.reshape(n, groups, cout // groups, ho * wo)
-            if w.requires_grad or w._prev:
-                gw = np.einsum("ngol,ngkl->gok", g, cols_g, optimize=True)
-                _accum(w, gw.reshape(w.data.shape))
+            need_w = w.requires_grad or w._prev
+            need_x = x.requires_grad or x._prev
             if b is not None and (b.requires_grad or b._prev):
                 _accum(b, grad.sum(axis=(0, 2, 3)))
-            if xp.requires_grad or xp._prev:
-                gcols = np.einsum("gok,ngol->ngkl", wg, g, optimize=True)
-                gcols = gcols.reshape(n, c, kh, kw, ho, wo)
-                gx = np.zeros((n, c, hp, wp), dtype=dt)
-                for i in range(kh):
-                    for j in range(kw):
-                        gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
-                _accum(xp, gx)
+            gxp = None
+            if mode == "depthwise":
+                tmp = np.empty_like(grad)
+                if need_w:
+                    gw = np.empty((c, kk), dt)
+                    for t, sl in enumerate(taps):
+                        gw[:, t] = np.multiply(grad, xd[sl], out=tmp).sum(axis=(0, 2, 3))
+                    _accum(w, gw.reshape(w.data.shape))
+                if need_x:
+                    gxp = np.zeros((n, c, hp, wp), dt)
+                    for t, sl in enumerate(taps):
+                        gxp[sl] += np.multiply(grad, wt[:, t], out=tmp)
+            elif mode == "output_side":
+                # scatter each output pixel back to where every tap read it
+                gy = np.zeros((n, groups, kk, og, hp, wp), dt)
+                g = grad.reshape(n, groups, og, ho, wo)
+                for t, sl in enumerate(taps):
+                    gy[:, :, t][sl] = g
+                gy = gy.reshape(n, groups, kk * og, hp * wp)
+                if need_w:
+                    gw = np.matmul(gy, xg.swapaxes(-1, -2)).sum(axis=0)
+                    gw = gw.reshape(groups, kk, og, cpg).transpose(0, 2, 3, 1)
+                    _accum(w, gw.reshape(w.data.shape))
+                if need_x:
+                    gxp = np.matmul(wg.swapaxes(-1, -2), gy).reshape(n, c, hp, wp)
+            else:
+                g = grad.reshape(n, groups, og, npix)
+                if need_w:
+                    # per image, then summed over the batch in order
+                    gw = np.matmul(g, cols.swapaxes(-1, -2)).sum(axis=0)
+                    _accum(w, gw.reshape(w.data.shape))
+                if need_x:
+                    if mode == "pointwise":
+                        gxp = np.empty((n, c, hp, wp), dt)  # fresh, so _accum keeps it uncopied
+                        np.matmul(wg.swapaxes(-1, -2), g, out=gxp.reshape(n, groups, cpg, npix))
+                    else:
+                        gcols = np.matmul(wg.swapaxes(-1, -2), g).reshape(n, c, kk, ho, wo)
+                        gxp = np.zeros((n, c, hp, wp), dt)
+                        for t, sl in enumerate(taps):
+                            gxp[sl] += gcols[:, :, t]
+            if gxp is not None:
+                _accum(x, gxp[:, :, padding:hp - padding, padding:wp - padding] if padding else gxp)
+
         out._backward = _bw
     return out
 
@@ -702,22 +780,20 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int =
     ho = (hp - kernel) // stride + 1
     wo = (wp - kernel) // stride + 1
     xd = xp.data
+    taps = _tap_slices(kernel, kernel, ho, wo, stride)
     out_data = np.full((n, c, ho, wo), -np.inf, dtype=xd.dtype)
     argtap = np.zeros((n, c, ho, wo), dtype=np.int16)
-    for i in range(kernel):
-        for j in range(kernel):
-            tap = xd[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-            better = tap > out_data
-            out_data = np.where(better, tap, out_data)
-            argtap = np.where(better, i * kernel + j, argtap)
+    for t, sl in enumerate(taps):
+        tap = xd[sl]
+        better = tap > out_data
+        out_data = np.where(better, tap, out_data)
+        argtap = np.where(better, t, argtap)
     out = _node(out_data, (xp,), "max_pool2d")
     if out.requires_grad:
         def _bw(grad):
             gx = np.zeros((n, c, hp, wp), dtype=xd.dtype)
-            for i in range(kernel):
-                for j in range(kernel):
-                    mask = argtap == (i * kernel + j)
-                    gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += grad * mask
+            for t, sl in enumerate(taps):
+                gx[sl] += grad * (argtap == t)
             if padding:
                 gx = gx[:, :, padding:-padding, padding:-padding]
                 _accum(x, gx)

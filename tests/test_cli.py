@@ -252,14 +252,27 @@ class TestTrain:
 
     def test_diverging_lr_exits_2_without_last_checkpoint(self, tiny_dataset, tmp_path,
                                                           capsys):
+        # epoch 0 ends with a finite loss and is the best so far; a later step
+        # diverges, and the best checkpoint of epoch 0 must not be left behind
         ckpt = str(tmp_path / "model.ckpt")
         with np.errstate(all="ignore"):
             code = main(["train", "--data", tiny_dataset, "--weights", ckpt]
                         + TRAIN_ARGS + ["--lr", "1e6"])
         assert code == 2
-        assert re.search(r"runtime failure: FloatingPointError: step \d+: ",
-                         capsys.readouterr().err)
-        assert not os.path.exists(str(tmp_path / "last.ckpt"))
+        out, err = capsys.readouterr()
+        assert re.search(r"runtime failure: FloatingPointError: step \d+: ", err)
+        assert re.search(r"^epoch +0 .*val_map50", out, re.M)
+        assert os.listdir(tmp_path) == []
+
+    def test_diverging_run_leaves_an_earlier_checkpoint_untouched(self, tiny_dataset,
+                                                                  tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b"earlier run")
+        with np.errstate(all="ignore"):
+            assert main(["train", "--data", tiny_dataset, "--weights", str(ckpt)]
+                        + TRAIN_ARGS + ["--lr", "1e6"]) == 2
+        assert ckpt.read_bytes() == b"earlier run"
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
 
     def test_weights_named_last_fails_before_training(self, tiny_dataset, tmp_path,
                                                       capsys):
@@ -372,7 +385,8 @@ class TestGradcheckCmd:
             assert re.search(r"max_err \d\.\d{3}e[+-]\d{2}", line)
 
     def test_registry_covers_required_layers(self):
-        need = {"conv2d", "depthwise_conv", "batchnorm", "batchnorm_eval", "layernorm",
+        need = {"conv2d", "conv1x1", "conv_strided_grouped", "conv_output_side",
+                "depthwise_conv", "batchnorm", "batchnorm_eval", "layernorm",
                 "mish", "mish_wide", "hswish", "leakyrelu", "gelu", "window_attention",
                 "cross_window_attention", "sepvit_block", "dss_conv", "dss_c3",
                 "gam", "gam_bottleneck", "training_loss"}

@@ -138,6 +138,39 @@ class TestBackward:
         finally:
             gc.enable()
 
+    def test_backward_frees_interior_gradients_and_keeps_leaf_ones(self):
+        def graph():
+            rng = np.random.default_rng(3)
+            x, w1, wd, w2, b2 = (Tensor(rng.standard_normal(s).astype(np.float32),
+                                        requires_grad=True)
+                                 for s in ((2, 4, 6, 6), (8, 4, 1, 1), (8, 1, 3, 3),
+                                           (3, 8, 3, 3), (3,)))
+            y = mish(conv2d(x, w1))
+            y = batch_norm(conv2d(y, wd, padding=1, groups=8),
+                           Tensor(np.ones(8, np.float32), requires_grad=True),
+                           Tensor(np.zeros(8, np.float32), requires_grad=True))[0]
+            y = conv2d(y + y.gelu(), w2, b2, stride=2, padding=1)
+            return (y * y).mean()
+
+        def backward_keeping_every_grad(root):
+            # Tensor.backward before interior gradients were freed
+            root.grad = np.ones_like(root.data)
+            for node in reversed(toposort(root)):
+                if node._backward is not None:
+                    node._backward(node.grad)
+
+        old_root, new_root = graph(), graph()
+        backward_keeping_every_grad(old_root)
+        new_root.backward()
+        old_nodes, new_nodes = toposort(old_root), toposort(new_root)
+        assert all(t.grad is not None for t in old_nodes)
+        interior = [t for t in new_nodes if t._backward is not None]
+        assert len(interior) > 5 and all(t.grad is None for t in interior)
+        leaves = [(o, t) for o, t in zip(old_nodes, new_nodes) if t._backward is None]
+        assert len(leaves) == 7  # x, three conv weights, a conv bias, BN weight and bias
+        for old, new in leaves:
+            assert new.grad is not None and np.array_equal(new.grad, old.grad)
+
 
 class TestGradCheck:
     def test_composite_chain(self, rng):
@@ -411,6 +444,89 @@ class TestSpatial:
 
         err, _ = grad_check(f, [x])
         assert err <= 1e-4
+
+
+def conv2d_einsum(x, w, b, g, stride, padding, groups):
+    """Oracle: the im2col + einsum contraction conv2d ran before its matmul paths.
+
+    Returns the output for inputs x, w, b and the gradients (gx, gw, gb) that an
+    upstream gradient g sends back.
+    """
+    n, c, h, wd = x.shape
+    cout, cpg, kh, kw = w.shape
+    xd = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = xd.shape[2:]
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xd[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    cpgk = cpg * kh * kw
+    cols_g = cols.reshape(n, groups, cpgk, ho * wo)
+    wg = w.reshape(groups, cout // groups, cpgk)
+    out = np.einsum("gok,ngkl->ngol", wg, cols_g, optimize=True).reshape(n, cout, ho, wo)
+    out = out + b.reshape(1, cout, 1, 1)
+    gg = g.reshape(n, groups, cout // groups, ho * wo)
+    gw = np.einsum("ngol,ngkl->gok", gg, cols_g, optimize=True).reshape(w.shape)
+    gcols = np.einsum("gok,ngol->ngkl", wg, gg, optimize=True).reshape(n, c, kh, kw, ho, wo)
+    gx = np.zeros((n, c, hp, wp), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
+    gx = gx[:, :, padding:hp - padding, padding:wp - padding]
+    return out, (gx, gw, g.sum(axis=(0, 2, 3)))
+
+
+# (batch, in, out, kernel, stride, groups, size), padding k // 2
+CONV_CASES = {
+    "1x1_s1_b4": (4, 6, 8, 1, 1, 1, 5),  # pointwise: the input is the column matrix
+    "1x1_s1_g2": (1, 4, 6, 1, 1, 2, 5),
+    "1x1_s2_b4": (4, 4, 6, 1, 2, 1, 7),  # im2col
+    "3x3_s1": (1, 3, 5, 3, 1, 1, 6),
+    "3x3_s2_b4": (4, 3, 5, 3, 2, 1, 7),
+    "3x3_s1_g2_b4": (4, 4, 6, 3, 1, 2, 6),
+    "3x3_s2_g2": (1, 4, 6, 3, 2, 2, 7),
+    "3x3_depthwise_s1_b4": (4, 6, 6, 3, 1, 6, 6),  # taps accumulated directly
+    "3x3_depthwise_s2": (1, 6, 6, 3, 2, 6, 7),
+    "5x5_depthwise_s1": (1, 4, 4, 5, 1, 4, 6),
+    "7x7_few_out_b1": (1, 16, 2, 7, 1, 1, 8),  # output side: 2*14*14 < 16*8*8
+    "7x7_few_out_b4": (4, 16, 2, 7, 1, 1, 8),
+}
+
+
+class TestConvPaths:
+    def _case(self, name, dtype):
+        n, c, cout, k, s, groups, h = CONV_CASES[name]
+        rng = np.random.default_rng(sorted(CONV_CASES).index(name))
+        x = rng.standard_normal((n, c, h, h)).astype(dtype)
+        # unit-variance outputs, so float32 rounding stays near 1e-7
+        w = (rng.standard_normal((cout, c // groups, k, k))
+             / np.sqrt(c // groups * k * k)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        return x, w, b, dict(stride=s, padding=k // 2, groups=groups)
+
+    @pytest.mark.parametrize("name", sorted(CONV_CASES))
+    def test_matches_einsum_oracle_float64(self, name):
+        x, w, b, kw = self._case(name, np.float64)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = conv2d(xt, wt, bt, **kw)
+        g = np.random.default_rng(99).standard_normal(y.shape)
+        (y * Tensor(g)).sum().backward()
+        want, grads = conv2d_einsum(x, w, b, g, **kw)
+        assert y.shape == want.shape
+        assert np.max(np.abs(y.numpy() - want)) <= 1e-10
+        for t, gwant in zip((xt, wt, bt), grads):
+            assert t.grad.shape == gwant.shape
+            assert np.max(np.abs(t.grad - gwant)) <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(k for k, v in CONV_CASES.items() if v[0] == 1))
+    def test_matches_einsum_oracle_float32_batch1(self, name):
+        x, w, b, kw = self._case(name, np.float32)
+        with no_grad():
+            y = conv2d(Tensor(x), Tensor(w), Tensor(b), **kw).numpy()
+        want, _ = conv2d_einsum(x, w, b, np.zeros(y.shape, np.float32), **kw)
+        assert y.dtype == np.float32
+        assert np.max(np.abs(y - want)) <= 1e-5
 
 
 class TestCountFlops:
