@@ -41,7 +41,8 @@ class Detect(Module):
         self.nc = nc
         self.no = nc + 5
         self.m = [Conv2d(c, 3 * self.no, 1, bias=True, rng=rng) for c in ch]
-        self.register_buffer("anchors", Tensor(ANCHORS_BASE * (img_size / 640.0)))
+        # derived from img_size alone, so a checkpoint never carries them
+        self.anchors = ANCHORS_BASE * (img_size / 640.0)
         self._init_biases(img_size)
 
     def _init_biases(self, img_size: int) -> None:
@@ -226,10 +227,9 @@ def assign_targets(targets: list[np.ndarray], detect: Detect, img_size: int,
     xy relative to the assigned cell origin.
     """
     out = []
-    anchors_px = detect.anchors.numpy()
     for lvl, (gh, gw) in enumerate(grids):
         stride = img_size / gh
-        anchors = anchors_px[lvl] / stride  # grid units
+        anchors = detect.anchors[lvl] / stride  # grid units
         bs, as_, gjs, gis, tb, tc = [], [], [], [], [], []
         for b, t in enumerate(targets):
             for cls, cx, cy, w, h in np.asarray(t, dtype=np.float64).reshape(-1, 5):
@@ -310,7 +310,7 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
     for lvl, (p, (b, a, gj, gi, tbox, tcls)) in enumerate(zip(preds, assigned)):
         n, _, gh, gw = p.shape
         stride = img_size / gh
-        anchors_grid = detect.anchors.numpy()[lvl].astype(np.float64) / stride
+        anchors_grid = detect.anchors[lvl].astype(np.float64) / stride
         pr = p.reshape(n, 3, no, gh, gw).transpose(0, 1, 3, 4, 2)  # N,3,H,W,no
         pobj = pr[..., 4]
         obj_sum = pobj.softplus().sum()
@@ -422,7 +422,7 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
     model.eval()
     with no_grad():
         raw = model(Tensor(images.astype(np.float32)))
-    dec = decode_predictions([p.numpy() for p in raw], model.detect.anchors.numpy(),
+    dec = decode_predictions([p.numpy() for p in raw], model.detect.anchors,
                              model.img_size, model.nc)
     results: list[list[Detection]] = []
     for row in dec:
@@ -447,7 +447,7 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
 # ---- checkpoints ----
 
 MAGIC = b"LYV5"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 def save_checkpoint(path: str, model: Module) -> None:

@@ -2,8 +2,10 @@
 
 Small closure-based tape: every op returns a new Tensor holding references to its
 parents and a _backward closure that scatters the output gradient, passed in as
-its argument, back to them. A closure never refers to its own output, so a graph
-holds no reference cycles and is freed as soon as its last reference goes.
+its argument, back to them. One-input ops build their node through _unary and
+elementwise two-input ops through _binary. A closure never refers to its own
+output, so a graph holds no reference cycles and is freed as soon as its last
+reference goes.
 backward() walks the DAG once in reverse topological order. Arrays are float32 by
 default; float64 is used by grad_check. No views are mutated in place after they
 enter a graph.
@@ -159,25 +161,13 @@ class Tensor:
                        lambda a, b, g: (g / b, -g * a / (b * b)), "div")
 
     def __neg__(self):
-        out = _node(-self.data, (self,), "neg")
-        if out.requires_grad:
-            def _bw(grad):
-                _accum(self, -grad)
-            out._backward = _bw
-        return out
+        return _unary(self, -self.data, "neg", lambda g: -g)
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = _node(self.data ** p, (self,), "pow")
-        if out.requires_grad:
-            a = self.data
-
-            def _bw(grad):
-                _accum(self, grad * p * a ** (p - 1))
-
-            out._backward = _bw
-        return out
+        a = self.data
+        return _unary(self, a ** p, "pow", lambda g: g * p * a ** (p - 1))
 
     def __matmul__(self, other):
         other = _wrap(other, self.dtype)
@@ -199,17 +189,14 @@ class Tensor:
     # ---- reductions ----
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
-        if out.requires_grad:
-            shape = self.data.shape
+        shape = self.data.shape
 
-            def _bw(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                _accum(self, np.broadcast_to(g, shape).copy())
+        def grad_fn(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, shape).copy()
 
-            out._backward = _bw
-        return out
+        return _unary(self, self.data.sum(axis=axis, keepdims=keepdims), "sum", grad_fn)
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else _axis_size(self.data.shape, axis)
@@ -218,53 +205,24 @@ class Tensor:
     # ---- elementwise ----
 
     def exp(self):
-        out_data = np.exp(self.data)
-        out = _node(out_data, (self,), "exp")
-        if out.requires_grad:
-            def _bw(grad):
-                _accum(self, grad * out_data)
-            out._backward = _bw
-        return out
+        y = np.exp(self.data)
+        return _unary(self, y, "exp", lambda g: g * y)
 
     def sqrt(self):
-        out_data = np.sqrt(self.data)
-        out = _node(out_data, (self,), "sqrt")
-        if out.requires_grad:
-            def _bw(grad):
-                _accum(self, grad * 0.5 / out_data)
-            out._backward = _bw
-        return out
+        y = np.sqrt(self.data)
+        return _unary(self, y, "sqrt", lambda g: g * 0.5 / y)
 
     def abs(self):
-        out = _node(np.abs(self.data), (self,), "abs")
-        if out.requires_grad:
-            a = self.data
-
-            def _bw(grad):
-                _accum(self, grad * np.sign(a))
-
-            out._backward = _bw
-        return out
+        a = self.data
+        return _unary(self, np.abs(a), "abs", lambda g: g * np.sign(a))
 
     def tanh(self):
-        out_data = np.tanh(self.data)
-        out = _node(out_data, (self,), "tanh")
-        if out.requires_grad:
-            def _bw(grad):
-                _accum(self, grad * (1.0 - out_data * out_data))
-            out._backward = _bw
-        return out
+        y = np.tanh(self.data)
+        return _unary(self, y, "tanh", lambda g: g * (1.0 - y * y))
 
     def sigmoid(self):
-        out = _node(_sigmoid(self.data), (self,), "sigmoid")
-        if out.requires_grad:
-            out_data = out.data
-
-            def _bw(grad):
-                _accum(self, grad * out_data * (1.0 - out_data))
-
-            out._backward = _bw
-        return out
+        y = _sigmoid(self.data)
+        return _unary(self, y, "sigmoid", lambda g: g * y * (1.0 - y))
 
     def softplus(self):
         # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), several times faster than np.logaddexp
@@ -272,70 +230,37 @@ class Tensor:
         y = _exp_neg_abs(x)
         np.log1p(y, out=y)
         y += np.maximum(x, 0.0)
-        out = _node(y, (self,), "softplus")
-        if out.requires_grad:
-            def _bw(grad):
-                _accum(self, grad * _sigmoid(x))
-            out._backward = _bw
-        return out
+        return _unary(self, y, "softplus", lambda g: g * _sigmoid(x))
 
     def sin(self):
-        out = _node(np.sin(self.data), (self,), "sin")
-        if out.requires_grad:
-            a = self.data
-
-            def _bw(grad):
-                _accum(self, grad * np.cos(a))
-
-            out._backward = _bw
-        return out
+        a = self.data
+        return _unary(self, np.sin(a), "sin", lambda g: g * np.cos(a))
 
     def arcsin(self):
-        out = _node(np.arcsin(self.data), (self,), "arcsin")
-        if out.requires_grad:
-            a = self.data
-
-            def _bw(grad):
-                _accum(self, grad / np.sqrt(1.0 - a * a))
-
-            out._backward = _bw
-        return out
+        a = self.data
+        return _unary(self, np.arcsin(a), "arcsin", lambda g: g / np.sqrt(1.0 - a * a))
 
     def arctan(self):
-        out = _node(np.arctan(self.data), (self,), "arctan")
-        if out.requires_grad:
-            a = self.data
-
-            def _bw(grad):
-                _accum(self, grad / (1.0 + a * a))
-
-            out._backward = _bw
-        return out
+        a = self.data
+        return _unary(self, np.arctan(a), "arctan", lambda g: g / (1.0 + a * a))
 
     def clamp(self, lo=None, hi=None):
-        out = _node(np.clip(self.data, lo, hi), (self,), "clamp")
-        if out.requires_grad:
-            a = self.data
+        a = self.data
 
-            def _bw(grad):
-                mask = np.ones_like(a)
-                if lo is not None:
-                    mask = mask * (a >= lo)
-                if hi is not None:
-                    mask = mask * (a <= hi)
-                _accum(self, grad * mask)
+        def grad_fn(g):
+            mask = np.ones_like(a)
+            if lo is not None:
+                mask = mask * (a >= lo)
+            if hi is not None:
+                mask = mask * (a <= hi)
+            return g * mask
 
-            out._backward = _bw
-        return out
+        return _unary(self, np.clip(a, lo, hi), "clamp", grad_fn)
 
     def leaky_relu(self, slope: float = 0.01):
         a = self.data
-        out = _node(np.where(a > 0, a, slope * a), (self,), "leaky_relu")
-        if out.requires_grad:
-            def _bw(grad):
-                _accum(self, grad * np.where(a > 0, 1.0, slope).astype(a.dtype))
-            out._backward = _bw
-        return out
+        return _unary(self, np.where(a > 0, a, slope * a), "leaky_relu",
+                      lambda g: g * np.where(a > 0, 1.0, slope).astype(a.dtype))
 
     def relu(self):
         return self.leaky_relu(slope=0.0)
@@ -346,14 +271,13 @@ class Tensor:
         c = float(np.sqrt(2.0 / np.pi))
         inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
-        out = _node((0.5 * x * (1.0 + t)).astype(x.dtype), (self,), "gelu")
-        if out.requires_grad:
-            def _bw(grad):
-                dinner = c * (1.0 + 3 * 0.044715 * x * x)
-                d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-                _accum(self, grad * d.astype(x.dtype))
-            out._backward = _bw
-        return out
+
+        def grad_fn(g):
+            dinner = c * (1.0 + 3 * 0.044715 * x * x)
+            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+            return g * d.astype(x.dtype)
+
+        return _unary(self, (0.5 * x * (1.0 + t)).astype(x.dtype), "gelu", grad_fn)
 
     def maximum(self, other):
         return _binary(self, other, np.maximum,
@@ -368,28 +292,14 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _node(self.data.reshape(shape), (self,), "reshape")
-        if out.requires_grad:
-            src = self.data.shape
-
-            def _bw(grad):
-                _accum(self, grad.reshape(src))
-
-            out._backward = _bw
-        return out
+        src = self.data.shape
+        return _unary(self, self.data.reshape(shape), "reshape", lambda g: g.reshape(src))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        out = _node(self.data.transpose(axes), (self,), "transpose")
-        if out.requires_grad:
-            inv = np.argsort(axes)
-
-            def _bw(grad):
-                _accum(self, grad.transpose(inv))
-
-            out._backward = _bw
-        return out
+        return _unary(self, self.data.transpose(axes), "transpose",
+                      lambda g: g.transpose(np.argsort(axes)))
 
     def swapaxes(self, a: int, b: int):
         axes = list(range(self.ndim))
@@ -397,43 +307,22 @@ class Tensor:
         return self.transpose(*axes)
 
     def __getitem__(self, idx):
-        out = _node(self.data[idx], (self,), "slice")
-        if out.requires_grad:
-            src_shape = self.data.shape
-            src_dtype = self.data.dtype
+        shape, dtype = self.data.shape, self.data.dtype
 
-            def _bw(grad):
-                g = np.zeros(src_shape, dtype=src_dtype)
-                np.add.at(g, idx, grad)
-                _accum(self, g)
+        def grad_fn(g):
+            gx = np.zeros(shape, dtype=dtype)
+            np.add.at(gx, idx, g)
+            return gx
 
-            out._backward = _bw
-        return out
-
-    def pad2d(self, pad: int, value: float = 0.0):
-        # NCHW padding on the last two axes
-        if pad == 0:
-            return self
-        p = ((0, 0),) * (self.ndim - 2) + ((pad, pad), (pad, pad))
-        out = _node(np.pad(self.data, p, constant_values=value), (self,), "pad2d")
-        if out.requires_grad:
-            def _bw(grad):
-                sl = (Ellipsis, slice(pad, -pad), slice(pad, -pad))
-                _accum(self, grad[sl])
-            out._backward = _bw
-        return out
+        return _unary(self, self.data[idx], "slice", grad_fn)
 
     def softmax(self, axis: int = -1):
         x = self.data
         shifted = x - x.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         s = (e / e.sum(axis=axis, keepdims=True)).astype(x.dtype)
-        out = _node(s, (self,), "softmax")
-        if out.requires_grad:
-            def _bw(g):
-                _accum(self, s * (g - (g * s).sum(axis=axis, keepdims=True)))
-            out._backward = _bw
-        return out
+        return _unary(self, s, "softmax",
+                      lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
 
 # ---- free functions ----
@@ -480,6 +369,15 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = g.copy() if g.base is not None or g is t.data else g
     else:
         t.grad = t.grad + g
+
+
+def _unary(x: Tensor, data: np.ndarray, op: str,
+           grad_fn: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """The node of a one-input op; its backward adds grad_fn(output grad) to x."""
+    out = _node(data, (x,), op)
+    if out.requires_grad:
+        out._backward = lambda g: _accum(x, grad_fn(g))
+    return out
 
 
 def _binary(a, b, fwd, bwd, op: str) -> Tensor:
@@ -566,22 +464,21 @@ def mish(x: Tensor) -> Tensor:
     xd = x.data
     _, y = _mish_parts(xd)
     y *= xd
-    out = _node(y, (x,), "mish")
-    if out.requires_grad:
-        def _bw(grad):
-            # d/dx = t + x (1 - t^2) sigmoid(x), and sigmoid(x) = e/(1+e)
-            e, t = _mish_parts(xd)
-            sig = e + 1.0
-            np.divide(e, sig, out=sig)
-            g = np.multiply(t, t, out=e)
-            np.subtract(1.0, g, out=g)
-            g *= xd
-            g *= sig
-            g += t
-            g *= grad
-            _accum(x, g)
-        out._backward = _bw
-    return out
+
+    def grad_fn(grad):
+        # d/dx = t + x (1 - t^2) sigmoid(x), and sigmoid(x) = e/(1+e)
+        e, t = _mish_parts(xd)
+        sig = e + 1.0
+        np.divide(e, sig, out=sig)
+        g = np.multiply(t, t, out=e)
+        np.subtract(1.0, g, out=g)
+        g *= xd
+        g *= sig
+        g += t
+        g *= grad
+        return g
+
+    return _unary(x, y, "mish", grad_fn)
 
 
 def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, mean: np.ndarray | None = None,
@@ -774,47 +671,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
+    """Max over k*k windows; backward keeps only which tap won, not the input."""
     stride = stride or kernel
-    xp = x.pad2d(padding, value=-np.inf) if padding else x
-    n, c, hp, wp = xp.shape
+    xd = x.data
+    if padding:
+        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                    constant_values=-np.inf)
+    n, c, hp, wp = xd.shape
     ho = (hp - kernel) // stride + 1
     wo = (wp - kernel) // stride + 1
-    xd = xp.data
+    dt = xd.dtype
     taps = _tap_slices(kernel, kernel, ho, wo, stride)
-    out_data = np.full((n, c, ho, wo), -np.inf, dtype=xd.dtype)
+    out_data = np.full((n, c, ho, wo), -np.inf, dtype=dt)
     argtap = np.zeros((n, c, ho, wo), dtype=np.int16)
     for t, sl in enumerate(taps):
         tap = xd[sl]
         better = tap > out_data
         out_data = np.where(better, tap, out_data)
         argtap = np.where(better, t, argtap)
-    out = _node(out_data, (xp,), "max_pool2d")
-    if out.requires_grad:
-        def _bw(grad):
-            gx = np.zeros((n, c, hp, wp), dtype=xd.dtype)
-            for t, sl in enumerate(taps):
-                gx[sl] += grad * (argtap == t)
-            if padding:
-                gx = gx[:, :, padding:-padding, padding:-padding]
-                _accum(x, gx)
-            else:
-                _accum(xp, gx)
-        out._backward = _bw
-        if padding:
-            # grad routes straight to the unpadded input; drop the -inf pad node
-            out._prev = (x,)
-    return out
+
+    def grad_fn(grad):
+        gx = np.zeros((n, c, hp, wp), dtype=dt)
+        for t, sl in enumerate(taps):
+            gx[sl] += grad * (argtap == t)
+        return gx[:, :, padding:hp - padding, padding:wp - padding] if padding else gx
+
+    return _unary(x, out_data, "max_pool2d", grad_fn)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
-    out = _node(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), (x,), "up2x")
-    if out.requires_grad:
-        def _bw(grad):
-            g = grad.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
-            _accum(x, g)
-        out._backward = _bw
-    return out
+    return _unary(x, np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), "up2x",
+                  lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
 
 # ---- gradient checking ----

@@ -213,7 +213,7 @@ class TestLoss:
             raw = np.full((1, 3, no, gh, gw), -big)
             raw[:, :, 5:, :, :] = -big
             b, a, gj, gi, tb, tc = assigned[lvl]
-            anchors_grid = det.anchors.numpy()[lvl].astype(np.float64) / (img / gh)
+            anchors_grid = det.anchors[lvl].astype(np.float64) / (img / gh)
             for m in range(b.size):
                 sx = (tb[m, 0] + 0.5) / 2.0
                 sy = (tb[m, 1] + 0.5) / 2.0
@@ -288,7 +288,7 @@ class TestDecode:
         no = det.no
         img, grids = 32, [(4, 4), (2, 2), (1, 1)]
         raw = [rng.standard_normal((1, 3 * no, gh, gw)) for gh, gw in grids]
-        dec = decode_predictions(raw, det.anchors.numpy(), img, det.nc)
+        dec = decode_predictions(raw, det.anchors, img, det.nc)
         # recompute cell (a=1, gj=2, gi=3) on level 0 by hand
         a, gj, gi = 1, 2, 3
         v = raw[0].reshape(1, 3, no, 4, 4)[0, a, :, gj, gi]
@@ -296,7 +296,7 @@ class TestDecode:
         stride = img / 4
         cx = (sig[0] * 2 - 0.5 + gi) * stride
         cy = (sig[1] * 2 - 0.5 + gj) * stride
-        w = (sig[2] * 2) ** 2 * det.anchors.numpy()[0, a, 0]
+        w = (sig[2] * 2) ** 2 * det.anchors[0, a, 0]
         flat = a * 16 + gj * 4 + gi
         assert np.allclose(dec[0, flat, :3], [cx, cy, w], rtol=1e-12)
 
@@ -308,7 +308,7 @@ class TestDecode:
         gt = np.array([13.0, 22.0, 9.0, 11.0])  # cx, cy, w, h in pixels
         lvl, a = 1, 0
         stride = img / grids[lvl][0]
-        anchor = det.anchors.numpy()[lvl, a]
+        anchor = det.anchors[lvl, a]
         gi = min(int(gt[0] / stride), grids[lvl][1] - 1)
         gj = min(int(gt[1] / stride), grids[lvl][0] - 1)
         sx = (gt[0] / stride - gi + 0.5) / 2
@@ -319,7 +319,7 @@ class TestDecode:
         view = raw[lvl].reshape(1, 3, no, *grids[lvl])
         for ch, s in enumerate((sx, sy, sw, sh)):
             view[0, a, ch, gj, gi] = math.log(s / (1 - s))
-        dec = decode_predictions(raw, det.anchors.numpy(), img, det.nc)
+        dec = decode_predictions(raw, det.anchors, img, det.nc)
         flat = 3 * 16 + a * 4 + gj * 2 + gi
         assert np.all(np.abs(dec[0, flat, :4] - gt) <= 1.0)
 
@@ -490,6 +490,28 @@ class TestCheckpoint:
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path, self._model())
+
+    def test_anchors_follow_the_model_not_the_checkpoint(self, tmp_path):
+        # parameters do not depend on the input size, so a 128 px checkpoint
+        # loads into a 256 px model; the anchors must stay the 256 px ones
+        path = str(tmp_path / "w.bin")
+        save_checkpoint(path, build_light(nc=2, width=0.125, img_size=128,
+                                          rng=np.random.default_rng(0)))
+        assert b"anchors" not in open(path, "rb").read()
+        m = build_light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(1))
+        load_checkpoint(path, m)
+        fresh = build_light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(2))
+        assert np.array_equal(m.detect.anchors, fresh.detect.anchors)
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        # version 1 carried the 'layers.N.anchors' record that version 2 dropped
+        path = str(tmp_path / "w.bin")
+        save_checkpoint(path, self._model())
+        data = bytearray(open(path, "rb").read())
+        data[4:8] = (1).to_bytes(4, "little")
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
             load_checkpoint(path, self._model())
 
     def test_unsupported_version(self, tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import warnings
 
 import numpy as np
@@ -74,6 +76,34 @@ class TestForward:
         assert (a + b).shape == (2, 3, 4)
 
 
+# every op built through _unary, applied to one (1, 2, 4, 4) input in (0.1, 0.9)
+UNARY_OPS = {
+    "neg": lambda t: -t,
+    "pow": lambda t: t ** 3,
+    "sum": lambda t: t.sum(axis=1),
+    "exp": Tensor.exp,
+    "sqrt": Tensor.sqrt,
+    "abs": Tensor.abs,
+    "tanh": Tensor.tanh,
+    "sigmoid": Tensor.sigmoid,
+    "softplus": Tensor.softplus,
+    "sin": Tensor.sin,
+    "arcsin": Tensor.arcsin,
+    "arctan": Tensor.arctan,
+    "clamp": lambda t: t.clamp(0.3, 0.7),
+    "leaky_relu": Tensor.leaky_relu,
+    "gelu": Tensor.gelu,
+    "reshape": lambda t: t.reshape(2, -1),
+    "transpose": lambda t: t.transpose(0, 2, 3, 1),
+    "getitem": lambda t: t[:, 1:, ::2],
+    "softmax": lambda t: t.softmax(axis=1),
+    "mish": mish,
+    "max_pool2d": lambda t: max_pool2d(t, 2),
+    "max_pool2d_padded": lambda t: max_pool2d(t, 3, 2, padding=1),
+    "upsample_nearest2x": upsample_nearest2x,
+}
+
+
 class TestBackward:
     def test_scalar_only_root(self, rng):
         x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -110,12 +140,41 @@ class TestBackward:
         assert y._prev == ()
         assert not y.requires_grad
 
+        x = Tensor(rng.uniform(0.1, 0.9, (1, 2, 4, 4)), requires_grad=True)
+        for name, op in UNARY_OPS.items():
+            with no_grad():
+                y = op(x)
+            assert y._backward is None and y._prev == () and not y.requires_grad, name
+            y = op(x)
+            assert y._prev == (x,) and y.requires_grad, name
+            assert len(toposort(y)) == 2, name  # one node added, even by the padded max-pool
+            x.grad = None
+            y._backward(np.ones_like(y.data))
+            assert x.grad.shape == x.shape, name
+
+    def test_only_multi_input_ops_wire_their_own_node(self):
+        # every one-input op goes through _unary; a new multi-input op joins this list on purpose
+        def calls(node):
+            return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "_node" for n in ast.walk(node))
+
+        tree = ast.parse(inspect.getsource(tensor_mod))
+        defs = [d for d in tree.body if isinstance(d, ast.FunctionDef)]
+        defs += [d for c in tree.body if isinstance(c, ast.ClassDef)
+                 for d in c.body if isinstance(d, ast.FunctionDef)]
+        callers = {d.name: calls(d) for d in defs if calls(d)}
+        assert callers == dict.fromkeys(
+            ("_unary", "_binary", "__matmul__", "concat", "batch_norm", "conv2d"), 1)
+        assert calls(tree) == 6  # none outside a function
+        assert not hasattr(Tensor, "pad2d")
+
     def test_graph_is_freed_without_the_cycle_collector(self, rng):
         # a backward closure that held its own output node would form a cycle,
         # and every graph would then live until the cycle collector ran; the
-        # graph below runs every backward closure in tensor.py, the box
-        # losses' sqrt, sin, arcsin, arctan, clamp, maximum, minimum, neg and
-        # sub among them
+        # graph below runs every kind of backward closure in tensor.py: the one
+        # _unary installs (for mish, a padded max_pool2d, up2x and the Tensor
+        # methods, the box losses' sqrt, sin, arcsin, arctan, clamp and neg
+        # among them), _binary's, matmul's, concat's, batch_norm's and conv2d's
         x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 1, 3, 3)), requires_grad=True)
         boxes = np.concatenate([rng.uniform(0.3, 0.7, (4, 2)), rng.uniform(0.1, 0.4, (4, 2))], 1)
@@ -126,7 +185,7 @@ class TestBackward:
         try:
             y = conv2d(x, w, padding=1, groups=4)
             y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)))[0]
-            y = upsample_nearest2x(max_pool2d(mish(y), 2, padding=1)).pad2d(1)
+            y = upsample_nearest2x(max_pool2d(mish(y), 2, padding=1))
             y = concat([y.sigmoid(), y.softplus(), y.tanh(), y.gelu(), y.leaky_relu(0.1)], axis=1)
             y = (y.exp() - y) ** 2 / (y.abs() + 1.0)
             z = y.reshape(2, -1).swapaxes(0, 1)[:5].softmax(axis=0)
@@ -417,6 +476,14 @@ class TestSpatial:
         err, _ = grad_check(f, [xt])
         assert err <= 1e-4
 
+        # the padding never wins, even over an all-negative input
+        xn = -np.abs(rng.standard_normal((1, 2, 5, 5)))
+        got = max_pool2d(Tensor(xn, dtype=np.float64), 3, 2, padding=1).numpy()
+        for i in range(3):
+            for j in range(3):
+                win = xn[..., max(2 * i - 1, 0):2 * i + 2, max(2 * j - 1, 0):2 * j + 2]
+                assert np.array_equal(got[..., i, j], win.max(axis=(2, 3)))
+
     def test_sppf_style_pool_keeps_shape(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 8, 8)))
         assert max_pool2d(x, 5, 1, padding=2).shape == (1, 3, 8, 8)
@@ -436,14 +503,6 @@ class TestSpatial:
         err, _ = grad_check(f, [xt])
         assert err <= 1e-4
 
-    def test_pad2d_grad(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 3, 3)))
-
-        def f(t):
-            return t.pad2d(2).sigmoid().sum()
-
-        err, _ = grad_check(f, [x])
-        assert err <= 1e-4
 
 
 def conv2d_einsum(x, w, b, g, stride, padding, groups):
