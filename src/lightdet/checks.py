@@ -21,7 +21,7 @@ from .gam import GAM
 from .model import Detect, training_loss
 from .nn import BatchNorm2d, Conv2d, LayerNorm, Module, activation
 from .sepvit import SepViTBlock, window_partition
-from .tensor import Tensor, grad_check
+from .tensor import Tensor, grad_check, max_pool2d
 
 TOLERANCE = 1e-4
 
@@ -117,6 +117,16 @@ def _conv_output_side():
 def _dwconv():
     m = Conv2d(4, 4, 3, g=4, rng=np.random.default_rng(3))
     return _module_err(m, [_x((1, 4, 4, 4), 4)])
+
+
+def _pool_check(k: int, s: int, p: int, seed: int):
+    x = _x((2, 3, 7, 7), seed)  # random values: no ties
+    err, _ = grad_check(lambda t: max_pool2d(t, k, s, padding=p).tanh().sum(), [x])
+    return err
+
+
+for _name, _args in (("max_pool_sppf", (5, 1, 2, 40)), ("max_pool_strided", (3, 2, 1, 41))):
+    CHECKS[_name] = (lambda a=_args: _pool_check(*a))
 
 
 @_check("batchnorm")

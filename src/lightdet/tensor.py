@@ -258,12 +258,15 @@ class Tensor:
         return _unary(self, np.clip(a, lo, hi), "clamp", grad_fn)
 
     def leaky_relu(self, slope: float = 0.01):
+        if not 0 < slope <= 1:  # the slopes for which max(a, slope * a) is leaky relu
+            raise ValueError(f"leaky_relu: slope {slope} is outside (0, 1]")
         a = self.data
-        return _unary(self, np.where(a > 0, a, slope * a), "leaky_relu",
-                      lambda g: g * np.where(a > 0, 1.0, slope).astype(a.dtype))
+        return _unary(self, np.maximum(a, slope * a), "leaky_relu",
+                      lambda g: g * np.maximum(a > 0, slope, dtype=a.dtype))
 
     def relu(self):
-        return self.leaky_relu(slope=0.0)
+        a = self.data  # max(a, 0), not max(a, 0 * a): 0 * inf is NaN
+        return _unary(self, np.maximum(a, 0), "relu", lambda g: g * (a > 0))
 
     def gelu(self):
         # tanh form; derivative matches this exact forward expression
@@ -338,7 +341,7 @@ def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, with e^-|x| taken once
     z = _exp_neg_abs(x)
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+    return np.maximum(z, x >= 0) / (1.0 + z)  # z <= 1, so the max is 1 for x >= 0
 
 
 def _wrap(x, dtype) -> Tensor:
@@ -548,15 +551,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0, groups: int = 1) -> Tensor:
     """Cross-correlation, the deep-learning convention. w: (Cout, Cin/groups, kh, kw).
 
-    One rule on the shapes picks how the contraction runs; every path is a BLAS
-    matmul except the depthwise one, which has nothing to contract:
-    - depthwise (groups == Cin == Cout): multiply-accumulate over the k*k
-      shifted windows of the padded input, each scaled by its per-channel tap;
+    One rule on the shapes picks how the contraction runs, and every path is a
+    matmul, one per group:
     - 1x1 at stride 1: the input already is the column matrix, W @ X;
     - output side smaller (Cout*Hp*Wp < Cin*Ho*Wo, e.g. a 7x7 conv down to a
       few channels): contract channels first, one (k*k*Cout, Cin) @ (Cin, Hp*Wp)
       matmul, then shift-add the k*k tap outputs;
-    - otherwise im2col: gather the k*k taps into columns, W @ cols.
+    - otherwise im2col: gather the k*k taps into columns, W @ cols. A depthwise
+      conv (groups == Cin == Cout) lands here as one (1, k*k) @ (k*k, Ho*Wo)
+      matmul per channel.
     The padded input is never a graph node: the gradient goes straight to x.
     """
     n, c, h, wd = x.shape
@@ -579,18 +582,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     dt = xd.dtype
     og, kk, npix = cout // groups, kh * kw, ho * wo
     taps = _tap_slices(kh, kw, ho, wo, stride)
-    if groups == c == cout:
-        mode = "depthwise"
-        wt = w.data.reshape(c, kk, 1, 1)
-        # one rounding per tap, as in a BLAS fused multiply-add: the product is
-        # exact in float64 and only the running sum rounds to the input's dtype
-        wt64 = wt.astype(np.float64)
-        out_data = np.multiply(xd[taps[0]], wt[:, 0])
-        prod = np.empty(out_data.shape, np.float64)
-        for t in range(1, kk):
-            np.multiply(xd[taps[t]], wt64[:, t], out=prod)
-            np.add(prod, out_data, out=out_data, casting="same_kind")
-    elif kh == kw == 1 and stride == 1:
+    if kh == kw == 1 and stride == 1:
         mode = "pointwise"
         wg = w.data.reshape(groups, og, cpg)
         cols = xd.reshape(n, groups, cpg, npix)
@@ -624,18 +616,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             if b is not None and (b.requires_grad or b._prev):
                 _accum(b, grad.sum(axis=(0, 2, 3)))
             gxp = None
-            if mode == "depthwise":
-                tmp = np.empty_like(grad)
-                if need_w:
-                    gw = np.empty((c, kk), dt)
-                    for t, sl in enumerate(taps):
-                        gw[:, t] = np.multiply(grad, xd[sl], out=tmp).sum(axis=(0, 2, 3))
-                    _accum(w, gw.reshape(w.data.shape))
-                if need_x:
-                    gxp = np.zeros((n, c, hp, wp), dt)
-                    for t, sl in enumerate(taps):
-                        gxp[sl] += np.multiply(grad, wt[:, t], out=tmp)
-            elif mode == "output_side":
+            if mode == "output_side":
                 # scatter each output pixel back to where every tap read it
                 gy = np.zeros((n, groups, kk, og, hp, wp), dt)
                 g = grad.reshape(n, groups, og, ho, wo)
@@ -671,29 +652,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Max over k*k windows; backward keeps only which tap won, not the input."""
+    """Max over k*k windows padded with -inf: a running max over the k column taps
+    of each row, then over k rows. A NaN in a window gives NaN. Backward keeps the
+    padded input and gives each output's gradient to the first tap in (i, j)
+    order whose value equals the output, so a tie sends it all to one tap.
+    """
     stride = stride or kernel
     xd = x.data
     if padding:
         xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                     constant_values=-np.inf)
-    n, c, hp, wp = xd.shape
+    hp, wp = xd.shape[2:]
     ho = (hp - kernel) // stride + 1
     wo = (wp - kernel) // stride + 1
-    dt = xd.dtype
-    taps = _tap_slices(kernel, kernel, ho, wo, stride)
-    out_data = np.full((n, c, ho, wo), -np.inf, dtype=dt)
-    argtap = np.zeros((n, c, ho, wo), dtype=np.int16)
-    for t, sl in enumerate(taps):
-        tap = xd[sl]
-        better = tap > out_data
-        out_data = np.where(better, tap, out_data)
-        argtap = np.where(better, t, argtap)
+    # np.maximum returns its second operand on a tie, so the running max goes
+    # second: an earlier tap keeps a tie, and -0.0 vs 0.0 resolves as a scan would
+    rows = xd[..., 0:stride * wo:stride].copy()
+    for j in range(1, kernel):
+        np.maximum(xd[..., j:j + stride * wo:stride], rows, out=rows)
+    out_data = rows[..., 0:stride * ho:stride, :].copy()
+    for i in range(1, kernel):
+        np.maximum(rows[..., i:i + stride * ho:stride, :], out_data, out=out_data)
 
     def grad_fn(grad):
-        gx = np.zeros((n, c, hp, wp), dtype=dt)
-        for t, sl in enumerate(taps):
-            gx[sl] += grad * (argtap == t)
+        gx = np.zeros_like(xd)
+        free = np.ones(out_data.shape, dtype=bool)  # outputs whose tap is still unfound
+        for sl in _tap_slices(kernel, kernel, ho, wo, stride):
+            hit = xd[sl] == out_data
+            hit &= free
+            free ^= hit
+            gx[sl] += grad * hit
         return gx[:, :, padding:hp - padding, padding:wp - padding] if padding else gx
 
     return _unary(x, out_data, "max_pool2d", grad_fn)

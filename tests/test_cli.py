@@ -386,7 +386,8 @@ class TestGradcheckCmd:
 
     def test_registry_covers_required_layers(self):
         need = {"conv2d", "conv1x1", "conv_strided_grouped", "conv_output_side",
-                "depthwise_conv", "batchnorm", "batchnorm_eval", "layernorm",
+                "depthwise_conv", "max_pool_sppf", "max_pool_strided",
+                "batchnorm", "batchnorm_eval", "layernorm",
                 "mish", "mish_wide", "hswish", "leakyrelu", "gelu", "window_attention",
                 "cross_window_attention", "sepvit_block", "dss_conv", "dss_c3",
                 "gam", "gam_bottleneck", "training_loss"}

@@ -30,6 +30,10 @@ def matmul_loops(a, b):
     return out
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestForward:
     def test_matmul_against_loop_oracle(self, rng):
         a = rng.standard_normal((7, 5))
@@ -92,6 +96,7 @@ UNARY_OPS = {
     "arctan": Tensor.arctan,
     "clamp": lambda t: t.clamp(0.3, 0.7),
     "leaky_relu": Tensor.leaky_relu,
+    "relu": Tensor.relu,
     "gelu": Tensor.gelu,
     "reshape": lambda t: t.reshape(2, -1),
     "transpose": lambda t: t.transpose(0, 2, 3, 1),
@@ -102,6 +107,57 @@ UNARY_OPS = {
     "max_pool2d_padded": lambda t: max_pool2d(t, 3, 2, padding=1),
     "upsample_nearest2x": upsample_nearest2x,
 }
+
+
+# inputs where the piecewise forms could part ways: signed zeros, infinities,
+# NaN, subnormals, and values where e^-|x| underflows
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 0.5, -0.5, 3.0, -3.0,
+            90.0, -90.0, 800.0, -800.0, 1e30, -1e30]
+
+
+class TestActivationForms:
+    """The np.maximum forms against the np.where formulas they replaced."""
+
+    def _inputs(self, rng, dt):
+        x = np.concatenate([np.array(SPECIALS), rng.standard_normal(40) * 4]).astype(dt)
+        return x, rng.standard_normal(x.shape).astype(dt)
+
+    def _run(self, op, x, g):
+        t = Tensor(x, requires_grad=True)
+        y = op(t)
+        y._backward(g)
+        return y.numpy(), t.grad
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_sigmoid_bit_identical_to_where_form(self, rng, dt):
+        x, g = self._inputs(rng, dt)
+        z = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0, z) / (1.0 + z)
+        got, grad = self._run(Tensor.sigmoid, x, g)
+        assert same_bits(got, want)
+        assert same_bits(grad, g * want * (1.0 - want))
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.01, 0.1, 0.5, 1.0])
+    def test_leaky_relu_bit_identical_to_where_form(self, rng, dt, slope):
+        x, g = self._inputs(rng, dt)
+        got, grad = self._run(lambda t: t.leaky_relu(slope), x, g)
+        assert same_bits(got, np.where(x > 0, x, slope * x))
+        assert same_bits(grad, g * np.where(x > 0, 1.0, slope).astype(dt))
+
+    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5])
+    def test_leaky_relu_refuses_a_slope_outside_its_form(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            Tensor(np.ones(3)).leaky_relu(slope)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_relu(self, rng, dt):
+        x, g = self._inputs(rng, dt)
+        got, grad = self._run(Tensor.relu, x, g)
+        # +0.0 below zero and at -0.0; NaN stays NaN; relu(+inf) is +inf, relu(-inf) 0
+        want = np.where(np.isnan(x) | (x > 0), x, 0.0).astype(dt)
+        assert same_bits(got, want)
+        assert same_bits(grad, g * np.where(x > 0, 1.0, 0.0).astype(dt))
 
 
 class TestBackward:
@@ -403,6 +459,43 @@ class TestFusedLayers:
                            / np.sqrt(rv).reshape(1, 3, 1, 1), atol=1e-12)
 
 
+def maxpool_scan(x, k, s, p, g=None):
+    """Oracle: the strict `>` tap scan max_pool2d ran before its separable max.
+
+    Returns the output, the input gradient an upstream gradient g sends back
+    (None without g), and the winning tap index of every output.
+    """
+    xd = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
+    n, c, hp, wp = xd.shape
+    ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
+    out = np.empty((n, c, ho, wo), x.dtype)
+    wins = {}
+    for idx in np.ndindex(n, c, ho, wo):
+        b, ch, oi, oj = idx
+        best, arg = -np.inf, 0
+        for t in range(k * k):
+            v = xd[b, ch, oi * s + t // k, oj * s + t % k]
+            if v > best:
+                best, arg = v, t
+        out[idx] = best
+        wins[idx] = arg
+    if g is None:
+        return out, None, list(wins.values())
+    gx = np.zeros_like(xd)
+    for t in range(k * k):  # tap by tap, so a pixel two windows share sums in tap order
+        for (b, ch, oi, oj), arg in wins.items():
+            if arg == t:
+                gx[b, ch, oi * s + t // k, oj * s + t % k] += g[b, ch, oi, oj]
+    return out, gx[:, :, p:hp - p, p:wp - p], list(wins.values())
+
+
+def maxpool_run(x, k, s, p, g):
+    t = Tensor(x, requires_grad=True)
+    y = max_pool2d(t, k, s, padding=p)
+    y._backward(g)
+    return y.numpy(), t.grad
+
+
 class TestSpatial:
     def test_conv2d_matches_direct_loops(self, rng):
         x = rng.standard_normal((2, 3, 6, 6))
@@ -463,18 +556,18 @@ class TestSpatial:
         assert err <= 1e-4
 
     def test_maxpool_forward_and_grad(self, rng):
-        x = rng.standard_normal((1, 1, 4, 4))
-        out = max_pool2d(Tensor(x, dtype=np.float64), 2, 2).numpy()
-        want = x.reshape(1, 1, 2, 2, 2, 2).max(axis=(3, 5))
-        assert np.allclose(out, want)
-
-        xt = Tensor(rng.standard_normal((1, 2, 6, 6)))
-
-        def f(t):
-            return max_pool2d(t, 3, 2, padding=1).sum()
-
-        err, _ = grad_check(f, [xt])
-        assert err <= 1e-4
+        # 3x3 stride 2 padding 1, where every tap wins some window, and 2x2 at
+        # the default stride
+        for dt in (np.float32, np.float64):
+            x = rng.standard_normal((2, 6, 9, 9)).astype(dt)
+            g = rng.standard_normal((2, 6, 5, 5)).astype(dt)
+            want, gwant, wins = maxpool_scan(x, 3, 2, 1, g)
+            assert set(wins) == set(range(9))
+            got, ggot = maxpool_run(x, 3, 2, 1, g)
+            assert same_bits(got, want) and same_bits(ggot, gwant)
+            want, gwant, _ = maxpool_scan(x, 2, 2, 0, g[..., :4, :4])
+            got, ggot = maxpool_run(x, 2, None, 0, g[..., :4, :4])
+            assert same_bits(got, want) and same_bits(ggot, gwant)
 
         # the padding never wins, even over an all-negative input
         xn = -np.abs(rng.standard_normal((1, 2, 5, 5)))
@@ -483,6 +576,50 @@ class TestSpatial:
             for j in range(3):
                 win = xn[..., max(2 * i - 1, 0):2 * i + 2, max(2 * j - 1, 0):2 * j + 2]
                 assert np.array_equal(got[..., i, j], win.max(axis=(2, 3)))
+
+    def test_maxpool_ties_send_the_whole_gradient_to_the_first_tap(self, rng):
+        # a constant plateau: every window ties, and the first in-bounds tap in
+        # (i, j) order takes the gradient
+        x = np.full((1, 2, 5, 5), 0.5, np.float32)
+        g = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
+        want, gwant, _ = maxpool_scan(x, 3, 2, 1, g)
+        got, ggot = maxpool_run(x, 3, 2, 1, g)
+        assert same_bits(got, want) and same_bits(ggot, gwant)
+        first = np.zeros_like(x)
+        for i, r in enumerate((0, 1, 3)):  # window i spans input rows 2i - 1 .. 2i + 1
+            for j, c in enumerate((0, 1, 3)):
+                first[..., r, c] = g[..., i, j]
+        assert same_bits(ggot, first)
+
+        # SPPF's chained 5x5 stride-1 pools on a few levels: pooled maps are
+        # mostly plateaus, and -0.0 ties 0.0, the max of most windows of the
+        # non-positive channel 0
+        x = rng.integers(-2, 3, (2, 3, 8, 8)).astype(np.float32) * np.float32(0.5)
+        x[:, 0] = -np.abs(x[:, 0])
+        x[x == 0] = rng.choice(np.array([0.0, -0.0], np.float32), int((x == 0).sum()))
+        gs = [rng.standard_normal(x.shape).astype(np.float32) for _ in range(3)]
+        t = Tensor(x, requires_grad=True)
+        p1 = max_pool2d(t, 5, 1, padding=2)
+        p2 = max_pool2d(p1, 5, 1, padding=2)
+        p3 = max_pool2d(p2, 5, 1, padding=2)
+        (p1 * Tensor(gs[0]) + p2 * Tensor(gs[1]) + p3 * Tensor(gs[2])).sum().backward()
+        w1, _, _ = maxpool_scan(x, 5, 1, 2)
+        w2, _, _ = maxpool_scan(w1, 5, 1, 2)
+        w3, g3, _ = maxpool_scan(w2, 5, 1, 2, gs[2])
+        _, g2, _ = maxpool_scan(w1, 5, 1, 2, gs[1] + g3)
+        _, g1, _ = maxpool_scan(x, 5, 1, 2, gs[0] + g2)
+        for got, want in ((p1.numpy(), w1), (p2.numpy(), w2), (p3.numpy(), w3), (t.grad, g1)):
+            assert same_bits(got, want)
+
+    def test_maxpool_nan_reaches_the_output(self):
+        x = np.arange(36, dtype=np.float32).reshape(1, 1, 6, 6)
+        x[0, 0, 2, 3] = np.nan
+        got = max_pool2d(Tensor(x), 3, 2, padding=1).numpy()[0, 0]
+        # input (2, 3) lies in window row 1 and in window columns 1 and 2
+        hit = np.zeros((3, 3), bool)
+        hit[1, 1:] = True
+        assert np.array_equal(np.isnan(got), hit)
+        assert np.array_equal(got[~hit], maxpool_scan(x, 3, 2, 1)[0][0, 0][~hit])
 
     def test_sppf_style_pool_keeps_shape(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 8, 8)))
@@ -545,8 +682,9 @@ CONV_CASES = {
     "3x3_s2_b4": (4, 3, 5, 3, 2, 1, 7),
     "3x3_s1_g2_b4": (4, 4, 6, 3, 1, 2, 6),
     "3x3_s2_g2": (1, 4, 6, 3, 2, 2, 7),
-    "3x3_depthwise_s1_b4": (4, 6, 6, 3, 1, 6, 6),  # taps accumulated directly
+    "3x3_depthwise_s1_b4": (4, 6, 6, 3, 1, 6, 6),  # im2col, one (1, 9) @ (9, pixels) per channel
     "3x3_depthwise_s2": (1, 6, 6, 3, 2, 6, 7),
+    "3x3_depthwise_s2_b4": (4, 6, 6, 3, 2, 6, 7),
     "5x5_depthwise_s1": (1, 4, 4, 5, 1, 4, 6),
     "7x7_few_out_b1": (1, 16, 2, 7, 1, 1, 8),  # output side: 2*14*14 < 16*8*8
     "7x7_few_out_b4": (4, 16, 2, 7, 1, 1, 8),
