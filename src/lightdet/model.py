@@ -7,9 +7,10 @@ and replaces the neck with the separable bidirectional fusion gated by GAM.
 """
 from __future__ import annotations
 
+import json
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -58,156 +59,143 @@ class Detect(Module):
         return [conv(f) for conv, f in zip(self.m, feats)]
 
 
-@dataclass
-class Row:
-    name: str
-    src: object  # -1 = previous row (or model input for row 0), int, or list[int]
-    layer: Module
+# The traced perfbench runs read `model._rows[i].name` and `.layer`; ROADMAP
+# item 5 moves those hooks onto named_children() and deletes Row and _rows.
+Row = namedtuple("Row", "name layer")
+
+DEPTH = 0.33  # bottleneck-count multiplier, the one both graphs are built at
+
+
+def _depth(n: int) -> int:
+    return max(round(n * DEPTH), 1)
 
 
 class DetectorModel(Module):
-    def __init__(self, rows: list[Row], nc: int, img_size: int, kind: str):
+    """The shared trunk (stem ... down4), what a subclass's `_build_top` adds, then
+    the head; each subclass wires its graph in its own `forward`."""
+
+    def __init__(self, nc: int = 2, width: float = 0.25, act: str = "mish",
+                 img_size: int = 640, rng: np.random.Generator | None = None):
         super().__init__()
-        self.layers = [r.layer for r in rows]  # walked for parameters
-        self._rows = rows
-        self.nc = nc
-        self.img_size = img_size
-        self.kind = kind
+        rng = rng or np.random.default_rng(0)
+        self.nc, self.width, self.act, self.img_size = nc, width, act, img_size
+        c0, c1, c2, c3, c4 = (make_divisible(c * width) for c in (64, 128, 256, 512, 1024))
+        self.stem = ConvBnAct(3, c0, 6, 2, p=2, act=act, rng=rng)
+        self.down1 = ConvBnAct(c0, c1, 3, 2, act=act, rng=rng)
+        self.stage1 = C3(c1, c1, _depth(3), act=act, rng=rng)
+        self.down2 = ConvBnAct(c1, c2, 3, 2, act=act, rng=rng)
+        self.stage2 = C3(c2, c2, _depth(6), act=act, rng=rng)
+        self.down3 = ConvBnAct(c2, c3, 3, 2, act=act, rng=rng)
+        self.stage3 = C3(c3, c3, _depth(9), act=act, rng=rng)
+        self.down4 = ConvBnAct(c3, c4, 3, 2, act=act, rng=rng)
+        self._build_top(c1, c2, c3, c4, act, rng)
+        self.detect = Detect(nc, (c2, c3, c4), img_size, rng=rng)
 
     @property
-    def detect(self) -> Detect:
-        return self._rows[-1].layer
+    def config(self) -> dict:
+        """What a checkpoint records of the model it came from."""
+        return {"kind": self.kind, "nc": self.nc, "width": self.width, "act": self.act}
 
-    def forward(self, x: Tensor) -> list[Tensor]:
-        outs: list = []
-        for i, row in enumerate(self._rows):
-            if row.src == -1:
-                y = row.layer(x if i == 0 else outs[i - 1])
-            elif isinstance(row.src, int):
-                y = row.layer(outs[row.src])
-            else:
-                vals = [outs[s] for s in row.src]
-                if len(vals) == 1 and isinstance(vals[0], tuple):
-                    vals = list(vals[0])  # a multi-output row feeds this one whole
-                y = row.layer(*vals) if isinstance(row.layer, LightBiFpn) else row.layer(vals)
-            outs.append(y)
-        return outs[-1]
+    @property
+    def _rows(self) -> list[Row]:
+        return [Row(name, m) for name, m in self.named_children()]
 
-    def cost_rows(self, img_size: int | None = None):
-        """(name, params, flops) per row for one batch-1 forward at img_size.
+    def _trunk(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """P3, P4 and the down4 output."""
+        p3 = self.stage2(self.down2(self.stage1(self.down1(self.stem(x)))))
+        p4 = self.stage3(self.down3(p3))
+        return p3, p4, self.down4(p4)
+
+    def cost_rows(self, img_size: int):
+        """(name, params, flops) per child for one batch-1 forward at img_size.
 
         The neck and the head are listed by their children. FLOPs are those the
         ops count (`tensor.count_flops`) on a zero image, run in eval mode
         without gradients; every module's training flag is put back afterwards.
         """
-        size = img_size or self.img_size
         modes = [(m, m.training) for m in self.modules()]
         self.eval()
         try:
             with no_grad(), count_flops() as count:
-                self(Tensor(np.zeros((1, 3, size, size), np.float32)))
+                self(Tensor(np.zeros((1, 3, img_size, img_size), np.float32)))
         finally:
             for m, mode in modes:
                 m.training = mode
         rows = []
-        for row in self._rows:
-            if isinstance(row.layer, (LightBiFpn, Detect)):
-                parts = [(f"{row.name}.{n}", m) for n, m in row.layer.named_children()]
+        for name, child in self.named_children():
+            if isinstance(child, (LightBiFpn, Detect)):
+                parts = [(f"{name}.{n}", m) for n, m in child.named_children()]
             else:
-                parts = [(row.name, row.layer)]
-            rows += [(name, m.param_count(), count.get(m, 0)) for name, m in parts]
+                parts = [(name, child)]
+            rows += [(n, m.param_count(), count.get(m, 0)) for n, m in parts]
         return rows
 
 
-def _depth(n: int, mult: float) -> int:
-    return max(round(n * mult), 1)
+class Baseline(DetectorModel):
+    """CSP stage and SPPF at stride 32, then the cross-stage PAN neck."""
+
+    kind = "baseline"
+
+    def _build_top(self, c1, c2, c3, c4, act, rng):
+        self.stage4 = C3(c4, c4, _depth(3), act=act, rng=rng)
+        self.sppf = SPPF(c4, c4, 5, act=act, rng=rng)
+        self.lat5 = ConvBnAct(c4, c3, 1, act=act, rng=rng)
+        self.up1 = Upsample2x()
+        self.cat_td4 = Concat()
+        self.td4 = C3(c3 * 2, c3, _depth(3), shortcut=False, act=act, rng=rng)
+        self.lat4 = ConvBnAct(c3, c2, 1, act=act, rng=rng)
+        self.up2 = Upsample2x()
+        self.cat_out3 = Concat()
+        self.out3 = C3(c2 * 2, c2, _depth(3), shortcut=False, act=act, rng=rng)
+        self.pan_down3 = ConvBnAct(c2, c2, 3, 2, act=act, rng=rng)
+        self.cat_out4 = Concat()
+        self.out4 = C3(c2 * 2, c3, _depth(3), shortcut=False, act=act, rng=rng)
+        self.pan_down4 = ConvBnAct(c3, c3, 3, 2, act=act, rng=rng)
+        self.cat_out5 = Concat()
+        self.out5 = C3(c3 * 2, c4, _depth(3), shortcut=False, act=act, rng=rng)
+
+    def forward(self, x: Tensor) -> list[Tensor]:
+        p3, p4, x = self._trunk(x)
+        lat5 = self.lat5(self.sppf(self.stage4(x)))
+        lat4 = self.lat4(self.td4(self.cat_td4([self.up1(lat5), p4])))
+        out3 = self.out3(self.cat_out3([self.up2(lat4), p3]))
+        out4 = self.out4(self.cat_out4([self.pan_down3(out3), lat4]))
+        out5 = self.out5(self.cat_out5([self.pan_down4(out4), lat5]))
+        return self.detect([out3, out4, out5])
 
 
-def _widths(width: float) -> tuple[int, ...]:
-    return tuple(make_divisible(c * width) for c in (64, 128, 256, 512, 1024))
+class Light(DetectorModel):
+    """Window attention and SPPF at stride 32, then the GAM-gated separable neck."""
+
+    kind = "light"
+
+    def _build_top(self, c1, c2, c3, c4, act, rng):
+        # deepest stage: channel-reduced global attention instead of a conv block
+        self.attn_reduce = ConvBnAct(c4, c3, 1, act=act, rng=rng)
+        self.attn = SepViTBlock(c3, rng=rng)
+        self.attn_expand = ConvBnAct(c3, c4, 1, act=act, rng=rng)
+        self.sppf = SPPF(c4, c4, 5, act=act, rng=rng)
+        self.neck = LightBiFpn(
+            c3=c2, c4=c3, c5=c4, mid=c1, out3=c2, out4=c3, out5=c4, act=act,
+            attn_td=GAM(c1 // 2, hidden=min(4, c1 // 2), rng=rng),
+            attn_out4=GAM(c3 // 2, hidden=min(4, c3 // 2), rng=rng),
+            rng=rng,
+        )
+
+    def forward(self, x: Tensor) -> list[Tensor]:
+        p3, p4, x = self._trunk(x)
+        p5 = self.sppf(self.attn_expand(self.attn(self.attn_reduce(x))))
+        return self.detect(self.neck(p3, p4, p5))
 
 
-def _trunk(width: float, depth: float, act: str, rng: np.random.Generator):
-    """Rows stem ... down4, which both graphs share.
-
-    Returns the row list, the `add` that appends to it, and the P3 and P4 rows.
-    """
-    c0, c1, c2, c3, c4 = _widths(width)
-    d1, d2, d3 = _depth(3, depth), _depth(6, depth), _depth(9, depth)
-    r: list[Row] = []
-
-    def add(name, src, layer):
-        r.append(Row(name, src, layer))
-        return len(r) - 1
-
-    add("stem", -1, ConvBnAct(3, c0, 6, 2, p=2, act=act, rng=rng))
-    add("down1", -1, ConvBnAct(c0, c1, 3, 2, act=act, rng=rng))
-    add("stage1", -1, C3(c1, c1, d1, act=act, rng=rng))
-    add("down2", -1, ConvBnAct(c1, c2, 3, 2, act=act, rng=rng))
-    p3 = add("stage2", -1, C3(c2, c2, d2, act=act, rng=rng))
-    add("down3", -1, ConvBnAct(c2, c3, 3, 2, act=act, rng=rng))
-    p4 = add("stage3", -1, C3(c3, c3, d3, act=act, rng=rng))
-    add("down4", -1, ConvBnAct(c3, c4, 3, 2, act=act, rng=rng))
-    return r, add, p3, p4
-
-
-def build_baseline(nc: int = 2, width: float = 0.25, depth: float = 0.33,
-                   act: str = "mish", img_size: int = 640,
-                   rng: np.random.Generator | None = None) -> DetectorModel:
-    rng = rng or np.random.default_rng(0)
-    _, _, c2, c3, c4 = _widths(width)
-    d1 = _depth(3, depth)
-    r, add, p3, p4 = _trunk(width, depth, act, rng)
-    add("stage4", -1, C3(c4, c4, d1, act=act, rng=rng))
-    spp = add("sppf", -1, SPPF(c4, c4, 5, act=act, rng=rng))
-
-    lat5 = add("lat5", spp, ConvBnAct(c4, c3, 1, act=act, rng=rng))
-    up1 = add("up1", -1, Upsample2x())
-    add("cat_td4", [up1, p4], Concat())
-    add("td4", -1, C3(c3 * 2, c3, d1, shortcut=False, act=act, rng=rng))
-    lat4 = add("lat4", -1, ConvBnAct(c3, c2, 1, act=act, rng=rng))
-    up2 = add("up2", -1, Upsample2x())
-    add("cat_out3", [up2, p3], Concat())
-    out3 = add("out3", -1, C3(c2 * 2, c2, d1, shortcut=False, act=act, rng=rng))
-    dn3 = add("pan_down3", -1, ConvBnAct(c2, c2, 3, 2, act=act, rng=rng))
-    add("cat_out4", [dn3, lat4], Concat())
-    out4 = add("out4", -1, C3(c2 * 2, c3, d1, shortcut=False, act=act, rng=rng))
-    dn4 = add("pan_down4", -1, ConvBnAct(c3, c3, 3, 2, act=act, rng=rng))
-    add("cat_out5", [dn4, lat5], Concat())
-    out5 = add("out5", -1, C3(c3 * 2, c4, d1, shortcut=False, act=act, rng=rng))
-    add("detect", [out3, out4, out5], Detect(nc, (c2, c3, c4), img_size, rng=rng))
-    return DetectorModel(r, nc, img_size, "baseline")
-
-
-def build_light(nc: int = 2, width: float = 0.25, depth: float = 0.33,
-                act: str = "mish", img_size: int = 640,
-                rng: np.random.Generator | None = None) -> DetectorModel:
-    rng = rng or np.random.default_rng(0)
-    _, c1, c2, c3, c4 = _widths(width)
-    r, add, p3, p4 = _trunk(width, depth, act, rng)
-    # deepest stage: channel-reduced global attention instead of a conv block
-    add("attn_reduce", -1, ConvBnAct(c4, c3, 1, act=act, rng=rng))
-    add("attn", -1, SepViTBlock(c3, rng=rng))
-    add("attn_expand", -1, ConvBnAct(c3, c4, 1, act=act, rng=rng))
-    spp = add("sppf", -1, SPPF(c4, c4, 5, act=act, rng=rng))
-
-    neck = LightBiFpn(
-        c3=c2, c4=c3, c5=c4, mid=c1, out3=c2, out4=c3, out5=c4, act=act,
-        attn_td=GAM(c1 // 2, hidden=min(4, c1 // 2), rng=rng),
-        attn_out4=GAM(c3 // 2, hidden=min(4, c3 // 2), rng=rng),
-        rng=rng,
-    )
-    nk = add("neck", [p3, p4, spp], neck)
-    add("detect", [nk], Detect(nc, (c2, c3, c4), img_size, rng=rng))
-    return DetectorModel(r, nc, img_size, "light")
+build_baseline, build_light = Baseline, Light
 
 
 def build_model(kind: str, **kw) -> DetectorModel:
-    if kind == "baseline":
-        return build_baseline(**kw)
-    if kind == "light":
-        return build_light(**kw)
-    raise ValueError(f"unknown model kind {kind!r}")
+    graphs = {"baseline": Baseline, "light": Light}
+    if kind not in graphs:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return graphs[kind](**kw)
 
 
 # ---- target assignment and loss ----
@@ -447,14 +435,18 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
 # ---- checkpoints ----
 
 MAGIC = b"LYV5"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
-def save_checkpoint(path: str, model: Module) -> None:
+def save_checkpoint(path: str, model: DetectorModel) -> None:
+    """Magic, version, the model's config as length-prefixed JSON, then named tensors."""
     items = list(model.named_state())
+    config = json.dumps(model.config).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(items)))
+        fh.write(struct.pack("<II", CKPT_VERSION, len(config)))
+        fh.write(config)
+        fh.write(struct.pack("<I", len(items)))
         for name, t in items:
             raw = name.encode("utf-8")
             arr = np.ascontiguousarray(t.numpy(), dtype="<f4")
@@ -472,14 +464,23 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def load_checkpoint(path: str, model: Module) -> None:
-    """Restores tensors by name; any mismatch against the model is an error."""
+def load_checkpoint(path: str, model: DetectorModel) -> None:
+    """Restores tensors by name; any mismatch against the model is an error.
+
+    Checked in order: the format, the tensor names, their shapes, and last the
+    config, which catches what shapes cannot tell apart (the activation).
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError("not a checkpoint: bad magic")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
+        version, clen = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        try:
+            config = json.loads(_read_exact(fh, clen, "config"))
+        except ValueError:
+            raise CheckpointError("config header is not JSON") from None
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         loaded: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
@@ -507,5 +508,7 @@ def load_checkpoint(path: str, model: Module) -> None:
             raise CheckpointError(
                 f"{name}: shape {tuple(src.shape)} in checkpoint, model needs "
                 f"{tuple(t.shape)} (class count or width mismatch?)")
+    if config != model.config:
+        raise CheckpointError(f"checkpoint is for the model {config}, not {model.config}")
     for name, t in state.items():
         t.data = loaded[name].astype(np.float32)

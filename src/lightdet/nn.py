@@ -298,9 +298,5 @@ class Upsample2x(Module):
 
 
 class Concat(Module):
-    def __init__(self, axis: int = 1):
-        super().__init__()
-        self.axis = axis
-
     def forward(self, xs: list[Tensor]) -> Tensor:
-        return concat(xs, axis=self.axis)
+        return concat(xs, axis=1)

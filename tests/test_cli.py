@@ -317,6 +317,12 @@ class TestEval:
                      "--weights", ckpt])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        # same tensors and shapes, other activation: only the config differs
+        code = main(["eval", "--data", tiny_dataset, "--img", "64",
+                     "--width", "0.125", "--seed", "5", "--act", "hswish",
+                     "--weights", ckpt])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestBench:

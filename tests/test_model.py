@@ -434,8 +434,8 @@ class TestNms:
 
 
 class TestCheckpoint:
-    def _model(self, seed=1, nc=2):
-        return build_light(nc=nc, width=0.125, img_size=64,
+    def _model(self, seed=1, nc=2, act="mish"):
+        return build_light(nc=nc, width=0.125, act=act, img_size=64,
                            rng=np.random.default_rng(seed))
 
     def test_roundtrip_bit_identical(self, tmp_path):
@@ -504,14 +504,39 @@ class TestCheckpoint:
         fresh = build_light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(2))
         assert np.array_equal(m.detect.anchors, fresh.detect.anchors)
 
-    def test_version_1_file_is_refused(self, tmp_path):
-        # version 1 carried the 'layers.N.anchors' record that version 2 dropped
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_is_refused(self, tmp_path, version):
+        # version 1 carried the 'layers.N.anchors' record; neither 1 nor 2 has
+        # the config header, and both name tensors 'layers.N....'
         path = str(tmp_path / "w.bin")
         save_checkpoint(path, self._model())
         data = bytearray(open(path, "rb").read())
-        data[4:8] = (1).to_bytes(4, "little")
+        data[4:8] = version.to_bytes(4, "little")
         open(path, "wb").write(bytes(data))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        with pytest.raises(CheckpointError,
+                           match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path, self._model())
+
+    def test_tensor_names_are_attribute_paths(self):
+        names = [n for n, _ in self._model().named_state()]
+        assert names[0].startswith("stem.")
+        assert not any("layers." in n for n in names)
+
+    def test_activation_mismatch(self, tmp_path):
+        # mish and hswish models have the same tensors and shapes; only the
+        # config header tells them apart
+        path = str(tmp_path / "w.bin")
+        save_checkpoint(path, self._model())
+        with pytest.raises(CheckpointError, match="'mish'.*'hswish'"):
+            load_checkpoint(path, self._model(act="hswish"))
+
+    def test_unreadable_config_header(self, tmp_path):
+        path = str(tmp_path / "w.bin")
+        save_checkpoint(path, self._model())
+        data = bytearray(open(path, "rb").read())
+        data[12] = ord("]")  # the header's opening brace
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(CheckpointError, match="config header"):
             load_checkpoint(path, self._model())
 
     def test_unsupported_version(self, tmp_path):
@@ -551,4 +576,8 @@ class TestCheckpoint:
                 raise AssertionError("corruption accepted")
             except CheckpointError as e:
                 msgs.add(str(e))
-        assert len(msgs) == 3
+        save_checkpoint(path, self._model())
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path, self._model(act="hswish"))
+        msgs.add(str(exc.value))
+        assert len(msgs) == 4
