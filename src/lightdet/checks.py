@@ -105,6 +105,13 @@ def _conv_strided_grouped():
     return _module_err(m, [_x((2, 4, 5, 5), 37)])
 
 
+@_check("conv_stem")
+def _conv_stem():
+    # the stem's 6x6 at stride 2, padding 2: four input phases, nine taps each
+    m = Conv2d(3, 4, 6, s=2, p=2, rng=np.random.default_rng(40))
+    return _module_err(m, [_x((2, 3, 8, 8), 41)])
+
+
 @_check("conv_output_side")
 def _conv_output_side():
     # a GAM spatial-gate squeeze: 7x7 down to few channels, where the padded

@@ -34,10 +34,8 @@ class MetricReport:
     per_class_counts: dict[int, int] = field(default_factory=dict)
 
 
-def _det_corners(dets: list[Detection]) -> np.ndarray:
-    if not dets:
-        return np.zeros((0, 4))
-    return corners_np(np.stack([d.box.array() for d in dets]))
+def _corners(boxes: list[Box]) -> np.ndarray:
+    return corners_np(np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64))
 
 
 def match_image(dets: list[Detection], gts: list[tuple[int, Box]],
@@ -47,24 +45,19 @@ def match_image(dets: list[Detection], gts: list[tuple[int, Box]],
     Detections must already be sorted by descending confidence; this matcher
     only applies the greedy rule.
     """
-    taken = [False] * len(gts)
-    flags: list[bool] = []
-    det_xy = _det_corners(dets)
-    gt_xy = corners_np(np.stack([g[1].array() for g in gts])) if gts else np.zeros((0, 4))
-    ious = iou_matrix(det_xy, gt_xy) if len(dets) and len(gts) else np.zeros((len(dets), len(gts)))
-    for i, det in enumerate(dets):
-        best_j, best_iou = -1, 0.0
-        for j, (cls, _) in enumerate(gts):
-            if taken[j] or cls != det.class_id:
-                continue
-            # strictly-greater keeps the earliest gt on equal IoU
-            if ious[i, j] >= iou_thr and ious[i, j] > best_iou:
-                best_j, best_iou = j, ious[i, j]
-        if best_j >= 0:
-            taken[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+    if not dets or not gts:
+        return [False] * len(dets)
+    ious = iou_matrix(_corners([d.box for d in dets]), _corners([g[1] for g in gts]))
+    # the IoU of each same-class gt at or above the threshold, -1 elsewhere;
+    # IoU 0 never matches, even at threshold 0
+    same = np.array([d.class_id for d in dets])[:, None] == np.array([g[0] for g in gts])
+    cand = np.where(same & (ious >= iou_thr) & (ious > 0), ious, -1.0)
+    flags = [False] * len(dets)  # a detection with no candidate stays False
+    for i in np.flatnonzero(cand.max(axis=1) > 0):
+        j = int(np.argmax(cand[i]))  # the earliest gt on equal IoU
+        if cand[i, j] > 0:
+            flags[i] = True
+            cand[:, j] = -1.0  # taken
     return flags
 
 
@@ -76,8 +69,7 @@ def ap_from_points(recall: np.ndarray, precision: np.ndarray) -> float:
     """All-points interpolation: integrate the right-max precision envelope."""
     mrec = np.concatenate([[0.0], recall, [1.0]])
     mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     idx = np.where(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
 

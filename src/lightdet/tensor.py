@@ -541,10 +541,27 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, mean: np.ndarray | None 
 # ---- spatial primitives (NCHW) ----
 
 
+def _pad2d(xd: np.ndarray, p: int, value: float = 0.0) -> np.ndarray:
+    return np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=value) if p else xd
+
+
 def _tap_slices(kh: int, kw: int, ho: int, wo: int, stride: int) -> list[tuple]:
     """Index of each kernel tap's (ho, wo) window into a padded map, in (i, j) order."""
     return [(Ellipsis, slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
             for i in range(kh) for j in range(kw)]
+
+
+def _phase_slices(h: int, wd: int, padding: int, s: int, h2: int, w2: int) -> list[tuple]:
+    """(x index, phase grid index) pairs that move x into its zero-padded s*s phase
+    grid (n, c, s, s, h2 + 1, w2), where phase (a, b) at (u, v) is padded pixel
+    (a + s*u, b + s*v); x pixels no tap reads fall outside the grid."""
+    def axis(size, a, n):  # the u < n whose padded index a + s*u lies inside x
+        u0 = max(0, -((a - padding) // s))
+        u1 = max(u0, min(n, (size - 1 + padding - a) // s + 1))
+        return slice(a + s * u0 - padding, a + s * u1 - padding, s), slice(u0, u1)
+    return [((Ellipsis, rows, cols), (Ellipsis, a, b, us, vs))
+            for a in range(s) for rows, us in [axis(h, a, h2)]
+            for b in range(s) for cols, vs in [axis(wd, b, w2)]]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
@@ -553,13 +570,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
     One rule on the shapes picks how the contraction runs, and every path is a
     matmul, one per group:
-    - 1x1 at stride 1: the input already is the column matrix, W @ X;
+    - 1x1 at stride 1: the input already is the column matrix, W @ X. Backward
+      keeps X, which is x.data when unpadded.
     - output side smaller (Cout*Hp*Wp < Cin*Ho*Wo, e.g. a 7x7 conv down to a
       few channels): contract channels first, one (k*k*Cout, Cin) @ (Cin, Hp*Wp)
-      matmul, then shift-add the k*k tap outputs;
+      matmul, then shift-add the k*k tap outputs. Backward keeps the padded input.
     - otherwise im2col: gather the k*k taps into columns, W @ cols. A depthwise
       conv (groups == Cin == Cout) lands here as one (1, k*k) @ (k*k, Ho*Wo)
-      matmul per channel.
+      matmul per channel. The columns are one copy of a strided view of the
+      padded input, freed after the matmul. Backward keeps only x.data: the
+      weight gradient gathers one image's columns at a time and sums the
+      images in order; the input gradient takes W^T @ g over a wide (Ho, W2)
+      grid, so that each tap's share is one contiguous slice of a phase of
+      x's zero-padded s*s phase grid, and adds them there in tap order.
     The padded input is never a graph node: the gradient goes straight to x.
     """
     n, c, h, wd = x.shape
@@ -576,19 +599,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     if _flops is not None:
         _flops.total += 2 * w.data.size * ho * wo * n
 
-    xd = x.data
-    if padding:
-        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xd, s = _pad2d(x.data, padding), stride
     dt = xd.dtype
     og, kk, npix = cout // groups, kh * kw, ho * wo
-    taps = _tap_slices(kh, kw, ho, wo, stride)
-    if kh == kw == 1 and stride == 1:
-        mode = "pointwise"
+    mode = ("pointwise" if kh == kw == 1 and s == 1 else
+            "output_side" if cout * hp * wp < c * npix else "im2col")
+    if mode == "pointwise":
         wg = w.data.reshape(groups, og, cpg)
         cols = xd.reshape(n, groups, cpg, npix)
         out_data = np.matmul(wg, cols).reshape(n, cout, ho, wo)
-    elif cout * hp * wp < c * npix:
-        mode = "output_side"
+    elif mode == "output_side":
+        taps = _tap_slices(kh, kw, ho, wo, s)
         # (G, k*k*og, cpg): row t*og + o holds tap t of output channel o
         wg = w.data.reshape(groups, og, cpg, kk).transpose(0, 3, 1, 2).reshape(groups, kk * og, cpg)
         xg = xd.reshape(n, groups, cpg, hp * wp)
@@ -598,13 +619,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             out_data += y[:, :, t][taps[t]]
         out_data = out_data.reshape(n, cout, ho, wo)
     else:
-        mode = "im2col"
-        cols = np.empty((n, c, kk, ho, wo), dtype=dt)
-        for t, sl in enumerate(taps):
-            cols[:, :, t] = xd[sl]
-        cols = cols.reshape(n, groups, cpg * kk, npix)
+        def windows(xp):  # (n, c, kh, kw, ho, wo) view: tap (i, j) of output o reads s*o + (i, j)
+            sh, sw = xp.strides[2:]
+            return np.lib.stride_tricks.as_strided(
+                xp, (n, c, kh, kw, ho, wo), xp.strides[:2] + (sh, sw, s * sh, s * sw), writeable=False)
+
         wg = w.data.reshape(groups, og, cpg * kk)
-        out_data = np.matmul(wg, cols).reshape(n, cout, ho, wo)
+        out_data = np.matmul(wg, windows(xd).reshape(n, groups, cpg * kk, npix))
+        out_data = out_data.reshape(n, cout, ho, wo)
     if b is not None:
         out_data += b.data.reshape(1, cout, 1, 1)
 
@@ -632,18 +654,35 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             else:
                 g = grad.reshape(n, groups, og, npix)
                 if need_w:
-                    # per image, then summed over the batch in order
-                    gw = np.matmul(g, cols.swapaxes(-1, -2)).sum(axis=0)
-                    _accum(w, gw.reshape(w.data.shape))
-                if need_x:
                     if mode == "pointwise":
-                        gxp = np.empty((n, c, hp, wp), dt)  # fresh, so _accum keeps it uncopied
-                        np.matmul(wg.swapaxes(-1, -2), g, out=gxp.reshape(n, groups, cpg, npix))
-                    else:
-                        gcols = np.matmul(wg.swapaxes(-1, -2), g).reshape(n, c, kk, ho, wo)
-                        gxp = np.zeros((n, c, hp, wp), dt)
-                        for t, sl in enumerate(taps):
-                            gxp[sl] += gcols[:, :, t]
+                        gw = np.matmul(g, cols.swapaxes(-1, -2))
+                    else:  # one image's columns at a time, from the input the graph holds
+                        win = windows(_pad2d(x.data, padding))
+                        gw = np.stack([np.matmul(g[i], win[i].reshape(groups, cpg * kk, npix)
+                                                 .swapaxes(-1, -2)) for i in range(n)])
+                    # per image, then summed over the batch in order
+                    _accum(w, gw.sum(axis=0).reshape(w.data.shape))
+                if need_x and mode == "pointwise":
+                    gxp = np.empty((n, c, hp, wp), dt)  # fresh, so _accum keeps it uncopied
+                    np.matmul(wg.swapaxes(-1, -2), g, out=gxp.reshape(n, groups, cpg, npix))
+                elif need_x:
+                    # g over a wide (ho, w2) grid, zero in its w2 - wo spare columns
+                    h2, w2 = ho + (kh - 1) // s, wo + (kw - 1) // s
+                    gwide = np.zeros((n, groups, og, ho * w2), dt)
+                    gwide.reshape(n, cout, ho, w2)[..., :wo] = grad
+                    # one output per group (depthwise): each entry is a single product
+                    gcols = (wg.reshape(groups, cpg * kk, 1) * gwide if og == 1
+                             else np.matmul(wg.swapaxes(-1, -2), gwide)).reshape(n, c, kk, ho * w2)
+                    # one spare row: the last tap's wide slice runs past row h2
+                    ggrid = np.zeros((n, c, s, s, h2 + 1, w2), dt)
+                    flat = ggrid.reshape(n, c, s, s, -1)
+                    for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+                        o = i // s * w2 + j // s
+                        flat[:, :, i % s, j % s, o:o + ho * w2] += gcols[:, :, t]
+                    gx = np.zeros_like(x.data)
+                    for xs, gs in _phase_slices(h, wd, padding, s, h2, w2):
+                        gx[xs] = ggrid[gs]
+                    _accum(x, gx)
             if gxp is not None:
                 _accum(x, gxp[:, :, padding:hp - padding, padding:wp - padding] if padding else gxp)
 
@@ -658,10 +697,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int =
     order whose value equals the output, so a tie sends it all to one tap.
     """
     stride = stride or kernel
-    xd = x.data
-    if padding:
-        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                    constant_values=-np.inf)
+    xd = _pad2d(x.data, padding, -np.inf)
     hp, wp = xd.shape[2:]
     ho = (hp - kernel) // stride + 1
     wo = (wp - kernel) // stride + 1

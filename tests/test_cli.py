@@ -391,7 +391,8 @@ class TestGradcheckCmd:
             assert re.search(r"max_err \d\.\d{3}e[+-]\d{2}", line)
 
     def test_registry_covers_required_layers(self):
-        need = {"conv2d", "conv1x1", "conv_strided_grouped", "conv_output_side",
+        need = {"conv2d", "conv1x1", "conv_strided_grouped", "conv_stem",
+                "conv_output_side",
                 "depthwise_conv", "max_pool_sppf", "max_pool_strided",
                 "batchnorm", "batchnorm_eval", "layernorm",
                 "mish", "mish_wide", "hswish", "leakyrelu", "gelu", "window_attention",

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import ScriptedClock
 from lightdet import metrics
-from lightdet.boxes import Box
+from lightdet.boxes import Box, corners_np, iou_matrix
 from lightdet.metrics import (
     Detection, ap_for_class, ap_from_points, evaluate, fps_bench, match_image,
     oracle_ap_sweep, sort_detections,
@@ -56,11 +56,42 @@ class TestMatching:
         dets = [det(0.5, 0.5, 0.2, 0.2, conf=0.9)]
         flags = match_image(dets, gts)
         assert flags == [True]
+        # two different gts at exactly equal IoU 0.6: taking gt 0 leaves det 1 unmatched
+        gts = [(0, Box(0.4375, 0.5, 0.25, 0.25)), (0, Box(0.5625, 0.5, 0.25, 0.25))]
+        dets = [det(0.5, 0.5, 0.25, 0.25, conf=0.9), det(0.4375, 0.5, 0.25, 0.25, conf=0.8)]
+        assert match_image(dets, gts) == [True, False]
 
     def test_threshold_respected(self):
         gts = [(0, Box(0.5, 0.5, 0.2, 0.2))]
         dets = [det(0.9, 0.9, 0.2, 0.2, conf=0.9)]  # IoU ~ 0
         assert match_image(dets, gts) == [False]
+
+    @pytest.mark.parametrize("thr", [0.0, 0.3, 0.5])
+    def test_matches_per_pair_greedy_loop(self, rng, thr):
+        def loop_oracle(dets, gts):  # the greedy rule, one (det, gt) pair at a time
+            ious = iou_matrix(corners_np(np.stack([d.box.array() for d in dets])),
+                              corners_np(np.stack([g.array() for _, g in gts])))
+            taken, flags = [False] * len(gts), []
+            for i, d in enumerate(dets):
+                best_j, best_iou = -1, 0.0
+                for j, (cls, _) in enumerate(gts):
+                    if not taken[j] and cls == d.class_id and ious[i, j] >= thr \
+                            and ious[i, j] > best_iou:
+                        best_j, best_iou = j, ious[i, j]
+                if best_j >= 0:
+                    taken[best_j] = True
+                flags.append(best_j >= 0)
+            return flags
+
+        checked = 0
+        for _ in range(100):
+            dets_all, gts_all = random_instance(rng, n_images=1)
+            dets, gts = sort_detections(dets_all[0]), gts_all[0] * int(rng.integers(1, 3))
+            dets = dets + dets[:int(rng.integers(0, 3))]  # repeated boxes: equal IoUs
+            if dets and gts:
+                assert match_image(dets, gts, thr) == loop_oracle(dets, gts)
+                checked += 1
+        assert checked >= 50
 
     def test_sort_is_stable_on_equal_conf(self):
         a, b = det(0.1, 0.1, 0.1, 0.1, conf=0.5), det(0.2, 0.2, 0.1, 0.1, conf=0.5)

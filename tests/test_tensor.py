@@ -1,6 +1,7 @@
 import ast
 import gc
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -642,14 +643,9 @@ class TestSpatial:
 
 
 
-def conv2d_einsum(x, w, b, g, stride, padding, groups):
-    """Oracle: the im2col + einsum contraction conv2d ran before its matmul paths.
-
-    Returns the output for inputs x, w, b and the gradients (gx, gw, gb) that an
-    upstream gradient g sends back.
-    """
-    n, c, h, wd = x.shape
-    cout, cpg, kh, kw = w.shape
+def im2col_oracle(x, kh, kw, stride, padding):
+    """Columns (n, c, kh*kw, ho, wo) of the zero-padded x, one strided window per tap."""
+    n, c = x.shape[:2]
     xd = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     hp, wp = xd.shape[2:]
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
@@ -657,6 +653,30 @@ def conv2d_einsum(x, w, b, g, stride, padding, groups):
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xd[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(n, c, kh * kw, ho, wo)
+
+
+def col2im_oracle(gcols, x_shape, kh, kw, stride, padding):
+    """Adjoint of im2col_oracle: each tap's window added into a zeroed padded map, in tap order."""
+    n, c, h, wd = x_shape
+    ho, wo = gcols.shape[-2:]
+    gx = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=gcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i * kw + j]
+    return gx[:, :, padding:padding + h, padding:padding + wd]
+
+
+def conv2d_einsum(x, w, b, g, stride, padding, groups):
+    """Oracle: the im2col + einsum contraction conv2d ran before its matmul paths.
+
+    Returns the output for inputs x, w, b and the gradients (gx, gw, gb) that an
+    upstream gradient g sends back.
+    """
+    n, c = x.shape[:2]
+    cout, cpg, kh, kw = w.shape
+    cols = im2col_oracle(x, kh, kw, stride, padding)
+    ho, wo = cols.shape[-2:]
     cpgk = cpg * kh * kw
     cols_g = cols.reshape(n, groups, cpgk, ho * wo)
     wg = w.reshape(groups, cout // groups, cpgk)
@@ -664,43 +684,51 @@ def conv2d_einsum(x, w, b, g, stride, padding, groups):
     out = out + b.reshape(1, cout, 1, 1)
     gg = g.reshape(n, groups, cout // groups, ho * wo)
     gw = np.einsum("ngol,ngkl->gok", gg, cols_g, optimize=True).reshape(w.shape)
-    gcols = np.einsum("gok,ngol->ngkl", wg, gg, optimize=True).reshape(n, c, kh, kw, ho, wo)
-    gx = np.zeros((n, c, hp, wp), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
-    gx = gx[:, :, padding:hp - padding, padding:wp - padding]
+    gcols = np.einsum("gok,ngol->ngkl", wg, gg, optimize=True).reshape(n, c, kh * kw, ho, wo)
+    gx = col2im_oracle(gcols, x.shape, kh, kw, stride, padding)
     return out, (gx, gw, g.sum(axis=(0, 2, 3)))
 
 
-# (batch, in, out, kernel, stride, groups, size), padding k // 2
+# (batch, in, out, kernel, stride, padding, groups, (h, w))
 CONV_CASES = {
-    "1x1_s1_b4": (4, 6, 8, 1, 1, 1, 5),  # pointwise: the input is the column matrix
-    "1x1_s1_g2": (1, 4, 6, 1, 1, 2, 5),
-    "1x1_s2_b4": (4, 4, 6, 1, 2, 1, 7),  # im2col
-    "3x3_s1": (1, 3, 5, 3, 1, 1, 6),
-    "3x3_s2_b4": (4, 3, 5, 3, 2, 1, 7),
-    "3x3_s1_g2_b4": (4, 4, 6, 3, 1, 2, 6),
-    "3x3_s2_g2": (1, 4, 6, 3, 2, 2, 7),
-    "3x3_depthwise_s1_b4": (4, 6, 6, 3, 1, 6, 6),  # im2col, one (1, 9) @ (9, pixels) per channel
-    "3x3_depthwise_s2": (1, 6, 6, 3, 2, 6, 7),
-    "3x3_depthwise_s2_b4": (4, 6, 6, 3, 2, 6, 7),
-    "5x5_depthwise_s1": (1, 4, 4, 5, 1, 4, 6),
-    "7x7_few_out_b1": (1, 16, 2, 7, 1, 1, 8),  # output side: 2*14*14 < 16*8*8
-    "7x7_few_out_b4": (4, 16, 2, 7, 1, 1, 8),
+    "1x1_s1_b4": (4, 6, 8, 1, 1, 0, 1, (5, 5)),  # pointwise: the input is the column matrix
+    "1x1_s1_g2": (1, 4, 6, 1, 1, 0, 2, (5, 5)),
+    "1x1_s2_b4": (4, 4, 6, 1, 2, 0, 1, (7, 7)),  # im2col; phases (0, 1), (1, 0), (1, 1) unread
+    "1x1_s2_p1": (2, 4, 6, 1, 2, 1, 1, (6, 5)),  # only x's odd rows and columns are read
+    "3x3_s1": (1, 3, 5, 3, 1, 1, 1, (6, 6)),
+    "3x3_s1_hw": (2, 3, 5, 3, 1, 1, 1, (5, 9)),
+    "3x3_s2_b4": (4, 3, 5, 3, 2, 1, 1, (7, 7)),  # odd size
+    "3x3_s2_even": (2, 3, 5, 3, 2, 1, 1, (8, 8)),
+    "3x3_s2_hw": (2, 3, 5, 3, 2, 1, 1, (9, 6)),
+    "3x3_s3": (2, 3, 5, 3, 3, 1, 1, (10, 11)),  # one tap per phase
+    "3x3_s1_g2_b4": (4, 4, 6, 3, 1, 1, 2, (6, 6)),
+    "3x3_s2_g2": (1, 4, 6, 3, 2, 1, 2, (7, 7)),
+    "3x3_depthwise_s1_b4": (4, 6, 6, 3, 1, 1, 6, (6, 6)),  # one (1, 9) @ (9, pixels) per channel
+    "3x3_depthwise_s2": (1, 6, 6, 3, 2, 1, 6, (7, 7)),
+    "3x3_depthwise_s2_b4": (4, 6, 6, 3, 2, 1, 6, (7, 7)),
+    "5x5_depthwise_s1": (1, 4, 4, 5, 1, 2, 4, (6, 6)),
+    "6x6_stem_s2_p2": (2, 3, 8, 6, 2, 2, 1, (12, 10)),  # four phases, nine taps each
+    "7x7_few_out_b1": (1, 16, 2, 7, 1, 3, 1, (8, 8)),  # output side: 2*14*14 < 16*8*8
+    "7x7_few_out_b4": (4, 16, 2, 7, 1, 3, 1, (8, 8)),
 }
+
+
+def _output_side(name):
+    n, c, cout, k, s, p, groups, (h, w) = CONV_CASES[name]
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    return cout * (h + 2 * p) * (w + 2 * p) < c * ho * wo
 
 
 class TestConvPaths:
     def _case(self, name, dtype):
-        n, c, cout, k, s, groups, h = CONV_CASES[name]
+        n, c, cout, k, s, p, groups, hw = CONV_CASES[name]
         rng = np.random.default_rng(sorted(CONV_CASES).index(name))
-        x = rng.standard_normal((n, c, h, h)).astype(dtype)
+        x = rng.standard_normal((n, c) + hw).astype(dtype)
         # unit-variance outputs, so float32 rounding stays near 1e-7
         w = (rng.standard_normal((cout, c // groups, k, k))
              / np.sqrt(c // groups * k * k)).astype(dtype)
         b = rng.standard_normal(cout).astype(dtype)
-        return x, w, b, dict(stride=s, padding=k // 2, groups=groups)
+        return x, w, b, dict(stride=s, padding=p, groups=groups)
 
     @pytest.mark.parametrize("name", sorted(CONV_CASES))
     def test_matches_einsum_oracle_float64(self, name):
@@ -724,6 +752,53 @@ class TestConvPaths:
         want, _ = conv2d_einsum(x, w, b, np.zeros(y.shape, np.float32), **kw)
         assert y.dtype == np.float32
         assert np.max(np.abs(y - want)) <= 1e-5
+
+    @pytest.mark.parametrize("name", sorted(k for k in CONV_CASES if not _output_side(k)))
+    def test_float32_bits_match_matmul_over_oracle_columns(self, name):
+        # the contraction order a trained checkpoint depends on: one matmul over
+        # the columns, per-image weight gradients summed in image order, and the
+        # column gradients added back tap by tap
+        x, w, b, kw = self._case(name, np.float32)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = conv2d(xt, wt, bt, **kw)
+        g = np.random.default_rng(99).standard_normal(y.shape).astype(np.float32)
+        y._backward(g)
+        n, groups = x.shape[0], kw["groups"]
+        cout, cpg, k = w.shape[:3]
+        cols = im2col_oracle(x, k, k, kw["stride"], kw["padding"])
+        ho, wo = cols.shape[-2:]
+        cols = cols.reshape(n, groups, cpg * k * k, ho * wo)
+        wg = w.reshape(groups, cout // groups, cpg * k * k)
+        gg = g.reshape(n, groups, cout // groups, ho * wo)
+        want = np.matmul(wg, cols).reshape(y.shape)
+        want += b.reshape(1, cout, 1, 1)
+        gw = np.matmul(gg[0], cols[0].swapaxes(-1, -2))
+        for i in range(1, n):
+            gw += np.matmul(gg[i], cols[i].swapaxes(-1, -2))
+        gcols = np.matmul(wg.swapaxes(-1, -2), gg).reshape(n, x.shape[1], k * k, ho, wo)
+        gx = col2im_oracle(gcols, x.shape, k, k, kw["stride"], kw["padding"])
+        assert same_bits(y.numpy(), want)
+        assert same_bits(wt.grad, gw.reshape(w.shape))
+        assert same_bits(xt.grad, gx)
+
+    @pytest.mark.parametrize("shape, cout, k, s, p", [
+        ((4, 16, 32, 32), 16, 3, 1, 1),
+        ((4, 3, 128, 128), 8, 6, 2, 2),  # the toy stem
+    ])
+    def test_forward_keeps_no_columns_for_backward(self, shape, cout, k, s, p):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, shape[1], k, k)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = conv2d(x, w, stride=s, padding=p)
+            held = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert held < x.data.nbytes / 4
 
 
 class TestCountFlops:
