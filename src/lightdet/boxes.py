@@ -135,17 +135,26 @@ def corners_np(boxes: np.ndarray) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """Pairwise IoU of corner-form boxes, (N,4) x (M,4) -> (N,M)."""
+    """Pairwise IoU of corner-form boxes, (N,4) x (M,4) -> (N,M).
+
+    Worked in place in three (N, M) buffers: width, height, then the union that
+    the quotient overwrites. Each element takes the float64 steps of the plain
+    inter / (area_a + area_b - inter + eps) in order, so the bits are the same.
+    """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(ix2 - ix1, 0, None) * np.clip(iy2 - iy1, 0, None)
+    iw = np.minimum(a[:, None, 2], b[None, :, 2])
+    iw -= np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3])
+    ih -= np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(iw, 0, out=iw)
+    inter *= np.maximum(ih, 0, out=ih)
     area_a = np.clip(a[:, 2] - a[:, 0], 0, None) * np.clip(a[:, 3] - a[:, 1], 0, None)
     area_b = np.clip(b[:, 2] - b[:, 0], 0, None) * np.clip(b[:, 3] - b[:, 1], 0, None)
-    return inter / (area_a[:, None] + area_b[None, :] - inter + eps)
+    union = area_a[:, None] + area_b[None, :]
+    union -= inter
+    union += eps
+    return np.divide(inter, union, out=union)
 
 
 # ---- independent oracle ----

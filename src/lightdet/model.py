@@ -406,7 +406,11 @@ def nms_indices(boxes_xyxy: np.ndarray, scores: np.ndarray, iou_thr: float = 0.4
 
 def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.25,
                   iou_thr: float = 0.45, max_det: int = 300) -> list[list[Detection]]:
-    """Full inference: forward, decode, class-wise NMS; boxes in input pixels."""
+    """Full inference: forward, decode, class-wise NMS; boxes in input pixels.
+
+    Detections are built from the kept rows as arrays, with the float64 steps of
+    `Box.from_corners`, so each value is bit-identical; fields are Python scalars.
+    """
     model.eval()
     with no_grad():
         raw = model(Tensor(images.astype(np.float32)))
@@ -426,9 +430,10 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
         # class-offset trick: boxes of different classes never suppress each other
         shift = cls_m[:, None] * (model.img_size * 2.0)
         keep = nms_indices(boxes + shift, confs_m, iou_thr, max_det)
-        dets = [Detection(Box.from_corners(*boxes[i]), int(cls_m[i]), float(confs_m[i]))
-                for i in keep]
-        results.append(dets)
+        x1, y1, x2, y2 = boxes[keep].T
+        fields = ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1, cls_m[keep], confs_m[keep])
+        results.append([Detection(Box(cx, cy, w, h), c, conf) for cx, cy, w, h, c, conf
+                        in zip(*(f.tolist() for f in fields))])
     return results
 
 

@@ -213,7 +213,12 @@ class Linear(Module):
 
 
 class ConvBnAct(Module):
-    """Conv -> BN -> activation, the detector's standard building block."""
+    """Conv -> BN -> activation, the detector's standard building block.
+
+    In eval without gradients, BN's running-stat affine and Mish run in place on
+    the conv's fresh output: no BN array, no BN or Mish node. Each element takes
+    the float32 steps of act(bn(conv(x))) in order, so the output is bit-identical.
+    """
 
     def __init__(self, c1: int, c2: int, k: int = 1, s: int = 1, p: int | None = None,
                  g: int = 1, act: str = "mish", rng: np.random.Generator | None = None):
@@ -223,7 +228,17 @@ class ConvBnAct(Module):
         self.act = activation(act)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.act(self.bn(self.conv(x)))
+        if self.training or _tensor._grad_enabled:
+            return self.act(self.bn(self.conv(x)))
+        y, bn = self.conv(x), self.bn
+        _, scale, shift = _tensor.bn_eval_affine(bn.weight.data, bn.bias.data,
+                                                 bn.running_mean.data, bn.running_var.data, bn.eps)
+        y.data *= scale.reshape(1, -1, 1, 1)
+        y.data += shift.reshape(1, -1, 1, 1)
+        if self.act is not mish:
+            return self.act(y)
+        np.multiply(y.data, _tensor._mish_parts(y.data)[1], out=y.data)
+        return y
 
 
 def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:

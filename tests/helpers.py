@@ -1,5 +1,6 @@
 import numpy as np
 
+from lightdet.nn import BatchNorm2d
 from lightdet.tensor import Tensor, count_flops, no_grad
 
 
@@ -9,6 +10,16 @@ def cast_f64(module):
         p.data = p.data.astype(np.float64)
     for _, b in module.named_buffers():
         b.data = b.data.astype(np.float64)
+    return module
+
+
+def with_bn_stats(module, rng):
+    """Give every BatchNorm2d in `module` an affine and running stats far from identity."""
+    for m in module.modules():
+        if isinstance(m, BatchNorm2d):
+            for t, lo, hi in ((m.weight, 0.5, 1.5), (m.bias, -0.3, 0.3),
+                              (m.running_mean, -0.3, 0.3), (m.running_var, 0.5, 2.0)):
+                t.data = rng.uniform(lo, hi, t.data.shape).astype(np.float32)
     return module
 
 

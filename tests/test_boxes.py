@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lightdet.boxes import (
-    Box, LOSS_KINDS, box_loss, corners_np, iou_matrix, rasterized_iou,
+    EPS, Box, LOSS_KINDS, box_loss, corners_np, iou_matrix, rasterized_iou,
 )
 from lightdet.tensor import Tensor, grad_check
 
@@ -55,6 +57,76 @@ class TestIoU:
             ref = rasterized_iou(a, b)
             worst = max(worst, abs(got - ref))
         assert worst <= 2e-3
+
+
+def iou_matrix_oracle(a, b, eps=EPS):
+    """The plain formula, one fresh array per step: what iou_matrix must equal."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
+    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
+    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
+    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
+    inter = np.clip(ix2 - ix1, 0, None) * np.clip(iy2 - iy1, 0, None)
+    area_a = np.clip(a[:, 2] - a[:, 0], 0, None) * np.clip(a[:, 3] - a[:, 1], 0, None)
+    area_b = np.clip(b[:, 2] - b[:, 0], 0, None) * np.clip(b[:, 3] - b[:, 1], 0, None)
+    return inter / (area_a[:, None] + area_b[None, :] - inter + eps)
+
+
+def _iou_case(case, rng):
+    """Two corner-form box sets; some rows shuffled corners, so widths go negative."""
+    n, m = rng.integers(0, 30, size=2)
+    a = rng.uniform(-2, 12, size=(n, 4))
+    b = rng.uniform(-2, 12, size=(m, 4))
+    a[: n // 2, 2:] += a[: n // 2, :2]  # well-formed half
+    b[: m // 2, 2:] += b[: m // 2, :2]
+    for boxes in (a, b):
+        rows = rng.random(len(boxes)) < 0.3
+        if case == "zero_area":
+            boxes[rows, 2] = boxes[rows, 0]
+            boxes[rows[::-1], 3] = boxes[rows[::-1], 1]
+        elif case == "duplicates" and len(boxes):
+            boxes[rows] = boxes[0]
+        elif case in ("nan", "inf"):
+            special = [np.nan] if case == "nan" else [np.inf, -np.inf]
+            cells = rng.random(boxes.shape) < 0.1
+            boxes[cells] = rng.choice(special, size=int(cells.sum()))
+    if case == "duplicates" and n and m:
+        b[::2] = a[0]  # the same box on both sides: IoU 1 up to eps
+    return a, b
+
+
+class TestIoUMatrixInPlace:
+    @pytest.mark.parametrize("case", ["random", "zero_area", "duplicates", "nan", "inf"])
+    def test_equals_the_plain_formula(self, case, rng):
+        for _ in range(60):
+            a, b = _iou_case(case, rng)
+            with warnings.catch_warnings(record=True) as old_warnings:
+                warnings.simplefilter("always")
+                want = iou_matrix_oracle(a, b)
+            with warnings.catch_warnings(record=True) as new_warnings:
+                warnings.simplefilter("always")
+                got = iou_matrix(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+            # the masks NMS (<= 0.45) and matching (>= 0.5, > 0) take from it
+            for thr in (0.45, 0.5):
+                assert np.array_equal(got <= thr, want <= thr)
+                assert np.array_equal(got >= thr, want >= thr)
+            assert np.array_equal(got > 0, want > 0)
+            seen = {(w.category, str(w.message)) for w in old_warnings}
+            assert {(w.category, str(w.message)) for w in new_warnings} <= seen
+
+    def test_cases_reach_nan_and_zero(self, rng):
+        # the special cases do produce the values they are meant to cover
+        def values(case):
+            return np.concatenate([iou_matrix(*_iou_case(case, rng)).ravel() for _ in range(20)])
+
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert np.isnan(values("inf")).any()
+        assert np.isnan(values("nan")).any()
+        assert (values("zero_area") == 0).any()
+        assert (values("duplicates") > 0.99).any()
 
 
 class TestLossFamily:

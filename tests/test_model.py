@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lightdet.boxes import corners_np, iou_matrix
+from lightdet.boxes import Box, corners_np, iou_matrix
 from lightdet.errors import CheckpointError
+from lightdet.metrics import Detection
 from lightdet.model import (
     ANCHORS_BASE,
     Detect,
@@ -20,7 +21,10 @@ from lightdet.model import (
     save_checkpoint,
     training_loss,
 )
+from lightdet.nn import ConvBnAct
 from lightdet.tensor import Tensor, grad_check, no_grad
+
+from helpers import with_bn_stats
 
 # frozen from the implemented cost model at nc=2, 640px reference input
 BASELINE_PARAMS = 1_766_623
@@ -431,6 +435,57 @@ class TestNms:
                 x1, y1, x2, y2 = d.box.corners()
                 assert -1e-6 <= x1 and x2 <= 64 + 1e-6
                 assert -1e-6 <= y1 and y2 <= 64 + 1e-6
+
+    def test_detections_equal_per_box_construction(self):
+        # untrained, at conf 0.001: every image fills max_det
+        m = build_light(nc=2, width=0.125, img_size=128, rng=np.random.default_rng(1))
+        x = np.random.default_rng(0).standard_normal((2, 3, 128, 128)).astype(np.float32)
+        got = detect_images(m, x, conf_thr=0.001)
+        with no_grad():
+            raw = m(Tensor(x))
+        dec = decode_predictions([p.numpy() for p in raw], m.detect.anchors, 128, 2)
+        for row, dets in zip(dec, got):
+            scores = row[:, 5:] * row[:, 4:5]
+            cls = scores.argmax(axis=1)
+            conf = scores[np.arange(len(row)), cls]
+            sel = conf >= 0.001
+            boxes = np.clip(corners_np(row[sel, :4]), 0.0, 128.0)
+            cls, conf = cls[sel], conf[sel]
+            keep = nms_indices(boxes + cls[:, None] * 256.0, conf)
+            want = [Detection(Box.from_corners(*boxes[i]), int(cls[i]), float(conf[i]))
+                    for i in keep]
+            assert len(dets) == 300 and dets == want
+            for d, w in zip(dets, want):
+                fields = (d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence)
+                assert all(type(v) is float for v in fields) and type(d.class_id) is int
+                assert (np.array(fields).tobytes() == np.array(
+                    (w.box.cx, w.box.cy, w.box.w, w.box.h, w.confidence)).tobytes())
+
+
+class TestConvBnActEpilogue:
+    @pytest.mark.parametrize("act", ["mish", "hswish", "leakyrelu"])
+    @pytest.mark.parametrize("kind", ["baseline", "light"])
+    def test_eval_blocks_equal_the_composite_bit_for_bit(self, kind, act):
+        rng = np.random.default_rng(3)
+        m = with_bn_stats(build_model(kind, nc=2, width=0.125, act=act, img_size=64, rng=rng),
+                          rng)
+        calls = []
+        for block in m.modules():
+            if isinstance(block, ConvBnAct):
+                def run(x, block=block, forward=block.forward):
+                    x_before = x.data.copy()
+                    y = forward(x)
+                    calls.append((block, x, x_before, y.data.copy()))
+                    return y
+                block.forward = run
+        m.eval()
+        with no_grad():
+            m(Tensor(rng.standard_normal((2, 3, 64, 64)).astype(np.float32)))
+            assert len(calls) == sum(isinstance(b, ConvBnAct) for b in m.modules())
+            for block, x, x_before, y in calls:
+                assert x.data.tobytes() == x_before.tobytes()  # the input is left alone
+                want = block.act(block.bn(block.conv(x)))
+                assert y.tobytes() == want.data.tobytes()
 
 
 class TestCheckpoint:

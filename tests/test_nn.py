@@ -5,9 +5,9 @@ from lightdet.nn import (
     ACTIVATIONS, BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm,
     Linear, SPPF, activation, channel_shuffle, hswish, make_divisible, mish,
 )
-from lightdet.tensor import Tensor, count_flops, grad_check, no_grad
+from lightdet.tensor import Tensor, count_flops, grad_check, no_grad, toposort
 
-from helpers import cast_f64, counted_flops
+from helpers import cast_f64, counted_flops, with_bn_stats
 
 
 class TestActivations:
@@ -173,6 +173,34 @@ class TestModules:
 
         err, _ = grad_check(f, [x])
         assert err <= 1e-4
+
+    def test_convbnact_eval_without_grad_runs_in_place_on_the_conv_output(self, rng):
+        m = with_bn_stats(ConvBnAct(4, 8, 3, act="mish", rng=rng), rng).eval()
+        x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
+        x_before = x.data.copy()
+        with no_grad():
+            y = m(x)
+            want = m.act(m.bn(m.conv(x)))
+        assert y._op == "conv2d"  # neither BN nor Mish made a node
+        assert y.data.tobytes() == want.data.tobytes()
+        assert x.data.tobytes() == x_before.tobytes()
+
+    @pytest.mark.parametrize("act", ["mish", "hswish", "leakyrelu"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_convbnact_with_grad_builds_the_composite(self, act, training, rng):
+        m = with_bn_stats(ConvBnAct(4, 8, 3, act=act, rng=rng), rng).train(training)
+        x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32), requires_grad=True)
+        got = [t._op for t in toposort(m(x))]
+        want = [t._op for t in toposort(m.act(m.bn(m.conv(x))))]
+        assert got == want
+        assert "batch_norm" in got
+
+    def test_convbnact_training_without_grad_updates_running_stats(self, rng):
+        m = with_bn_stats(ConvBnAct(4, 8, 3, act="mish", rng=rng), rng)
+        before = m.bn.running_mean.data.copy()
+        with no_grad():
+            m(Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32)))
+        assert not np.array_equal(m.bn.running_mean.data, before)
 
     def test_c3_and_sppf_gradcheck(self, rng):
         c3 = cast_f64(C3(4, 4, n=1, rng=rng))
