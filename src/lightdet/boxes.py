@@ -54,7 +54,7 @@ def _as_tensor(b) -> Tensor:
     return Tensor(np.asarray(b))
 
 
-def box_loss(kind: str, pred, gt, eps: float = EPS) -> Tensor:
+def box_loss(kind: str, pred, gt) -> Tensor:
     """1 - score for the requested IoU family member; batches over leading dims."""
     pred, gt = _as_tensor(pred), _as_tensor(gt)
     ax1, ay1, ax2, ay2 = _corners_t(pred)
@@ -66,7 +66,7 @@ def box_loss(kind: str, pred, gt, eps: float = EPS) -> Tensor:
     ih = (ay2.minimum(by2) - ay1.maximum(by1)).clamp(0.0)
     inter = iw * ih
     union = pw * ph + gw * gh - inter
-    iou = inter / (union + eps)
+    iou = inter / (union + EPS)
 
     if kind == "iou":
         return 1.0 - iou
@@ -76,7 +76,7 @@ def box_loss(kind: str, pred, gt, eps: float = EPS) -> Tensor:
     eh = ay2.maximum(by2) - ay1.minimum(by1)
 
     if kind == "giou":
-        enclose = ew * eh + eps
+        enclose = ew * eh + EPS
         return 1.0 - (iou - (enclose - union) / enclose)
 
     pcx, pcy = (ax1 + ax2) * 0.5, (ay1 + ay2) * 0.5
@@ -85,29 +85,29 @@ def box_loss(kind: str, pred, gt, eps: float = EPS) -> Tensor:
     center_sq = dx * dx + dy * dy
 
     if kind == "diou":
-        diag_sq = ew * ew + eh * eh + eps
+        diag_sq = ew * ew + eh * eh + EPS
         return 1.0 - (iou - center_sq / diag_sq)
 
     if kind == "ciou":
-        diag_sq = ew * ew + eh * eh + eps
-        v = (4.0 / np.pi ** 2) * ((gw / (gh + eps)).arctan() - (pw / (ph + eps)).arctan()) ** 2
-        alpha = v / ((1.0 - iou) + v + eps)
+        diag_sq = ew * ew + eh * eh + EPS
+        v = (4.0 / np.pi ** 2) * ((gw / (gh + EPS)).arctan() - (pw / (ph + EPS)).arctan()) ** 2
+        alpha = v / ((1.0 - iou) + v + EPS)
         return 1.0 - (iou - center_sq / diag_sq - alpha * v)
 
     if kind == "eiou":
-        diag_sq = ew * ew + eh * eh + eps
+        diag_sq = ew * ew + eh * eh + EPS
         return 1.0 - (iou - center_sq / diag_sq
-                      - (pw - gw) ** 2 / (ew * ew + eps)
-                      - (ph - gh) ** 2 / (eh * eh + eps))
+                      - (pw - gw) ** 2 / (ew * ew + EPS)
+                      - (ph - gh) ** 2 / (eh * eh + EPS))
 
     if kind == "siou":
-        sigma = (center_sq + eps).sqrt()
+        sigma = (center_sq + EPS).sqrt()
         ch = dy.abs()
         x = (ch / sigma).clamp(0.0, 1.0 - 1e-7)
         angle = 1.0 - 2.0 * (x.arcsin() - np.pi / 4).sin() ** 2
         gamma = 2.0 - angle
-        rho_x = dx / (ew + eps)
-        rho_y = dy / (eh + eps)
+        rho_x = dx / (ew + EPS)
+        rho_y = dy / (eh + EPS)
         rho_x, rho_y = rho_x * rho_x, rho_y * rho_y  # squared, as SIoU defines it
         dist = (1.0 - (-gamma * rho_x).exp()) + (1.0 - (-gamma * rho_y).exp())
         ww = (pw - gw).abs() / pw.maximum(gw)
@@ -134,12 +134,12 @@ def corners_np(boxes: np.ndarray) -> np.ndarray:
     return out
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray, eps: float = EPS) -> np.ndarray:
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of corner-form boxes, (N,4) x (M,4) -> (N,M).
 
     Worked in place in three (N, M) buffers: width, height, then the union that
     the quotient overwrites. Each element takes the float64 steps of the plain
-    inter / (area_a + area_b - inter + eps) in order, so the bits are the same.
+    inter / (area_a + area_b - inter + EPS) in order, so the bits are the same.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
@@ -153,7 +153,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray, eps: float = EPS) -> np.ndarray:
     area_b = np.clip(b[:, 2] - b[:, 0], 0, None) * np.clip(b[:, 3] - b[:, 1], 0, None)
     union = area_a[:, None] + area_b[None, :]
     union -= inter
-    union += eps
+    union += EPS
     return np.divide(inter, union, out=union)
 
 

@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 BOX_KINDS = ("iou", "giou", "diou", "ciou", "eiou", "siou")
 ACT_KINDS = ("leakyrelu", "hswish", "mish")
@@ -29,35 +29,37 @@ class CliError(Exception):
 
 @dataclass
 class RunConfig:
-    model: str = "light"
+    """Every setting a command reads. Each field is also the `--<name>` flag
+    (a bool is a switch), with the choices and help of its metadata."""
+
+    model: str = field(default="light", metadata={"choices": MODEL_KINDS})
     nc: int = 2
     img: int = 448
     epochs: int = 100
     batch: int = 16
     lr: float = 0.01
     momentum: float = 0.937
-    box: str = "siou"
-    act: str = "mish"
+    box: str = field(default="siou", metadata={"choices": BOX_KINDS})
+    act: str = field(default="mish", metadata={"choices": ACT_KINDS})
     seed: int = 0
-    data: str = ""
-    weights: str = ""
+    data: str = field(default="", metadata={"help": "dataset root directory"})
+    weights: str = field(default="", metadata={"help": "checkpoint path"})
     width: float = 0.25
-    split: str = "test"
-    images: int = 64
-    iters: int = 0
-    cosine: bool = False
+    split: str = field(default="test", metadata={"choices": SPLITS})
+    images: int = field(default=64, metadata={"help": "synth image count"})
+    iters: int = field(default=0, metadata={
+        "help": "hard cap on optimizer steps (0 = epochs decide)"})
+    cosine: bool = field(default=False, metadata={  # %% is argparse's escape for %
+        "help": "decay lr to 10%% of base over the run"})
     augment: bool = False
-    threads: int = 0
+    threads: int = field(default=0, metadata={
+        "help": "pin BLAS/OpenMP thread count (1 = bit-reproducible)"})
 
     def validate(self) -> None:
-        if self.model not in MODEL_KINDS:
-            raise CliError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        if self.box not in BOX_KINDS:
-            raise CliError(f"box must be one of {BOX_KINDS}, got {self.box!r}")
-        if self.act not in ACT_KINDS:
-            raise CliError(f"act must be one of {ACT_KINDS}, got {self.act!r}")
-        if self.split not in SPLITS:
-            raise CliError(f"split must be one of {SPLITS}, got {self.split!r}")
+        for f in dataclasses.fields(self):
+            choices, value = f.metadata.get("choices"), getattr(self, f.name)
+            if choices and value not in choices:
+                raise CliError(f"{f.name} must be one of {choices}, got {value!r}")
         for name in ("nc", "img", "epochs", "batch", "images"):
             if getattr(self, name) < 1:
                 raise CliError(f"{name} must be positive")
@@ -82,12 +84,13 @@ PROFILES: dict[str, dict] = {
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
+# a field's annotation is its type's name (annotations are not evaluated)
+_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 def parse_config_text(text: str) -> dict:
     """Flat `key = value` lines with `#` comments -> typed dict."""
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    pytypes = {"str": str, "int": int, "float": float, "bool": bool}
+    types = {f.name: _TYPES[f.type] for f in dataclasses.fields(RunConfig)}
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -99,7 +102,7 @@ def parse_config_text(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise CliError(f"config line {lineno}: unknown key {key!r}")
-        ty = pytypes[types[key]] if isinstance(types[key], str) else types[key]
+        ty = types[key]
         try:
             if ty is bool:
                 out[key] = _BOOL_WORDS[value.lower()]
@@ -124,7 +127,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         except OSError as e:
             raise CliError(f"cannot read config {args.config}: {e}") from None
     for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f.name, None)
+        v = getattr(args, f.name)
         if v is not None:
             merged[f.name] = v
     cfg = RunConfig(**merged)
@@ -172,7 +175,7 @@ def cmd_train(cfg: RunConfig) -> int:
     from .data import load_split
     from .errors import ValidationError
     from .model import save_checkpoint
-    from .train import evaluate_model, fit
+    from .train import epoch_shape, evaluate_model, fit
 
     if not cfg.data:
         raise CliError("train needs --data DIR")
@@ -192,8 +195,7 @@ def cmd_train(cfg: RunConfig) -> int:
         val_images, val_targets, val_tag = images, targets, "train"
 
     model = _build(cfg)
-    batch = min(cfg.batch, len(images))
-    steps_per_epoch = max(1, (len(images) + batch - 1) // batch)
+    batch, steps_per_epoch = epoch_shape(len(images), cfg.batch)
     iters = cfg.epochs * steps_per_epoch
     if cfg.iters:
         iters = min(iters, cfg.iters)
@@ -321,28 +323,15 @@ def make_parser() -> _Parser:
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--config", default=None, help="flat key = value file")
     p.add_argument("--profile", choices=sorted(PROFILES), default=None)
-    p.add_argument("--model", choices=MODEL_KINDS, default=None)
-    p.add_argument("--nc", type=int, default=None)
-    p.add_argument("--img", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--box", choices=BOX_KINDS, default=None)
-    p.add_argument("--act", choices=ACT_KINDS, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data", default=None, help="dataset root directory")
-    p.add_argument("--weights", default=None, help="checkpoint path")
-    p.add_argument("--width", type=float, default=None)
-    p.add_argument("--split", choices=SPLITS, default=None)
-    p.add_argument("--images", type=int, default=None, help="synth image count")
-    p.add_argument("--iters", type=int, default=None,
-                   help="hard cap on optimizer steps (0 = epochs decide)")
-    p.add_argument("--cosine", action="store_const", const=True, default=None,
-                   help="decay lr to 10%% of base over the run")
-    p.add_argument("--augment", action="store_const", const=True, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="pin BLAS/OpenMP thread count (1 = bit-reproducible)")
+    # unset flags stay None, so build_config can tell them from defaults
+    for f in dataclasses.fields(RunConfig):
+        ty, help_ = _TYPES[f.type], f.metadata.get("help")
+        if ty is bool:
+            p.add_argument(f"--{f.name}", action="store_const", const=True,
+                           default=None, help=help_)
+        else:
+            p.add_argument(f"--{f.name}", type=ty, choices=f.metadata.get("choices"),
+                           default=None, help=help_)
     return p
 
 

@@ -15,11 +15,11 @@ from .tensor import Tensor
 
 
 class GAM(Module):
-    def __init__(self, c: int, hidden: int | None = None, rate: int = 4, k: int = 7,
+    def __init__(self, c: int, hidden: int | None = None, k: int = 7,
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        hidden = hidden if hidden is not None else max(c // rate, 1)
+        hidden = hidden if hidden is not None else max(c // 4, 1)
         if hidden <= 0:
             raise ValueError("gate hidden width must be positive")
         self.c, self.hidden, self.k = c, hidden, k

@@ -76,7 +76,7 @@ def ap_from_points(recall: np.ndarray, precision: np.ndarray) -> float:
 
 def ap_for_class(dets_per_image: list[list[Detection]],
                  gts_per_image: list[list[tuple[int, Box]]],
-                 class_id: int, iou_thr: float = 0.5):
+                 class_id: int):
     """(ap, confidences, tp_flags, n_gt); ap is None when the class has no GT."""
     n_gt = sum(1 for gts in gts_per_image for cls, _ in gts if cls == class_id)
     confs: list[float] = []
@@ -84,7 +84,7 @@ def ap_for_class(dets_per_image: list[list[Detection]],
     for dets, gts in zip(dets_per_image, gts_per_image):
         cls_dets = sort_detections([d for d in dets if d.class_id == class_id])
         cls_gts = [g for g in gts if g[0] == class_id]
-        for det, flag in zip(cls_dets, match_image(cls_dets, cls_gts, iou_thr)):
+        for det, flag in zip(cls_dets, match_image(cls_dets, cls_gts)):
             confs.append(det.confidence)
             flags.append(flag)
     if n_gt == 0:
@@ -104,7 +104,7 @@ def ap_for_class(dets_per_image: list[list[Detection]],
 
 def evaluate(dets_per_image: list[list[Detection]],
              gts_per_image: list[list[tuple[int, Box]]],
-             num_classes: int, iou_thr: float = 0.5) -> MetricReport:
+             num_classes: int) -> MetricReport:
     if not any(gts for gts in gts_per_image):
         raise ValueError("evaluation needs at least one ground-truth box")
     aps: dict[int, float] = {}
@@ -114,7 +114,7 @@ def evaluate(dets_per_image: list[list[Detection]],
     pooled_tp: list[np.ndarray] = []
     total_gt = 0
     for cls in range(num_classes):
-        ap, confs, tps, n_gt = ap_for_class(dets_per_image, gts_per_image, cls, iou_thr)
+        ap, confs, tps, n_gt = ap_for_class(dets_per_image, gts_per_image, cls)
         counts[cls] = n_gt
         if ap is None:
             skipped.append(cls)
@@ -146,7 +146,7 @@ def evaluate(dets_per_image: list[list[Detection]],
 
 def oracle_ap_sweep(dets_per_image: list[list[Detection]],
                     gts_per_image: list[list[tuple[int, Box]]],
-                    class_id: int, iou_thr: float = 0.5):
+                    class_id: int):
     """Brute-force reference: re-match the whole dataset at every confidence cut.
 
     Never reuses the incremental bookkeeping; each threshold starts from nothing.
@@ -164,7 +164,7 @@ def oracle_ap_sweep(dets_per_image: list[list[Detection]],
             keep = sort_detections([d for d in dets
                                     if d.class_id == class_id and d.confidence >= thr])
             cls_gts = [g for g in gts if g[0] == class_id]
-            flags = match_image(keep, cls_gts, iou_thr)
+            flags = match_image(keep, cls_gts)
             tp_total += sum(flags)
             det_total += len(flags)
         if det_total == 0:

@@ -405,7 +405,7 @@ def nms_indices(boxes_xyxy: np.ndarray, scores: np.ndarray, iou_thr: float = 0.4
 
 
 def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.25,
-                  iou_thr: float = 0.45, max_det: int = 300) -> list[list[Detection]]:
+                  max_det: int = 300) -> list[list[Detection]]:
     """Full inference: forward, decode, class-wise NMS; boxes in input pixels.
 
     Detections are built from the kept rows as arrays, with the float64 steps of
@@ -429,7 +429,7 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
         confs_m, cls_m = confs[m], cls_ids[m]
         # class-offset trick: boxes of different classes never suppress each other
         shift = cls_m[:, None] * (model.img_size * 2.0)
-        keep = nms_indices(boxes + shift, confs_m, iou_thr, max_det)
+        keep = nms_indices(boxes + shift, confs_m, max_det=max_det)
         x1, y1, x2, y2 = boxes[keep].T
         fields = ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1, cls_m[keep], confs_m[keep])
         results.append([Detection(Box(cx, cy, w, h), c, conf) for cx, cy, w, h, c, conf

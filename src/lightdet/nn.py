@@ -14,8 +14,8 @@ from . import tensor as _tensor
 from .tensor import Tensor, batch_norm, concat, conv2d, max_pool2d, mish, upsample_nearest2x
 
 
-def make_divisible(x: float, divisor: int = 8) -> int:
-    return max(divisor, int(math.ceil(x / divisor) * divisor))
+def make_divisible(x: float) -> int:
+    return max(8, int(math.ceil(x / 8) * 8))
 
 
 def autopad(k: int) -> int:
@@ -154,9 +154,9 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, c: int, eps: float = 1e-5, momentum: float = 0.03):
+    def __init__(self, c: int, momentum: float = 0.03):
         super().__init__()
-        self.c, self.eps, self.momentum = c, eps, momentum
+        self.c, self.eps, self.momentum = c, 1e-5, momentum
         self.weight = Tensor(np.ones(c, np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(c, np.float32), requires_grad=True)
         self.register_buffer("running_mean", Tensor(np.zeros(c, np.float32)))
@@ -181,9 +181,9 @@ class BatchNorm2d(Module):
 class LayerNorm(Module):
     """Normalizes the last axis; optional affine."""
 
-    def __init__(self, d: int, eps: float = 1e-5, affine: bool = True):
+    def __init__(self, d: int, affine: bool = True):
         super().__init__()
-        self.d, self.eps, self.affine = d, eps, affine
+        self.d, self.eps, self.affine = d, 1e-5, affine
         if affine:
             self.weight = Tensor(np.ones(d, np.float32), requires_grad=True)
             self.bias = Tensor(np.zeros(d, np.float32), requires_grad=True)

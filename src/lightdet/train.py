@@ -72,11 +72,16 @@ class SGD:
             p.data = (p.data - lr * v).astype(p.data.dtype, copy=False)
 
 
+def epoch_shape(n: int, batch: int) -> tuple[int, int]:
+    """(batch clamped to the set size, steps per full pass) for n >= 1 images."""
+    b = min(batch, n)
+    return b, (n + b - 1) // b
+
+
 def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
         iters: int, batch: int = 8, lr: float = 0.01, momentum: float = 0.937,
-        weight_decay: float = 5e-4, warmup: int = 20, box_kind: str = "siou",
-        seed: int = 0, augment: bool = False, cosine: bool = False,
-        clip_norm: float | None = 10.0, on_epoch=None) -> list[dict]:
+        warmup: int = 20, box_kind: str = "siou", seed: int = 0,
+        augment: bool = False, cosine: bool = False, on_epoch=None) -> list[dict]:
     """Runs `iters` optimizer steps over the set; returns the per-step loss parts.
 
     Batches cycle through a seeded shuffle, reshuffled each pass. `on_epoch`
@@ -87,11 +92,9 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
     n = len(images)
     if n == 0:
         raise ValueError("empty training set")
-    b = min(batch, n)
-    steps_per_epoch = max(1, math.ceil(n / b))
-    opt = SGD(model.parameters(), lr=lr, momentum=momentum,
-              weight_decay=weight_decay, warmup=warmup,
-              total_steps=iters if cosine else None, clip_norm=clip_norm)
+    b, steps_per_epoch = epoch_shape(n, batch)
+    opt = SGD(model.parameters(), lr=lr, momentum=momentum, warmup=warmup,
+              total_steps=iters if cosine else None)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     cursor = 0
@@ -149,9 +152,8 @@ def targets_to_gt(targets: list[np.ndarray], img_size: int):
 
 
 def evaluate_model(model: DetectorModel, images: np.ndarray,
-                   targets: list[np.ndarray], conf_thr: float = 0.001,
-                   nms_iou: float = 0.45, match_iou: float = 0.5) -> MetricReport:
-    """mAP@0.5 and P/R of the model on an in-memory split."""
-    dets = detect_images(model, images, conf_thr=conf_thr, iou_thr=nms_iou)
+                   targets: list[np.ndarray]) -> MetricReport:
+    """mAP@0.5 and P/R of the model on an in-memory split, at confidence 0.001."""
+    dets = detect_images(model, images, conf_thr=0.001)
     gts = targets_to_gt(targets, model.img_size)
-    return evaluate(dets, gts, model.nc, iou_thr=match_iou)
+    return evaluate(dets, gts, model.nc)

@@ -1,7 +1,9 @@
 import os
 
+from lightdet.cli import _THREAD_VARS  # stdlib-only module, safe before numpy
+
 # single-threaded BLAS before numpy loads: deterministic reductions, no oversubscription
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for var in _THREAD_VARS:
     os.environ.setdefault(var, "1")
 
 import numpy as np

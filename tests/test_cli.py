@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -12,8 +13,8 @@ from lightdet import checks, metrics
 from lightdet import model as model_mod
 from lightdet.boxes import LOSS_KINDS
 from lightdet.cli import (
-    ACT_KINDS, BOX_KINDS, MODEL_KINDS, CliError, PROFILES, RunConfig, build_config, main,
-    make_parser, parse_config_text,
+    _THREAD_VARS, ACT_KINDS, BOX_KINDS, MODEL_KINDS, CliError, PROFILES, RunConfig,
+    build_config, main, make_parser, parse_config_text,
 )
 from lightdet.nn import ACTIVATIONS
 from lightdet.tensor import Tensor, grad_check, no_grad
@@ -139,11 +140,72 @@ class TestExitCodes:
 
 class TestThreads:
     def test_sets_env(self, monkeypatch):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in _THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         assert main(["cost", "--threads", "1"]) == 0
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in _THREAD_VARS:
             assert os.environ[var] == "1"
+
+
+def _flags(parser) -> dict:
+    """--name -> the parser's action for it, for every long option but --help."""
+    return {s[2:]: a for a in parser._actions for s in a.option_strings
+            if s.startswith("--") and s != "--help"}
+
+
+class TestParser:
+    """The flags are generated from RunConfig; these pin the names, choices and help users see."""
+
+    def test_one_flag_per_field_plus_config_and_profile(self):
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        assert list(_flags(make_parser())) == ["config", "profile"] + fields
+
+    def test_choices(self):
+        flags = _flags(make_parser())
+        assert tuple(flags["box"].choices) == ("iou", "giou", "diou", "ciou", "eiou", "siou")
+        assert tuple(flags["act"].choices) == ("leakyrelu", "hswish", "mish")
+        assert tuple(flags["model"].choices) == ("baseline", "light")
+        assert tuple(flags["split"].choices) == ("train", "val", "test")
+        assert list(flags["profile"].choices) == ["paper", "toy"]
+        assert {n for n, a in flags.items() if a.choices} == {
+            "box", "act", "model", "split", "profile"}
+
+    def test_help_strings(self):
+        helps = {n: a.help for n, a in _flags(make_parser()).items() if a.help}
+        assert helps == {
+            "config": "flat key = value file",
+            "data": "dataset root directory",
+            "weights": "checkpoint path",
+            "images": "synth image count",
+            "iters": "hard cap on optimizer steps (0 = epochs decide)",
+            "cosine": "decay lr to 10%% of base over the run",
+            "threads": "pin BLAS/OpenMP thread count (1 = bit-reproducible)",
+        }
+
+    def test_types_and_switches(self):
+        args = make_parser().parse_args(
+            ["train", "--nc", "3", "--lr", "0.5", "--data", "d", "--cosine"])
+        assert (args.nc, args.lr, args.data, args.cosine) == (3, 0.5, "d", True)
+        assert args.augment is None and args.img is None
+
+    def test_bad_box_exits_1_as_flag_and_as_config_line(self, tmp_path, capsys):
+        assert main(["cost", "--box", "l2"]) == 1
+        assert "invalid choice: 'l2'" in capsys.readouterr().err
+        p = tmp_path / "run.cfg"
+        p.write_text("box = l2\n")
+        assert main(["cost", "--config", str(p)]) == 1
+        assert "box must be one of" in capsys.readouterr().err
+
+    def test_readme_flags_paragraph_names_the_parser_flags(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        para = re.search(r"^Flags:(.*?)\n\n", text, re.M | re.S).group(1)
+        documented = {name: tuple(choices.split("|")) if choices else None
+                      for name, choices in re.findall(r"--(\w+)(?:\s+\{([^}]*)\})?", para)}
+        parsed = {name: tuple(a.choices) if a.choices else None
+                  for name, a in _flags(make_parser()).items()}
+        assert documented == parsed
 
 
 class TestCost:
