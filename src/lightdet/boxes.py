@@ -28,10 +28,6 @@ class Box:
         return (self.cx - self.w / 2, self.cy - self.h / 2,
                 self.cx + self.w / 2, self.cy + self.h / 2)
 
-    @classmethod
-    def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> "Box":
-        return cls((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
-
     def array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 

@@ -15,11 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bifpn import DSSBottleneck, DSSC3, DSSConv
 from .boxes import LOSS_KINDS, box_loss
 from .gam import GAM
 from .model import Detect, training_loss
-from .nn import BatchNorm2d, Conv2d, LayerNorm, Module, activation
+from .nn import BatchNorm2d, Bottleneck, C3, Conv2d, DSSConv, LayerNorm, Module, activation
 from .sepvit import SepViTBlock, window_partition
 from .tensor import Tensor, grad_check, max_pool2d
 
@@ -211,6 +210,12 @@ def _sepvit():
     return _module_err(blk, [_x((1, 4, 4, 4), 17)])
 
 
+@_check("c3")
+def _c3():
+    m = C3(4, 4, n=2, rng=np.random.default_rng(42))
+    return _module_err(m, [_x((1, 4, 4, 4), 43)])
+
+
 @_check("dss_conv")
 def _dss_conv():
     m = DSSConv(4, 4, rng=np.random.default_rng(18))
@@ -219,7 +224,7 @@ def _dss_conv():
 
 @_check("dss_c3")
 def _dss_c3():
-    m = DSSC3(4, 4, n=1, rng=np.random.default_rng(20))
+    m = C3(4, 4, separable=True, rng=np.random.default_rng(20))
     return _module_err(m, [_x((1, 4, 4, 4), 21)])
 
 
@@ -232,7 +237,7 @@ def _gam():
 @_check("gam_bottleneck")
 def _gam_bottleneck():
     rng = np.random.default_rng(24)
-    m = DSSBottleneck(4, 4, attention=GAM(4, hidden=2, k=3, rng=rng), rng=rng)
+    m = Bottleneck(4, 4, separable=True, attention=GAM(4, hidden=2, k=3, rng=rng), rng=rng)
     return _module_err(m, [_x((1, 4, 4, 4), 25)])
 
 

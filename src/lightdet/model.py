@@ -408,8 +408,8 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
                   max_det: int = 300) -> list[list[Detection]]:
     """Full inference: forward, decode, class-wise NMS; boxes in input pixels.
 
-    Detections are built from the kept rows as arrays, with the float64 steps of
-    `Box.from_corners`, so each value is bit-identical; fields are Python scalars.
+    Detections are built from the kept rows as arrays: the center form of each
+    kept box's clipped float64 corners, as Python scalars.
     """
     model.eval()
     with no_grad():

@@ -1,4 +1,7 @@
-"""Layer zoo: modules with parameters, activations and norms.
+"""Layer zoo: modules with parameters, activations and norms, and the blocks
+the graphs are built from. C3 over Bottlenecks is the one cross-stage block:
+plain in the trunk and the baseline neck, separable (DSSConv) and GAM-gated in
+the light neck.
 
 Parameter counts come from the live tensors, and FLOPs are counted by the ops
 themselves (`tensor.count_flops`), so the reported numbers can never drift from
@@ -156,7 +159,7 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     def __init__(self, c: int, momentum: float = 0.03):
         super().__init__()
-        self.c, self.eps, self.momentum = c, 1e-5, momentum
+        self.c, self.momentum = c, momentum
         self.weight = Tensor(np.ones(c, np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(c, np.float32), requires_grad=True)
         self.register_buffer("running_mean", Tensor(np.zeros(c, np.float32)))
@@ -167,8 +170,8 @@ class BatchNorm2d(Module):
             raise ValueError("BatchNorm2d expects NCHW")
         if not self.training:
             return batch_norm(x, self.weight, self.bias, self.running_mean.data,
-                              self.running_var.data, self.eps)[0]
-        y, mu, var = batch_norm(x, self.weight, self.bias, eps=self.eps)
+                              self.running_var.data)[0]
+        y, mu, var = batch_norm(x, self.weight, self.bias)
         n = x.size // x.shape[1]
         with np.errstate(all="ignore"):
             unbiased = var * (n / max(n - 1, 1))
@@ -232,7 +235,7 @@ class ConvBnAct(Module):
             return self.act(self.bn(self.conv(x)))
         y, bn = self.conv(x), self.bn
         _, scale, shift = _tensor.bn_eval_affine(bn.weight.data, bn.bias.data,
-                                                 bn.running_mean.data, bn.running_var.data, bn.eps)
+                                                 bn.running_mean.data, bn.running_var.data)
         y.data *= scale.reshape(1, -1, 1, 1)
         y.data += shift.reshape(1, -1, 1, 1)
         if self.act is not mish:
@@ -251,21 +254,42 @@ def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
     return y.reshape(n, c, h, w)
 
 
+class DSSConv(Module):
+    """Depthwise 3x3 then pointwise 1x1 (each BN+act), finished by a 2-group shuffle."""
+
+    def __init__(self, c1: int, c2: int, s: int = 1, act: str = "mish",
+                 rng: np.random.Generator | None = None):
+        super().__init__()
+        if c2 % 2:
+            raise ValueError("output channels must be even for the channel shuffle")
+        self.dw = ConvBnAct(c1, c1, 3, s, g=c1, act=act, rng=rng)
+        self.pw = ConvBnAct(c1, c2, 1, act=act, rng=rng)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return channel_shuffle(self.pw(self.dw(x)), 2)
+
+
 # ---- structural blocks shared by both models ----
 
 
 class Bottleneck(Module):
-    """1x1 conv -> 3x3 conv at the output width, optional residual."""
+    """1x1 conv -> 3x3 conv at the output width (a DSSConv when `separable`),
+    then the optional gate module, then the optional residual."""
 
     def __init__(self, c1: int, c2: int, shortcut: bool = True, act: str = "mish",
+                 separable: bool = False, attention: Module | None = None,
                  rng: np.random.Generator | None = None):
         super().__init__()
         self.cv1 = ConvBnAct(c1, c2, 1, act=act, rng=rng)
-        self.cv2 = ConvBnAct(c2, c2, 3, act=act, rng=rng)
+        self.cv2 = (DSSConv(c2, c2, act=act, rng=rng) if separable
+                    else ConvBnAct(c2, c2, 3, act=act, rng=rng))
+        self.attn = attention
         self.add = shortcut and c1 == c2
 
     def forward(self, x: Tensor) -> Tensor:
         y = self.cv2(self.cv1(x))
+        if self.attn is not None:
+            y = self.attn(y)
         return x + y if self.add else y
 
 
@@ -273,12 +297,18 @@ class C3(Module):
     """Cross-stage block: two half-width 1x1 branches, n bottlenecks on one, concat, fuse."""
 
     def __init__(self, c1: int, c2: int, n: int = 1, shortcut: bool = True,
-                 act: str = "mish", rng: np.random.Generator | None = None):
+                 act: str = "mish", separable: bool = False,
+                 attentions: list[Module | None] | None = None,
+                 rng: np.random.Generator | None = None):
         super().__init__()
         ch = c2 // 2
+        attns = attentions or [None] * n
+        if len(attns) != n:
+            raise ValueError("one attention slot per bottleneck")
         self.cv1 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
         self.cv2 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
-        self.m = [Bottleneck(ch, ch, shortcut, act=act, rng=rng) for _ in range(n)]
+        self.m = [Bottleneck(ch, ch, shortcut, act=act, separable=separable, attention=a,
+                             rng=rng) for a in attns]
         self.cv3 = ConvBnAct(2 * ch, c2, 1, act=act, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -484,15 +484,18 @@ def mish(x: Tensor) -> Tensor:
     return _unary(x, y, "mish", grad_fn)
 
 
-def bn_eval_affine(w: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray, eps: float):
+BN_EPS = 1e-5  # added to every BatchNorm variance, in training and eval
+
+
+def bn_eval_affine(w: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray):
     """Eval BatchNorm as x * scale + shift per channel: 1-D (std, scale, shift)."""
-    std = (var + eps) ** 0.5
+    std = (var + BN_EPS) ** 0.5
     scale = w / std
     return std, scale, b - mean * scale
 
 
 def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, mean: np.ndarray | None = None,
-               var: np.ndarray | None = None, eps: float = 1e-5):
+               var: np.ndarray | None = None):
     """Normalise NCHW `x` per channel, then scale by `weight` and shift by `bias`.
 
     Without `mean` and `var` (training), the statistics are the batch's own over
@@ -509,12 +512,12 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, mean: np.ndarray | None 
         xhat = xd - mean.reshape(cshape)
         y = np.square(xhat)
         var = y.sum(axis=axes) * inv_n
-        std = (var + eps) ** 0.5
+        std = (var + BN_EPS) ** 0.5
         xhat /= std.reshape(cshape)
         np.multiply(xhat, w.reshape(cshape), out=y)
         y += bias.data.reshape(cshape)
     else:
-        std, scale, shift = bn_eval_affine(w, bias.data, mean, var, eps)
+        std, scale, shift = bn_eval_affine(w, bias.data, mean, var)
         y = xd * scale.reshape(cshape)
         y += shift.reshape(cshape)
         xhat = None

@@ -12,28 +12,28 @@ from .model import DetectorModel, detect_images, training_loss
 from .tensor import Tensor
 
 
+WEIGHT_DECAY = 5e-4  # on multi-axis tensors only
+CLIP_NORM = 10.0  # largest global gradient norm an update uses
+FINAL_FRAC = 0.1  # where the cosine schedule ends, as a share of the base rate
+
+
 class SGD:
     """Momentum SGD; weight decay touches only multi-axis tensors (never biases,
     norm affines, or other vectors), and the learning rate ramps linearly over
     the first `warmup` steps. With `total_steps` set, the post-warmup rate
-    follows a half-cosine down to `final_frac` of the base rate. Gradients are
-    rescaled to a global norm of at most `clip_norm` before the update; small
+    follows a half-cosine down to FINAL_FRAC of the base rate. Gradients are
+    rescaled to a global norm of at most CLIP_NORM before the update; small
     batches drive the norm orders of magnitude past the useful step scale. A
     non-finite norm raises FloatingPointError before any update."""
 
     def __init__(self, params, lr: float = 0.01, momentum: float = 0.937,
-                 weight_decay: float = 5e-4, warmup: int = 20,
-                 total_steps: int | None = None, final_frac: float = 0.1,
-                 clip_norm: float | None = 10.0):
+                 warmup: int = 20, total_steps: int | None = None):
         self.params = [p for p in params if p.requires_grad]
         self.vel = [np.zeros_like(p.data) for p in self.params]
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.warmup = max(int(warmup), 0)
         self.total_steps = total_steps
-        self.final_frac = final_frac
-        self.clip_norm = clip_norm
         self.t = 0
 
     def lr_at(self, t: int) -> float:
@@ -43,7 +43,7 @@ class SGD:
             return self.lr
         span = self.total_steps - self.warmup
         prog = min(max((t - self.warmup) / span, 0.0), 1.0)
-        lo = self.lr * self.final_frac
+        lo = self.lr * FINAL_FRAC
         return lo + (self.lr - lo) * 0.5 * (1.0 + math.cos(math.pi * prog))
 
     def grad_norm(self) -> float:
@@ -52,21 +52,18 @@ class SGD:
         return math.sqrt(sq)
 
     def step(self) -> None:
-        scale = 1.0
-        if self.clip_norm:
-            total = self.grad_norm()
-            if not math.isfinite(total):
-                raise FloatingPointError(f"step {self.t}: gradient norm is {total}")
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
+        total = self.grad_norm()
+        if not math.isfinite(total):
+            raise FloatingPointError(f"step {self.t}: gradient norm is {total}")
+        scale = CLIP_NORM / total if total > CLIP_NORM else 1.0
         lr = self.lr_at(self.t)
         self.t += 1
         for p, v in zip(self.params, self.vel):
             if p.grad is None:
                 continue
             g = p.grad * scale if scale != 1.0 else p.grad
-            if self.weight_decay and p.data.ndim > 1:
-                g = g + self.weight_decay * p.data
+            if p.data.ndim > 1:
+                g = g + WEIGHT_DECAY * p.data
             v *= self.momentum
             v += g
             p.data = (p.data - lr * v).astype(p.data.dtype, copy=False)

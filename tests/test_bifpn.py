@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lightdet.bifpn import DSSBottleneck, DSSC3, DSSConv, LightBiFpn
+from lightdet.bifpn import LightBiFpn
 from lightdet.gam import GAM
+from lightdet.nn import Bottleneck, C3, DSSConv
 from lightdet.tensor import Tensor, grad_check
 
 from helpers import cast_f64
@@ -10,7 +11,7 @@ from helpers import cast_f64
 
 class TestDSSConv:
     def test_shapes_and_stride(self, rng):
-        m = DSSConv(16, 32, 3, 2, rng=rng)
+        m = DSSConv(16, 32, 2, rng=rng)
         y = m(Tensor(rng.standard_normal((2, 16, 8, 8)).astype(np.float32)))
         assert y.shape == (2, 32, 4, 4)
 
@@ -45,29 +46,31 @@ class TestDSSConv:
 
 
 class TestDSSC3:
+    """The light neck's depthwise-separable shuffle C3: `C3(separable=True)`."""
+
     def test_bottleneck_residual_rule(self, rng):
-        assert DSSBottleneck(8, 8, rng=rng).add
-        assert not DSSBottleneck(8, 16, rng=rng).add
-        assert not DSSBottleneck(8, 8, shortcut=False, rng=rng).add
+        assert Bottleneck(8, 8, separable=True, rng=rng).add
+        assert not Bottleneck(8, 16, separable=True, rng=rng).add
+        assert not Bottleneck(8, 8, shortcut=False, separable=True, rng=rng).add
 
     def test_reference_param_counts(self, rng):
-        plain = DSSC3(160, 32, n=1, shortcut=False, rng=rng)
+        plain = C3(160, 32, n=1, shortcut=False, separable=True, rng=rng)
         assert plain.param_count() == 7024
-        gated = DSSC3(160, 32, n=1, shortcut=False,
-                      attentions=[GAM(16, hidden=4, rng=rng)], rng=rng)
+        gated = C3(160, 32, n=1, shortcut=False, separable=True,
+                   attentions=[GAM(16, hidden=4, rng=rng)], rng=rng)
         assert gated.param_count() == 13468
 
     def test_attention_slot_count_checked(self, rng):
         with pytest.raises(ValueError):
-            DSSC3(16, 16, n=2, attentions=[None], rng=rng)
+            C3(16, 16, n=2, separable=True, attentions=[None], rng=rng)
 
     def test_forward_shape(self, rng):
-        m = DSSC3(24, 16, n=2, rng=rng)
+        m = C3(24, 16, n=2, separable=True, rng=rng)
         y = m(Tensor(rng.standard_normal((1, 24, 6, 6)).astype(np.float32)))
         assert y.shape == (1, 16, 6, 6)
 
     def test_gradcheck(self, rng):
-        m = cast_f64(DSSC3(4, 4, n=1, rng=rng))
+        m = cast_f64(C3(4, 4, n=1, separable=True, rng=rng))
         x = Tensor(rng.standard_normal((1, 4, 4, 4)))
 
         def f(t):

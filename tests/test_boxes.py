@@ -20,12 +20,6 @@ def random_box(rng, lo=0.15, hi=0.6):
     return Box(float(cx), float(cy), float(w), float(h))
 
 
-class TestBox:
-    def test_corner_roundtrip(self):
-        b = Box(1.0, 2.0, 3.0, 4.0)
-        assert Box.from_corners(*b.corners()) == b
-
-
 class TestIoU:
     def test_hand_cases(self):
         a = Box(1, 1, 2, 2)

@@ -458,7 +458,7 @@ class TestGradcheckCmd:
                 "depthwise_conv", "max_pool_sppf", "max_pool_strided",
                 "batchnorm", "batchnorm_eval", "layernorm",
                 "mish", "mish_wide", "hswish", "leakyrelu", "gelu", "window_attention",
-                "cross_window_attention", "sepvit_block", "dss_conv", "dss_c3",
+                "cross_window_attention", "sepvit_block", "c3", "dss_conv", "dss_c3",
                 "gam", "gam_bottleneck", "training_loss"}
         need |= {f"box_{k}" for k in ("iou", "giou", "diou", "ciou", "eiou", "siou")}
         assert need <= set(checks.CHECKS)

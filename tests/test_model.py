@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -452,8 +453,11 @@ class TestNms:
             boxes = np.clip(corners_np(row[sel, :4]), 0.0, 128.0)
             cls, conf = cls[sel], conf[sel]
             keep = nms_indices(boxes + cls[:, None] * 256.0, conf)
-            want = [Detection(Box.from_corners(*boxes[i]), int(cls[i]), float(conf[i]))
-                    for i in keep]
+            want = []
+            for i in keep:  # the center form, one kept box at a time, in float64
+                x1, y1, x2, y2 = boxes[i]
+                box = Box((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
+                want.append(Detection(box, int(cls[i]), float(conf[i])))
             assert len(dets) == 300 and dets == want
             for d, w in zip(dets, want):
                 fields = (d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence)
@@ -576,6 +580,18 @@ class TestCheckpoint:
         names = [n for n, _ in self._model().named_state()]
         assert names[0].startswith("stem.")
         assert not any("layers." in n for n in names)
+
+    def test_state_layout_matches_frozen_table(self):
+        # format 3 stores tensors by name in named_state order: a renamed or
+        # reordered tensor would make existing checkpoints fail to load
+        path = os.path.join(os.path.dirname(__file__), "data", "state_layout_toy.tsv")
+        with open(path, encoding="utf-8") as fh:
+            frozen = fh.read().splitlines()
+        got = [f"{kind}\t{name}\t{'x'.join(map(str, t.shape))}"
+               for kind in ("baseline", "light")
+               for name, t in build_model(kind, nc=2, width=0.125, img_size=128,
+                                          rng=np.random.default_rng(0)).named_state()]
+        assert got == frozen
 
     def test_activation_mismatch(self, tmp_path):
         # mish and hswish models have the same tensors and shapes; only the

@@ -11,7 +11,7 @@ from lightdet import tensor as tensor_mod
 from lightdet.boxes import box_loss
 from lightdet.nn import BatchNorm2d
 from lightdet.tensor import (
-    Tensor, _accum, batch_norm, concat, conv2d, count_flops, grad_check, max_pool2d,
+    BN_EPS, Tensor, _accum, batch_norm, concat, conv2d, count_flops, grad_check, max_pool2d,
     mish, no_grad, toposort, upsample_nearest2x,
 )
 
@@ -389,7 +389,7 @@ def composite_bn(bn, x):
     else:
         mu = bn.running_mean.reshape(1, c, 1, 1)
         var = bn.running_var.reshape(1, c, 1, 1)
-    xhat = (x - mu) / ((var + bn.eps) ** 0.5)
+    xhat = (x - mu) / ((var + BN_EPS) ** 0.5)
     return xhat * bn.weight.reshape(1, c, 1, 1) + bn.bias.reshape(1, c, 1, 1)
 
 
@@ -454,10 +454,10 @@ class TestFusedLayers:
         assert np.allclose(mean, x.numpy().mean(axis=(0, 2, 3)), atol=1e-12)
         assert np.allclose(var, x.numpy().var(axis=(0, 2, 3)), atol=1e-12)
         rm, rv = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
-        y, mean, var = batch_norm(x, w, b, rm, rv, eps=0.0)
+        y, mean, var = batch_norm(x, w, b, rm, rv)
         assert mean is rm and var is rv
         assert np.allclose(y.numpy(), (x.numpy() - rm.reshape(1, 3, 1, 1))
-                           / np.sqrt(rv).reshape(1, 3, 1, 1), atol=1e-12)
+                           / np.sqrt(rv + BN_EPS).reshape(1, 3, 1, 1), atol=1e-12)
 
 
 def maxpool_scan(x, k, s, p, g=None):

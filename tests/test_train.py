@@ -7,7 +7,9 @@ from lightdet.boxes import Box
 from lightdet.data import synth_scene
 from lightdet.model import build_light, training_loss
 from lightdet.tensor import Tensor
-from lightdet.train import SGD, evaluate_model, fit, targets_to_gt
+from lightdet.train import (
+    CLIP_NORM, FINAL_FRAC, SGD, WEIGHT_DECAY, evaluate_model, fit, targets_to_gt,
+)
 
 
 def _toy_model(img=32, seed=3):
@@ -32,25 +34,26 @@ class TestSgd:
         assert opt.lr_at(50) == pytest.approx(0.1)
 
     def test_cosine_decay(self):
-        opt = SGD([], lr=0.1, warmup=2, total_steps=12, final_frac=0.1)
+        opt = SGD([], lr=0.1, warmup=2, total_steps=12)
+        lo = 0.1 * FINAL_FRAC
         assert opt.lr_at(2) == pytest.approx(0.1)
-        assert opt.lr_at(7) == pytest.approx(0.055)
-        assert opt.lr_at(12) == pytest.approx(0.01)
-        assert opt.lr_at(99) == pytest.approx(0.01)
+        assert opt.lr_at(7) == pytest.approx((0.1 + lo) / 2)  # half way down the cosine
+        assert opt.lr_at(12) == pytest.approx(lo)
+        assert opt.lr_at(99) == pytest.approx(lo)
 
     def test_weight_decay_skips_vectors(self):
         vec = Tensor(np.ones(4, np.float32), requires_grad=True)
         mat = Tensor(np.ones((4, 4), np.float32), requires_grad=True)
         vec.grad = np.zeros(4, np.float32)
         mat.grad = np.zeros((4, 4), np.float32)
-        opt = SGD([vec, mat], lr=0.1, momentum=0.0, weight_decay=0.5, warmup=0)
+        opt = SGD([vec, mat], lr=1.0, momentum=0.0, warmup=0)
         opt.step()
         assert np.array_equal(vec.data, np.ones(4, np.float32))
-        assert np.allclose(mat.data, 1.0 - 0.1 * 0.5)
+        assert np.allclose(mat.data, 1.0 - WEIGHT_DECAY, rtol=0, atol=1e-6)
 
     def test_momentum_accumulates(self):
         p = Tensor(np.zeros(1, np.float32), requires_grad=True)
-        opt = SGD([p], lr=0.1, momentum=0.5, weight_decay=0.0, warmup=0)
+        opt = SGD([p], lr=0.1, momentum=0.5, warmup=0)  # a vector: no decay
         p.grad = np.ones(1, np.float32)
         opt.step()
         assert p.data[0] == pytest.approx(-0.1)
@@ -67,10 +70,10 @@ class TestSgd:
     def test_clip_rescales_large_gradients(self):
         p = Tensor(np.zeros(4, np.float32), requires_grad=True)
         p.grad = np.full(4, 50.0, np.float32)  # norm 100
-        opt = SGD([p], lr=1.0, momentum=0.0, weight_decay=0.0, warmup=0,
-                  clip_norm=10.0)
+        assert CLIP_NORM < 100.0
+        opt = SGD([p], lr=1.0, momentum=0.0, warmup=0)
         opt.step()
-        assert np.allclose(p.data, -5.0, atol=1e-6)  # 50 * 10/100
+        assert np.allclose(p.data, -50.0 * CLIP_NORM / 100.0, atol=1e-6)
 
     def test_non_finite_gradient_norm_raises_before_update(self):
         p = Tensor(np.zeros(2, np.float32), requires_grad=True)
@@ -82,9 +85,9 @@ class TestSgd:
 
     def test_clip_leaves_small_gradients_alone(self):
         p = Tensor(np.zeros(4, np.float32), requires_grad=True)
-        p.grad = np.full(4, 0.5, np.float32)
-        opt = SGD([p], lr=1.0, momentum=0.0, weight_decay=0.0, warmup=0,
-                  clip_norm=10.0)
+        p.grad = np.full(4, 0.5, np.float32)  # norm 1
+        assert CLIP_NORM > 1.0
+        opt = SGD([p], lr=1.0, momentum=0.0, warmup=0)
         opt.step()
         assert np.allclose(p.data, -0.5, atol=1e-7)
 
