@@ -30,11 +30,10 @@ class CheckResult:
     name: str
     max_err: float
     seconds: float
-    tol: float = TOLERANCE
 
     @property
     def ok(self) -> bool:
-        return self.max_err <= self.tol
+        return self.max_err <= TOLERANCE
 
 
 def _rebind(root: Module, dotted: str, leaf: Tensor) -> None:
@@ -279,8 +278,7 @@ def _loss():
 
 
 def run_checks(names: list[str] | None = None,
-               extra: dict[str, Callable[[], float]] | None = None,
-               tol: float = TOLERANCE) -> list[CheckResult]:
+               extra: dict[str, Callable[[], float]] | None = None) -> list[CheckResult]:
     """Run the named checks (all by default) and time each one.
 
     `extra` merges additional name -> callable entries into the registry for
@@ -297,5 +295,5 @@ def run_checks(names: list[str] | None = None,
             raise KeyError(f"unknown check {nm!r}; choose from {sorted(table)}")
         t0 = time.perf_counter()
         err = float(table[nm]())
-        results.append(CheckResult(nm, err, time.perf_counter() - t0, tol))
+        results.append(CheckResult(nm, err, time.perf_counter() - t0))
     return results

@@ -188,9 +188,6 @@ class Light(DetectorModel):
         return self.detect(self.neck(p3, p4, p5))
 
 
-build_baseline, build_light = Baseline, Light
-
-
 def build_model(kind: str, **kw) -> DetectorModel:
     graphs = {"baseline": Baseline, "light": Light}
     if kind not in graphs:
@@ -210,46 +207,38 @@ def assign_targets(targets: list[np.ndarray], detect: Detect, img_size: int,
     targets: per image, (n, 5) rows of (class, cx, cy, w, h) normalized to [0,1].
     A box lands in its center cell plus the two nearest neighbor cells, on every
     anchor whose w/h ratio to the box is within ANCHOR_RATIO_THR in both
-    directions.
+    directions. Boxes with a zero (or negative) width or height are skipped.
     Returns per level: (b, a, gj, gi, tbox, cls) with tbox in grid units and its
     xy relative to the assigned cell origin.
+
+    Rows come out ordered by image, label row, anchor, then cell (center,
+    x-neighbor, y-neighbor). The loss adds in that order: the box and class
+    sums, and the gradient scatter into `pr[b, a, gj, gi]`, where duplicates
+    accumulate, so another order would change training traces in the last bits.
     """
+    rows = [np.asarray(t, dtype=np.float64).reshape(-1, 5) for t in targets]
+    img = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    rows = np.concatenate(rows)
+    sized = (rows[:, 3] > 0) & (rows[:, 4] > 0)
+    rows, img = rows[sized], img[sized]
     out = []
     for lvl, (gh, gw) in enumerate(grids):
-        stride = img_size / gh
-        anchors = detect.anchors[lvl] / stride  # grid units
-        bs, as_, gjs, gis, tb, tc = [], [], [], [], [], []
-        for b, t in enumerate(targets):
-            for cls, cx, cy, w, h in np.asarray(t, dtype=np.float64).reshape(-1, 5):
-                gx, gy = cx * gw, cy * gh
-                tw, th = w * gw, h * gh
-                if tw <= 0 or th <= 0:
-                    continue
-                ratio = np.stack([tw / anchors[:, 0], th / anchors[:, 1]], axis=1)
-                keep = np.maximum(ratio, 1.0 / ratio).max(axis=1) < ANCHOR_RATIO_THR
-                if not keep.any():
-                    continue
-                gi0 = min(int(gx), gw - 1)
-                gj0 = min(int(gy), gh - 1)
-                cells = [(gi0, gj0)]
-                dx = -1 if (gx - gi0) < 0.5 else 1
-                dy = -1 if (gy - gj0) < 0.5 else 1
-                for ci, cj in ((gi0 + dx, gj0), (gi0, gj0 + dy)):
-                    if 0 <= ci < gw and 0 <= cj < gh:
-                        cells.append((ci, cj))
-                for a in np.flatnonzero(keep):
-                    for ci, cj in cells:
-                        bs.append(b)
-                        as_.append(int(a))
-                        gjs.append(cj)
-                        gis.append(ci)
-                        tb.append((gx - ci, gy - cj, tw, th))
-                        tc.append(int(cls))
-        out.append((
-            np.asarray(bs, np.int64), np.asarray(as_, np.int64),
-            np.asarray(gjs, np.int64), np.asarray(gis, np.int64),
-            np.asarray(tb, np.float64).reshape(-1, 4), np.asarray(tc, np.int64),
-        ))
+        anchors = detect.anchors[lvl] / (img_size / gh)  # grid units
+        size = np.array([gw, gh])
+        gxy, twh = rows[:, 1:3] * size, rows[:, 3:5] * size
+        ratio = twh[:, None, :] / anchors  # (T, anchor, w/h)
+        fits = np.maximum(ratio, 1.0 / ratio).max(axis=2) < ANCHOR_RATIO_THR
+        center = np.minimum(gxy.astype(np.int64), size - 1)
+        step = np.where(gxy - center < 0.5, -1, 1)
+        cells = np.repeat(center[:, None, :], 3, axis=1)  # (T, cell, xy)
+        cells[:, 1, 0] += step[:, 0]
+        cells[:, 2, 1] += step[:, 1]
+        inside = ((cells >= 0) & (cells < size)).all(axis=2)
+        t, a, c = np.nonzero(fits[:, :, None] & inside[:, None, :])
+        cell = cells[t, c]
+        out.append((img[t], a, cell[:, 1], cell[:, 0],
+                    np.concatenate([gxy[t] - cell, twh[t]], axis=1),
+                    rows[t, 0].astype(np.int64)))
     return out
 
 

@@ -102,10 +102,10 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def named_state(self, prefix: str = ""):
+    def named_state(self):
         """Parameters plus buffers: everything a checkpoint must carry."""
-        yield from self.named_parameters(prefix)
-        yield from self.named_buffers(prefix)
+        yield from self.named_parameters()
+        yield from self.named_buffers()
 
     def named_children(self):
         return ((name, v) for name, v in self._members() if isinstance(v, Module))
@@ -157,9 +157,9 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, c: int, momentum: float = 0.03):
+    def __init__(self, c: int):
         super().__init__()
-        self.c, self.momentum = c, momentum
+        self.c = c
         self.weight = Tensor(np.ones(c, np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(c, np.float32), requires_grad=True)
         self.register_buffer("running_mean", Tensor(np.zeros(c, np.float32)))
@@ -175,7 +175,7 @@ class BatchNorm2d(Module):
         n = x.size // x.shape[1]
         with np.errstate(all="ignore"):
             unbiased = var * (n / max(n - 1, 1))
-        m = self.momentum
+        m = _tensor.BN_MOMENTUM
         self.running_mean.data = ((1 - m) * self.running_mean.data + m * mu).astype(np.float32)
         self.running_var.data = ((1 - m) * self.running_var.data + m * unbiased).astype(np.float32)
         return y

@@ -18,10 +18,13 @@ from .nn import LayerNorm, Linear, Module
 from .tensor import Tensor, concat
 
 
-def pick_window_size(h: int, w: int, target: int = 7) -> int:
-    """Largest common divisor of both sides that does not exceed target."""
+WINDOW_TARGET = 7  # the largest window side pick_window_size returns
+
+
+def pick_window_size(h: int, w: int) -> int:
+    """Largest common divisor of both sides that does not exceed WINDOW_TARGET."""
     g = math.gcd(h, w)
-    for ws in range(min(target, g), 0, -1):
+    for ws in range(min(WINDOW_TARGET, g), 0, -1):
         if g % ws == 0:
             return ws
     return 1

@@ -485,6 +485,7 @@ def mish(x: Tensor) -> Tensor:
 
 
 BN_EPS = 1e-5  # added to every BatchNorm variance, in training and eval
+BN_MOMENTUM = 0.03  # weight of each training batch in BatchNorm2d's running stats
 
 
 def bn_eval_affine(w: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray):
@@ -742,8 +743,11 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
 # ---- gradient checking ----
 
 
-def grad_check(fn: Callable[..., Tensor], inputs: Iterable[Tensor], h: float = 1e-4,
-               rtol: float = 1e-4):
+FD_STEP = 1e-4  # grad_check's finite-difference step
+KINK_RTOL = 5e-3  # one-sided slopes further apart than this, relative, mark a kink
+
+
+def grad_check(fn: Callable[..., Tensor], inputs: Iterable[Tensor]):
     """Central finite differences vs autograd in float64.
 
     fn maps the given leaf tensors to a scalar Tensor. Returns (max_rel_err, report);
@@ -777,12 +781,12 @@ def grad_check(fn: Callable[..., Tensor], inputs: Iterable[Tensor], h: float = 1
                 flat[k] = orig
                 return v
 
-            fp, fm = _eval(h), _eval(-h)
-            num = (fp - fm) / (2 * h)
-            fwd = (fp - f0) / h
-            bwd = (f0 - fm) / h
+            fp, fm = _eval(FD_STEP), _eval(-FD_STEP)
+            num = (fp - fm) / (2 * FD_STEP)
+            fwd = (fp - f0) / FD_STEP
+            bwd = (f0 - fm) / FD_STEP
             rel = abs(an[k] - num) / max(abs(an[k]), abs(num), 1.0)
-            kink = abs(fwd - bwd) > 50 * rtol * max(abs(fwd), abs(bwd), 1.0)
+            kink = abs(fwd - bwd) > KINK_RTOL * max(abs(fwd), abs(bwd), 1.0)
             report.append((idx, k, float(an[k]), float(num), float(rel), kink))
             if not kink:
                 max_err = max(max_err, rel)

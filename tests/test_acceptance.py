@@ -21,7 +21,7 @@ from lightdet.cli import main
 from lightdet.errors import CheckpointError
 from lightdet.gam import GAM
 from lightdet.metrics import Detection, ap_for_class, oracle_ap_sweep
-from lightdet.model import build_baseline, build_light, load_checkpoint, save_checkpoint
+from lightdet.model import Baseline, Light, load_checkpoint, save_checkpoint
 from lightdet.sepvit import SepViTBlock, window_merge, window_partition
 from lightdet.tensor import Tensor, conv2d, no_grad
 
@@ -43,7 +43,7 @@ def _line(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def _totals(kind: str) -> tuple[int, int]:
-    build = build_baseline if kind == "baseline" else build_light
+    build = Baseline if kind == "baseline" else Light
     model = build(nc=2, width=0.25, rng=np.random.default_rng(0))
     rows = model.cost_rows(640)
     return sum(r[1] for r in rows), sum(r[2] for r in rows)
@@ -251,7 +251,7 @@ def test_10_overfit_smoke(tmp_path, capsys):
 
 def test_11_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(18)
-    model = build_light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(19))
+    model = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(19))
     model.eval()
     x = Tensor(rng.random((1, 3, 64, 64)).astype(np.float32))
     with no_grad():
@@ -259,7 +259,7 @@ def test_11_checkpoint_roundtrip(tmp_path):
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, model)
 
-    other = build_light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(99))
+    other = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(99))
     load_checkpoint(path, other)
     other.eval()
     with no_grad():
@@ -276,8 +276,8 @@ def test_11_checkpoint_roundtrip(tmp_path):
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(p, other)
         messages.append(str(exc.value))
-    wrong_arch = build_light(nc=3, width=0.125, img_size=64,
-                             rng=np.random.default_rng(20))
+    wrong_arch = Light(nc=3, width=0.125, img_size=64,
+                       rng=np.random.default_rng(20))
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path, wrong_arch)
     messages.append(str(exc.value))

@@ -8,12 +8,13 @@ from lightdet.boxes import Box, corners_np, iou_matrix
 from lightdet.errors import CheckpointError
 from lightdet.metrics import Detection
 from lightdet.model import (
+    ANCHOR_RATIO_THR,
     ANCHORS_BASE,
+    Baseline,
     Detect,
+    Light,
     _pair_iou_np,
     assign_targets,
-    build_baseline,
-    build_light,
     build_model,
     decode_predictions,
     detect_images,
@@ -36,12 +37,12 @@ LIGHT_FLOPS = 3_371_501_568
 
 @pytest.fixture(scope="module")
 def baseline():
-    return build_baseline(nc=2, rng=np.random.default_rng(0))
+    return Baseline(nc=2, rng=np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
 def light():
-    return build_light(nc=2, rng=np.random.default_rng(0))
+    return Light(nc=2, rng=np.random.default_rng(0))
 
 
 class TestBudgets:
@@ -57,7 +58,7 @@ class TestBudgets:
 
     def test_cost_rows_leave_a_training_model_untouched(self):
         # a train-mode forward would move the BatchNorm running stats
-        for build in (build_baseline, build_light):
+        for build in (Baseline, Light):
             m = build(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(3))
             before = {k: t.numpy().tobytes() for k, t in m.named_state()}
             m.cost_rows(64)
@@ -89,19 +90,19 @@ class TestBudgets:
 
 class TestForward:
     def test_output_shapes(self):
-        m = build_light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
         x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 64, 64)).astype(np.float32))
         preds = m(x)
         assert [p.shape for p in preds] == [(2, 21, 8, 8), (2, 21, 4, 4), (2, 21, 2, 2)]
 
     def test_baseline_output_shapes(self):
-        m = build_baseline(nc=1, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Baseline(nc=1, width=0.125, img_size=64, rng=np.random.default_rng(1))
         x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32))
         preds = m(x)
         assert [p.shape for p in preds] == [(1, 18, 8, 8), (1, 18, 4, 4), (1, 18, 2, 2)]
 
     def test_eval_forward_deterministic(self):
-        m = build_light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
         m.eval()
         x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32))
         with no_grad():
@@ -111,7 +112,7 @@ class TestForward:
             assert np.array_equal(pa, pb)
 
     def test_obj_bias_prior(self):
-        m = build_light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
         b = m.detect.m[0].bias.numpy().reshape(3, 7)
         assert np.allclose(b[:, 4], math.log(8.0 / (64 / 8) ** 2), atol=1e-6)
         assert np.allclose(b[:, 5:], math.log(0.6 / 1.00001), atol=1e-5)
@@ -155,6 +156,111 @@ class TestAssign:
         t = [np.array([[0, 0.5, 0.5, 0.0, 0.2]])]
         levels = assign_targets(t, det, 32, [(4, 4), (2, 2), (1, 1)])
         assert all(lv[0].size == 0 for lv in levels)
+
+
+def _assign_targets_loop(targets, detect, img_size, grids):
+    """The per-box loop `assign_targets` replaced, kept verbatim as its oracle."""
+    out = []
+    for lvl, (gh, gw) in enumerate(grids):
+        stride = img_size / gh
+        anchors = detect.anchors[lvl] / stride  # grid units
+        bs, as_, gjs, gis, tb, tc = [], [], [], [], [], []
+        for b, t in enumerate(targets):
+            for cls, cx, cy, w, h in np.asarray(t, dtype=np.float64).reshape(-1, 5):
+                gx, gy = cx * gw, cy * gh
+                tw, th = w * gw, h * gh
+                if tw <= 0 or th <= 0:
+                    continue
+                ratio = np.stack([tw / anchors[:, 0], th / anchors[:, 1]], axis=1)
+                keep = np.maximum(ratio, 1.0 / ratio).max(axis=1) < ANCHOR_RATIO_THR
+                if not keep.any():
+                    continue
+                gi0 = min(int(gx), gw - 1)
+                gj0 = min(int(gy), gh - 1)
+                cells = [(gi0, gj0)]
+                dx = -1 if (gx - gi0) < 0.5 else 1
+                dy = -1 if (gy - gj0) < 0.5 else 1
+                for ci, cj in ((gi0 + dx, gj0), (gi0, gj0 + dy)):
+                    if 0 <= ci < gw and 0 <= cj < gh:
+                        cells.append((ci, cj))
+                for a in np.flatnonzero(keep):
+                    for ci, cj in cells:
+                        bs.append(b)
+                        as_.append(int(a))
+                        gjs.append(cj)
+                        gis.append(ci)
+                        tb.append((gx - ci, gy - cj, tw, th))
+                        tc.append(int(cls))
+        out.append((
+            np.asarray(bs, np.int64), np.asarray(as_, np.int64),
+            np.asarray(gjs, np.int64), np.asarray(gis, np.int64),
+            np.asarray(tb, np.float64).reshape(-1, 4), np.asarray(tc, np.int64),
+        ))
+    return out
+
+
+def _random_batch(rng, grid):
+    """Label arrays for 1-4 images: random boxes, some centres snapped to a cell
+    edge or middle, some sides zero, some sizes no anchor fits."""
+    batch = []
+    for _ in range(rng.integers(1, 5)):
+        n = rng.integers(0, 7)
+        rows = np.column_stack([rng.integers(0, 2, n), rng.random((n, 2)),
+                                np.exp(rng.uniform(np.log(1e-3), 0.0, (n, 2)))])
+        snap = rng.random((n, 2)) < 0.3
+        cells = rng.integers(0, grid + 1, (n, 2)) + rng.choice([0.0, 0.5], (n, 2))
+        rows[:, 1:3] = np.where(snap, np.minimum(cells / grid, 1.0), rows[:, 1:3])
+        rows[:, 3:5] *= rng.random((n, 2)) >= 0.1
+        batch.append(rows)
+    return batch
+
+
+class TestAssignMatchesLoop:
+    """`assign_targets` emits the loop's rows: same dtypes, values and order."""
+
+    GRIDS = [(16, 16), (8, 8), (4, 4)]
+
+    def _check(self, targets, det, img, grids):
+        want = _assign_targets_loop(targets, det, img, grids)
+        got = assign_targets(targets, det, img, grids)
+        assert len(got) == len(want)
+        for lvl, (g, w) in enumerate(zip(got, want)):
+            for name, ga, wa in zip(("b", "a", "gj", "gi", "tbox", "cls"), g, w):
+                where = f"level {lvl} {name}"
+                assert ga.dtype == wa.dtype, where
+                assert ga.shape == wa.shape, where
+                assert np.array_equal(ga, wa), where
+        return sum(lv[0].size for lv in got)
+
+    @pytest.mark.filterwarnings("error")
+    def test_random_batches(self):
+        rng = np.random.default_rng(15)
+        shapes = [(128, [(16, 16), (8, 8), (4, 4)]), (64, [(8, 8), (4, 4), (2, 2)]),
+                  (256, [(32, 32), (16, 16), (8, 8)]), (96, [(12, 8), (6, 4), (3, 2)])]
+        dets = [Detect(2, (8, 8, 8), img_size=s, rng=np.random.default_rng(0))
+                for s in (64, 128, 640)]
+        matched = 0
+        for i in range(300):
+            img, grids = shapes[i % len(shapes)]
+            targets = _random_batch(rng, grids[0][1])
+            matched += self._check(targets, dets[i % len(dets)], img, grids)
+        assert matched > 1000  # the batches exercise assignment, not just skips
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("targets", [
+        [np.array([[0, 0.0, 0.0, 0.2, 0.2]])],                     # centre at 0
+        [np.array([[1, 0.5 / 16, 2.5 / 16, 0.1, 0.1]])],           # half a cell
+        [np.array([[0, 1.0, 1.0, 0.2, 0.3], [1, 1.0, 0.0, 0.1, 0.1]])],  # at 1.0
+        [np.array([[0, 0.5, 0.5, 0.0, 0.2], [1, 0.3, 0.3, 0.1, 0.1]])],  # zero width
+        [np.array([[0, 0.5, 0.5, 0.2, 0.0]])],                     # zero height
+        [np.array([[0, 0.5, 0.5, 1.0, 0.001]])],                   # fits no anchor
+        [np.zeros((0, 5)), np.array([[1, 0.4, 0.6, 0.2, 0.2]]), np.zeros((0, 5))],
+        [np.zeros((0, 5)), np.zeros((0, 5))],                      # no labels at all
+    ], ids=["centre_0", "half_cell", "centre_1", "zero_w", "zero_h", "no_anchor",
+            "empty_image", "empty_batch"])
+    def test_edge_cases(self, targets):
+        det = Detect(2, (8, 8, 8), img_size=128, rng=np.random.default_rng(0))
+        self._check(targets, det, 128, self.GRIDS)
 
 
 def _mk_preds(rng, grids, no, scale=1.0):
@@ -423,7 +529,7 @@ class TestNms:
             assert len(got) == max_det  # the cap, not the candidates, ended the pass
 
     def test_detect_images_runs(self):
-        m = build_light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
         x = np.random.default_rng(0).standard_normal((2, 3, 64, 64)).astype(np.float32)
         dets = detect_images(m, x, conf_thr=0.001)
         assert len(dets) == 2
@@ -439,7 +545,7 @@ class TestNms:
 
     def test_detections_equal_per_box_construction(self):
         # untrained, at conf 0.001: every image fills max_det
-        m = build_light(nc=2, width=0.125, img_size=128, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, img_size=128, rng=np.random.default_rng(1))
         x = np.random.default_rng(0).standard_normal((2, 3, 128, 128)).astype(np.float32)
         got = detect_images(m, x, conf_thr=0.001)
         with no_grad():
@@ -494,8 +600,8 @@ class TestConvBnActEpilogue:
 
 class TestCheckpoint:
     def _model(self, seed=1, nc=2, act="mish"):
-        return build_light(nc=nc, width=0.125, act=act, img_size=64,
-                           rng=np.random.default_rng(seed))
+        return Light(nc=nc, width=0.125, act=act, img_size=64,
+                     rng=np.random.default_rng(seed))
 
     def test_roundtrip_bit_identical(self, tmp_path):
         m = self._model()
@@ -555,12 +661,12 @@ class TestCheckpoint:
         # parameters do not depend on the input size, so a 128 px checkpoint
         # loads into a 256 px model; the anchors must stay the 256 px ones
         path = str(tmp_path / "w.bin")
-        save_checkpoint(path, build_light(nc=2, width=0.125, img_size=128,
-                                          rng=np.random.default_rng(0)))
+        save_checkpoint(path, Light(nc=2, width=0.125, img_size=128,
+                                    rng=np.random.default_rng(0)))
         assert b"anchors" not in open(path, "rb").read()
-        m = build_light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(1))
         load_checkpoint(path, m)
-        fresh = build_light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(2))
+        fresh = Light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(2))
         assert np.array_equal(m.detect.anchors, fresh.detect.anchors)
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -628,8 +734,8 @@ class TestCheckpoint:
     def test_wrong_architecture(self, tmp_path):
         path = str(tmp_path / "w.bin")
         save_checkpoint(path, self._model())
-        other = build_baseline(nc=2, width=0.125, img_size=64,
-                               rng=np.random.default_rng(0))
+        other = Baseline(nc=2, width=0.125, img_size=64,
+                         rng=np.random.default_rng(0))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, other)
 

@@ -5,7 +5,7 @@ from lightdet.nn import (
     ACTIVATIONS, BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm,
     Linear, SPPF, activation, channel_shuffle, hswish, make_divisible, mish,
 )
-from lightdet.tensor import Tensor, count_flops, grad_check, no_grad, toposort
+from lightdet.tensor import BN_MOMENTUM, Tensor, count_flops, grad_check, no_grad, toposort
 
 from helpers import cast_f64, counted_flops, with_bn_stats
 
@@ -55,10 +55,14 @@ class TestNorms:
         assert np.allclose(y.std(axis=(0, 2, 3)), 1.0, atol=2e-2)
 
     def test_batchnorm_running_stats_and_eval(self, rng):
-        bn = BatchNorm2d(2, momentum=0.5)
+        bn = BatchNorm2d(2)
         x = rng.standard_normal((8, 2, 4, 4)) + 5.0
         bn(Tensor(x))
-        assert np.all(bn.running_mean.numpy() > 1.0)
+        # one update from the initial (0, 1) stats, the variance unbiased
+        m = BN_MOMENTUM
+        mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3), ddof=1)
+        assert np.allclose(bn.running_mean.numpy(), m * mu, rtol=1e-6)
+        assert np.allclose(bn.running_var.numpy(), (1 - m) + m * var, rtol=1e-6)
         bn.eval()
         y1 = bn(Tensor(x)).numpy()
         y2 = bn(Tensor(x)).numpy()

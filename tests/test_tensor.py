@@ -11,8 +11,8 @@ from lightdet import tensor as tensor_mod
 from lightdet.boxes import box_loss
 from lightdet.nn import BatchNorm2d
 from lightdet.tensor import (
-    BN_EPS, Tensor, _accum, batch_norm, concat, conv2d, count_flops, grad_check, max_pool2d,
-    mish, no_grad, toposort, upsample_nearest2x,
+    BN_EPS, BN_MOMENTUM, Tensor, _accum, batch_norm, concat, conv2d, count_flops, grad_check,
+    max_pool2d, mish, no_grad, toposort, upsample_nearest2x,
 )
 
 
@@ -381,7 +381,7 @@ def composite_bn(bn, x):
         mu = x.mean(axis=(0, 2, 3), keepdims=True)
         var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
         n = x.size // c
-        m = bn.momentum
+        m = BN_MOMENTUM
         bn.running_mean.data = ((1 - m) * bn.running_mean.data
                                 + m * mu.numpy().reshape(-1)).astype(np.float32)
         bn.running_var.data = ((1 - m) * bn.running_var.data
@@ -397,7 +397,7 @@ def _bn_pair(rng, training):
     """Two identical float64 BatchNorm2d layers with non-trivial affine and running stats."""
     layers = []
     for _ in range(2):
-        bn = BatchNorm2d(3, momentum=0.25)
+        bn = BatchNorm2d(3)
         bn.weight = Tensor(np.array([0.5, 1.5, -0.75]), requires_grad=True)
         bn.bias = Tensor(np.array([0.1, -0.2, 0.3]), requires_grad=True)
         bn.running_mean.data = np.array([0.2, -0.4, 1.0])

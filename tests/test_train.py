@@ -5,7 +5,7 @@ import pytest
 
 from lightdet.boxes import Box
 from lightdet.data import synth_scene
-from lightdet.model import build_light, training_loss
+from lightdet.model import Light, training_loss
 from lightdet.tensor import Tensor
 from lightdet.train import (
     CLIP_NORM, FINAL_FRAC, SGD, WEIGHT_DECAY, evaluate_model, fit, targets_to_gt,
@@ -13,8 +13,8 @@ from lightdet.train import (
 
 
 def _toy_model(img=32, seed=3):
-    return build_light(nc=2, width=0.125, img_size=img,
-                       rng=np.random.default_rng(seed))
+    return Light(nc=2, width=0.125, img_size=img,
+                 rng=np.random.default_rng(seed))
 
 
 def _toy_batch(n, img=32, seed=11):
