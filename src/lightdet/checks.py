@@ -20,7 +20,7 @@ from .gam import GAM
 from .model import Detect, training_loss
 from .nn import BatchNorm2d, Bottleneck, C3, Conv2d, DSSConv, LayerNorm, Module, activation
 from .sepvit import SepViTBlock, window_partition
-from .tensor import Tensor, grad_check, max_pool2d
+from .tensor import ACT_PAIRS, Tensor, batch_norm, grad_check, max_pool2d
 
 TOLERANCE = 1e-4
 
@@ -168,6 +168,20 @@ def _act_check(name: str, seed: int):
 
 for _name, _seed in (("mish", 7), ("hswish", 8), ("leakyrelu", 9), ("gelu", 10)):
     CHECKS[_name] = (lambda nm=_name, sd=_seed: _act_check(nm, sd))
+
+
+def _bn_act_check(act: str):
+    rng = np.random.default_rng(44)
+    x = Tensor(rng.standard_normal((2, 3, 3, 3)))
+    w, b = Tensor(rng.uniform(0.5, 1.5, 3)), Tensor(rng.uniform(-0.3, 0.3, 3))
+    # the training node normalises into its input's buffer: give it a fresh copy each call
+    err, _ = grad_check(lambda t, wt, bt: batch_norm(t * 1.0, wt, bt, act)[0].tanh().sum(),
+                        [x, w, b])
+    return err
+
+
+for _name in ACT_PAIRS:
+    CHECKS[f"bn_act_{_name}"] = (lambda a=_name: _bn_act_check(a))
 
 
 @_check("mish_wide")

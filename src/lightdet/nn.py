@@ -9,12 +9,14 @@ the built model.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import tensor as _tensor
-from .tensor import Tensor, batch_norm, concat, conv2d, max_pool2d, mish, upsample_nearest2x
+from .tensor import (ACT_PAIRS, Tensor, activate, batch_norm, concat, conv2d, max_pool2d,
+                     upsample_nearest2x)
 
 
 def make_divisible(x: float) -> int:
@@ -28,17 +30,7 @@ def autopad(k: int) -> int:
 # ---- activations ----
 
 
-def hswish(x: Tensor) -> Tensor:
-    return x * (x + 3.0).clamp(0.0, 6.0) * (1.0 / 6.0)
-
-
-ACTIVATIONS = {
-    "leakyrelu": lambda x: x.leaky_relu(0.01),
-    "hswish": hswish,
-    "mish": mish,
-    "gelu": lambda x: x.gelu(),
-    "relu": lambda x: x.relu(),
-}
+ACTIVATIONS = {name: functools.partial(activate, name=name) for name in ACT_PAIRS}
 
 
 def activation(name: str):
@@ -166,12 +158,17 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", Tensor(np.ones(c, np.float32)))
 
     def forward(self, x: Tensor) -> Tensor:
+        return self.with_act(x, None)
+
+    def with_act(self, x: Tensor, act: str | None) -> Tensor:
+        """BN, then the activation `act` (None: none), through `tensor.batch_norm`.
+        In training with an activation, x's buffer becomes the normalised input."""
         if x.ndim != 4:
             raise ValueError("BatchNorm2d expects NCHW")
         if not self.training:
-            return batch_norm(x, self.weight, self.bias, self.running_mean.data,
+            return batch_norm(x, self.weight, self.bias, act, self.running_mean.data,
                               self.running_var.data)[0]
-        y, mu, var = batch_norm(x, self.weight, self.bias)
+        y, mu, var = batch_norm(x, self.weight, self.bias, act)
         n = x.size // x.shape[1]
         with np.errstate(all="ignore"):
             unbiased = var * (n / max(n - 1, 1))
@@ -218,9 +215,13 @@ class Linear(Module):
 class ConvBnAct(Module):
     """Conv -> BN -> activation, the detector's standard building block.
 
-    In eval without gradients, BN's running-stat affine and Mish run in place on
-    the conv's fresh output: no BN array, no BN or Mish node. Each element takes
-    the float32 steps of act(bn(conv(x))) in order, so the output is bit-identical.
+    In training a block is two graph nodes: the conv, then one BN+activation
+    node that normalises in place in the conv's fresh output. So a block keeps
+    two arrays of its output's size for backward: the normalised input and the
+    activation's output. In eval without gradients, BN's running-stat affine
+    and the activation run in place on the conv's fresh output: no BN array,
+    no BN or activation node. Each element takes the float32 steps of
+    act(bn(conv(x))) in order, so the output is bit-identical.
     """
 
     def __init__(self, c1: int, c2: int, k: int = 1, s: int = 1, p: int | None = None,
@@ -228,19 +229,17 @@ class ConvBnAct(Module):
         super().__init__()
         self.conv = Conv2d(c1, c2, k, s, p, g, bias=False, rng=rng)
         self.bn = BatchNorm2d(c2)
-        self.act = activation(act)
+        self.act, self.act_name = activation(act), act
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training or _tensor._grad_enabled:
-            return self.act(self.bn(self.conv(x)))
         y, bn = self.conv(x), self.bn
+        if self.training or _tensor._grad_enabled:
+            return bn.with_act(y, self.act_name)
         _, scale, shift = _tensor.bn_eval_affine(bn.weight.data, bn.bias.data,
                                                  bn.running_mean.data, bn.running_var.data)
         y.data *= scale.reshape(1, -1, 1, 1)
         y.data += shift.reshape(1, -1, 1, 1)
-        if self.act is not mish:
-            return self.act(y)
-        np.multiply(y.data, _tensor._mish_parts(y.data)[1], out=y.data)
+        ACT_PAIRS[self.act_name][0](y.data, y.data)
         return y
 
 

@@ -7,8 +7,10 @@ elementwise two-input ops through _binary. A closure never refers to its own
 output, so a graph holds no reference cycles and is freed as soon as its last
 reference goes.
 backward() walks the DAG once in reverse topological order. Arrays are float32 by
-default; float64 is used by grad_check. No views are mutated in place after they
-enter a graph.
+default; float64 is used by grad_check. No array is mutated in place after it
+enters a graph, with one exception: batch_norm given an activation normalises
+into its input's buffer. Its input is a conv's fresh output, which nothing else
+reads: the conv's backward reads the conv's input and weight, never its output.
 """
 from __future__ import annotations
 
@@ -56,8 +58,8 @@ def count_flops():
         _flops = prev
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
+def _as_array(data) -> np.ndarray:
+    arr = np.asarray(data)
     if arr.dtype not in _FLOATS:
         arr = arr.astype(np.float32)
     return arr
@@ -79,10 +81,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = _as_array(data, dtype)
+        self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -260,27 +262,13 @@ class Tensor:
     def leaky_relu(self, slope: float = 0.01):
         if not 0 < slope <= 1:  # the slopes for which max(a, slope * a) is leaky relu
             raise ValueError(f"leaky_relu: slope {slope} is outside (0, 1]")
-        a = self.data
-        return _unary(self, np.maximum(a, slope * a), "leaky_relu",
-                      lambda g: g * np.maximum(a > 0, slope, dtype=a.dtype))
+        return _act(self, _leaky_relu(slope), "leaky_relu")
 
     def relu(self):
-        a = self.data  # max(a, 0), not max(a, 0 * a): 0 * inf is NaN
-        return _unary(self, np.maximum(a, 0), "relu", lambda g: g * (a > 0))
+        return activate(self, "relu")
 
     def gelu(self):
-        # tanh form; derivative matches this exact forward expression
-        x = self.data
-        c = float(np.sqrt(2.0 / np.pi))
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-
-        def grad_fn(g):
-            dinner = c * (1.0 + 3 * 0.044715 * x * x)
-            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            return g * d.astype(x.dtype)
-
-        return _unary(self, (0.5 * x * (1.0 + t)).astype(x.dtype), "gelu", grad_fn)
+        return activate(self, "gelu")
 
     def maximum(self, other):
         return _binary(self, other, np.maximum,
@@ -462,26 +450,93 @@ def _mish_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.divide(n, t, out=t)
 
 
+# ---- activations: one array-level pair each ----
+#
+# f(x, out) writes the activation of x into out, which may be x itself, and
+# returns it; df(x, g) is the gradient it sends back to x given g at its
+# output, recomputed from x alone. The Tensor op (`activate`), the training
+# BN+activation node (`batch_norm`) and ConvBnAct's eval epilogue all run the
+# same pair, so each takes the same float32 steps.
+
+
+def _mish(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.multiply(x, _mish_parts(x)[1], out=out)
+
+
+def _mish_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # d/dx = t + x (1 - t^2) sigmoid(x), and sigmoid(x) = e/(1+e)
+    e, t = _mish_parts(x)
+    sig = e + 1.0
+    np.divide(e, sig, out=sig)
+    d = np.multiply(t, t, out=e)
+    np.subtract(1.0, d, out=d)
+    d *= x
+    d *= sig
+    d += t
+    d *= g
+    return d
+
+
+def _hswish(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.multiply(x, np.clip(x + 3.0, 0.0, 6.0), out=out)
+    out *= 1.0 / 6.0
+    return out
+
+
+def _hswish_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # the steps of backward through x * clamp(x + 3, 0, 6) * (1/6) as three nodes
+    a = x + 3.0
+    g = g * (1.0 / 6.0)
+    return g * np.clip(a, 0.0, 6.0) + g * x * ((a >= 0.0) & (a <= 6.0))
+
+
+def _leaky_relu(slope: float):
+    return (lambda x, out: np.maximum(x, slope * x, out=out),
+            lambda x, g: g * np.maximum(x > 0, slope, dtype=x.dtype))
+
+
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    # GELU's tanh form; _gelu_grad differentiates this exact expression
+    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+
+
+def _gelu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.multiply(0.5 * x, 1.0 + _gelu_tanh(x), out=out)
+
+
+def _gelu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    t = _gelu_tanh(x)
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (_GELU_C * (1.0 + 3 * 0.044715 * x * x))
+    return g * d.astype(x.dtype)
+
+
+ACT_PAIRS = {
+    "mish": (_mish, _mish_grad),
+    # max(x, 0), not max(x, 0 * x): 0 * inf is NaN
+    "relu": (lambda x, out: np.maximum(x, 0, out=out), lambda x, g: g * (x > 0)),
+    "hswish": (_hswish, _hswish_grad),
+    "leakyrelu": _leaky_relu(0.01),
+    "gelu": (_gelu, _gelu_grad),
+}
+
+
+def _act(x: Tensor, pair, op: str) -> Tensor:
+    f, df = pair
+    xd = x.data
+    return _unary(x, f(xd, np.empty_like(xd)), op, lambda g: df(xd, g))
+
+
+def activate(x: Tensor, name: str) -> Tensor:
+    """The activation `name` of ACT_PAIRS as one node; backward keeps only x."""
+    return _act(x, ACT_PAIRS[name], name)
+
+
 def mish(x: Tensor) -> Tensor:
     """x * tanh(softplus(x)); backward recomputes its parts from x and keeps nothing."""
-    xd = x.data
-    _, y = _mish_parts(xd)
-    y *= xd
-
-    def grad_fn(grad):
-        # d/dx = t + x (1 - t^2) sigmoid(x), and sigmoid(x) = e/(1+e)
-        e, t = _mish_parts(xd)
-        sig = e + 1.0
-        np.divide(e, sig, out=sig)
-        g = np.multiply(t, t, out=e)
-        np.subtract(1.0, g, out=g)
-        g *= xd
-        g *= sig
-        g += t
-        g *= grad
-        return g
-
-    return _unary(x, y, "mish", grad_fn)
+    return activate(x, "mish")
 
 
 BN_EPS = 1e-5  # added to every BatchNorm variance, in training and eval
@@ -495,42 +550,54 @@ def bn_eval_affine(w: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarr
     return std, scale, b - mean * scale
 
 
-def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, mean: np.ndarray | None = None,
-               var: np.ndarray | None = None):
-    """Normalise NCHW `x` per channel, then scale by `weight` and shift by `bias`.
+def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, act: str | None,
+               mean: np.ndarray | None = None, var: np.ndarray | None = None):
+    """Normalise NCHW `x` per channel, scale by `weight`, shift by `bias`, then
+    apply the activation `act` of ACT_PAIRS (None: none).
 
     Without `mean` and `var` (training), the statistics are the batch's own over
     (N, H, W), with the biased variance, and backward keeps only the normalised
-    input. Given them (eval), each element costs one multiply-add. Returns
-    (out, mean, var), the statistics as 1-D per-channel arrays.
+    input. An activation joins the same node, which then normalises in place in
+    x's buffer, so x must be a fresh array that nothing else reads (a conv's
+    output); backward recomputes the activation's input with the forward's
+    steps. Given `mean` and `var` (eval), each element costs one multiply-add,
+    and the activation is a node of its own. Returns (out, mean, var), the
+    statistics as 1-D per-channel arrays.
     """
     xd, w = x.data, weight.data
     cshape = (1, xd.shape[1], 1, 1)
     axes = (0, 2, 3)
     inv_n = 1.0 / (xd.size // xd.shape[1])
-    if mean is None:
+    train = mean is None
+    fused = train and act is not None
+    if train:
         mean = xd.sum(axis=axes) * inv_n
-        xhat = xd - mean.reshape(cshape)
+        xhat = np.subtract(xd, mean.reshape(cshape), out=xd if fused else None)
         y = np.square(xhat)
         var = y.sum(axis=axes) * inv_n
         std = (var + BN_EPS) ** 0.5
         xhat /= std.reshape(cshape)
         np.multiply(xhat, w.reshape(cshape), out=y)
         y += bias.data.reshape(cshape)
+        if fused:
+            f, df = ACT_PAIRS[act]
+            f(y, y)
     else:
         std, scale, shift = bn_eval_affine(w, bias.data, mean, var)
         y = xd * scale.reshape(cshape)
         y += shift.reshape(cshape)
-        xhat = None
-    out = _node(y, (x, weight, bias), "batch_norm")
+    out = _node(y, (x, weight, bias), "batch_norm_act" if fused else "batch_norm")
     if out.requires_grad:
-        train = xhat is not None
-
         def _bw(g):
+            z = None
+            if fused:  # the activation's input, then its buffer holds g * xhat
+                z = np.multiply(xhat, w.reshape(cshape))
+                z += bias.data.reshape(cshape)
+                g = df(z, g)
             xh = xhat if train else (xd - mean.reshape(cshape)) / std.reshape(cshape)
             scale = (w / std).reshape(cshape)
             gb = g.sum(axis=axes)
-            gx = g * xh
+            gx = np.multiply(g, xh, out=z)
             gw = gx.sum(axis=axes)
             _accum(bias, gb.astype(bias.data.dtype, copy=False))
             _accum(weight, gw.astype(w.dtype, copy=False))
@@ -545,6 +612,8 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, mean: np.ndarray | None 
             _accum(x, gx.astype(xd.dtype, copy=False))
 
         out._backward = _bw
+    if act is not None and not train:
+        out = activate(out, act)
     return out, mean, var
 
 

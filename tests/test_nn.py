@@ -1,24 +1,30 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lightdet.nn import (
     ACTIVATIONS, BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm,
-    Linear, SPPF, activation, channel_shuffle, hswish, make_divisible, mish,
+    Linear, SPPF, activation, channel_shuffle, make_divisible,
 )
-from lightdet.tensor import BN_MOMENTUM, Tensor, count_flops, grad_check, no_grad, toposort
+from lightdet.tensor import BN_MOMENTUM, Tensor, count_flops, grad_check, mish, no_grad, toposort
 
 from helpers import cast_f64, counted_flops, with_bn_stats
+
+# bitwise references: activations as built from several Tensor ops before each
+# became one array-level pair
+OLD_COMPOSITES = {"hswish": lambda t: t * (t + 3.0).clamp(0.0, 6.0) * (1.0 / 6.0)}
 
 
 class TestActivations:
     def test_hswish_hand_values(self):
         x = Tensor(np.array([-4.0, -3.0, 0.0, 1.0, 3.0, 4.0]))
-        y = hswish(x).numpy()
+        y = ACTIVATIONS["hswish"](x).numpy()
         assert np.allclose(y, [0.0, 0.0, 0.0, 4.0 / 6.0, 3.0, 4.0], atol=1e-6)
 
     def test_mish_matches_reference_formula(self, rng):
         x = rng.standard_normal(32) * 3
-        got = mish(Tensor(x, dtype=np.float64)).numpy()
+        got = mish(Tensor(x)).numpy()
         want = x * np.tanh(np.log1p(np.exp(x)))
         assert np.allclose(got, want, atol=1e-9)
 
@@ -189,15 +195,64 @@ class TestModules:
         assert y.data.tobytes() == want.data.tobytes()
         assert x.data.tobytes() == x_before.tobytes()
 
-    @pytest.mark.parametrize("act", ["mish", "hswish", "leakyrelu"])
+    @pytest.mark.parametrize("act", ["mish", "hswish", "leakyrelu", "relu"])
     @pytest.mark.parametrize("training", [False, True])
-    def test_convbnact_with_grad_builds_the_composite(self, act, training, rng):
+    def test_convbnact_with_grad_is_one_bn_act_node_in_training(self, act, training, rng):
         m = with_bn_stats(ConvBnAct(4, 8, 3, act=act, rng=rng), rng).train(training)
         x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32), requires_grad=True)
-        got = [t._op for t in toposort(m(x))]
-        want = [t._op for t in toposort(m.act(m.bn(m.conv(x))))]
-        assert got == want
-        assert "batch_norm" in got
+        got = [t._op for t in toposort(m(x)) if t._prev]
+        if training:
+            assert got == ["conv2d", "batch_norm_act"]
+        else:  # eval keeps BN and the activation apart
+            assert got == ["conv2d", "batch_norm", act]
+
+    @pytest.mark.parametrize("act", ["mish", "relu", "hswish", "leakyrelu", "gelu"])
+    def test_training_node_equals_the_three_node_composite_bit_for_bit(self, act):
+        def block():
+            m = ConvBnAct(4, 8, 3, act=act, rng=np.random.default_rng(6))
+            return with_bn_stats(m, np.random.default_rng(7))
+
+        fused, ref = block(), block()
+        old_act = OLD_COMPOSITES.get(act, ref.act)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+        r = Tensor(rng.standard_normal((2, 8, 6, 6)).astype(np.float32))
+        xf, xc = Tensor(x, requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        yf, yc = fused(xf), old_act(ref.bn(ref.conv(xc)))
+        assert yf.dtype == np.float32 and yf.data.tobytes() == yc.data.tobytes()
+        (yf * r).sum().backward()
+        (yc * r).sum().backward()
+        for a, b in zip([xf] + fused.parameters(), [xc] + ref.parameters()):
+            assert a.grad.dtype == np.float32 and a.grad.tobytes() == b.grad.tobytes()
+        for (_, a), (_, b) in zip(fused.named_buffers(), ref.named_buffers()):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_hswish_equals_its_old_three_node_form_bit_for_bit(self, dt, rng):
+        x = np.concatenate([np.linspace(-4.0, 4.0, 17), rng.standard_normal(40) * 4]).astype(dt)
+        g = rng.standard_normal(x.shape).astype(dt)
+        xf, xc = Tensor(x, requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        yf, yc = ACTIVATIONS["hswish"](xf), OLD_COMPOSITES["hswish"](xc)
+        assert yf.data.tobytes() == yc.data.tobytes()
+        (yf * Tensor(g)).sum().backward()
+        (yc * Tensor(g)).sum().backward()
+        assert xf.grad.dtype == dt and xf.grad.tobytes() == xc.grad.tobytes()
+
+    def test_training_block_keeps_two_arrays_of_its_output_size(self):
+        # the normalised input and the activation's output; three nodes (conv,
+        # BN, activation) would also keep the conv's and BN's outputs: four
+        rng = np.random.default_rng(8)
+        m = ConvBnAct(8, 16, 3, rng=rng)
+        x = Tensor(rng.standard_normal((2, 8, 64, 64)).astype(np.float32), requires_grad=True)
+        out_bytes = 2 * 16 * 64 * 64 * 4
+        tracemalloc.start()
+        try:
+            y = m(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (2, 16, 64, 64)
+        assert held < 2.5 * out_bytes, f"{held / out_bytes:.2f} output-sized arrays held"
 
     def test_convbnact_training_without_grad_updates_running_stats(self, rng):
         m = with_bn_stats(ConvBnAct(4, 8, 3, act="mish", rng=rng), rng)

@@ -6,7 +6,7 @@ from helpers import count_defaulted_params
 
 # A parameter that no caller passes is an option nobody uses. A change that
 # needs a new defaulted parameter raises this number and names the caller.
-MAX_DEFAULTED_PARAMS = 111
+MAX_DEFAULTED_PARAMS = 109
 
 
 def test_defaulted_parameters_do_not_grow():

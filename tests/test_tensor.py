@@ -39,12 +39,12 @@ class TestForward:
     def test_matmul_against_loop_oracle(self, rng):
         a = rng.standard_normal((7, 5))
         b = rng.standard_normal((5, 9))
-        got = (Tensor(a, dtype=np.float64) @ Tensor(b, dtype=np.float64)).numpy()
+        got = (Tensor(a) @ Tensor(b)).numpy()
         want = matmul_loops(a, b)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_softmax_hand_case(self):
-        x = Tensor(np.array([0.0, np.log(3.0)]), dtype=np.float64)
+        x = Tensor(np.array([0.0, np.log(3.0)]))
         s = x.softmax(axis=-1).numpy()
         assert np.allclose(s, [0.25, 0.75], atol=1e-12)
 
@@ -72,7 +72,7 @@ class TestForward:
     def test_dtype_default_and_promotion(self):
         a = Tensor([1, 2, 3])
         assert a.dtype == np.float32
-        b = Tensor([1.0, 2.0, 3.0], dtype=np.float64)
+        b = Tensor(np.array([1.0, 2.0, 3.0]))
         assert (a + b).dtype == np.float64
 
     def test_broadcast_add_shapes(self, rng):
@@ -241,7 +241,7 @@ class TestBackward:
         gc.disable()
         try:
             y = conv2d(x, w, padding=1, groups=4)
-            y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)))[0]
+            y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)), None)[0]
             y = upsample_nearest2x(max_pool2d(mish(y), 2, padding=1))
             y = concat([y.sigmoid(), y.softplus(), y.tanh(), y.gelu(), y.leaky_relu(0.1)], axis=1)
             y = (y.exp() - y) ** 2 / (y.abs() + 1.0)
@@ -264,7 +264,7 @@ class TestBackward:
             y = mish(conv2d(x, w1))
             y = batch_norm(conv2d(y, wd, padding=1, groups=8),
                            Tensor(np.ones(8, np.float32), requires_grad=True),
-                           Tensor(np.zeros(8, np.float32), requires_grad=True))[0]
+                           Tensor(np.zeros(8, np.float32), requires_grad=True), None)[0]
             y = conv2d(y + y.gelu(), w2, b2, stride=2, padding=1)
             return (y * y).mean()
 
@@ -450,11 +450,11 @@ class TestFusedLayers:
     def test_batch_norm_returns_the_statistics_it_used(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4, 4)))
         w, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
-        _, mean, var = batch_norm(x, w, b)
+        _, mean, var = batch_norm(x, w, b, None)
         assert np.allclose(mean, x.numpy().mean(axis=(0, 2, 3)), atol=1e-12)
         assert np.allclose(var, x.numpy().var(axis=(0, 2, 3)), atol=1e-12)
         rm, rv = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
-        y, mean, var = batch_norm(x, w, b, rm, rv)
+        y, mean, var = batch_norm(x, w, b, None, rm, rv)
         assert mean is rm and var is rv
         assert np.allclose(y.numpy(), (x.numpy() - rm.reshape(1, 3, 1, 1))
                            / np.sqrt(rv + BN_EPS).reshape(1, 3, 1, 1), atol=1e-12)
@@ -502,8 +502,7 @@ class TestSpatial:
         x = rng.standard_normal((2, 3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        out = conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
-                     Tensor(b, dtype=np.float64), stride=2, padding=1).numpy()
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1).numpy()
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         want = np.zeros_like(out)
         for n in range(2):
@@ -517,8 +516,7 @@ class TestSpatial:
     def test_grouped_conv_matches_per_group_loops(self, rng):
         x = rng.standard_normal((1, 4, 5, 5))
         w = rng.standard_normal((6, 2, 3, 3))  # groups=2: 2 in-ch per group
-        out = conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
-                     padding=1, groups=2).numpy()
+        out = conv2d(Tensor(x), Tensor(w), padding=1, groups=2).numpy()
         want = np.zeros_like(out)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         for co in range(6):
@@ -572,7 +570,7 @@ class TestSpatial:
 
         # the padding never wins, even over an all-negative input
         xn = -np.abs(rng.standard_normal((1, 2, 5, 5)))
-        got = max_pool2d(Tensor(xn, dtype=np.float64), 3, 2, padding=1).numpy()
+        got = max_pool2d(Tensor(xn), 3, 2, padding=1).numpy()
         for i in range(3):
             for j in range(3):
                 win = xn[..., max(2 * i - 1, 0):2 * i + 2, max(2 * j - 1, 0):2 * j + 2]
@@ -628,7 +626,7 @@ class TestSpatial:
 
     def test_upsample_nearest_and_grad(self, rng):
         x = rng.standard_normal((1, 2, 3, 3))
-        up = upsample_nearest2x(Tensor(x, dtype=np.float64)).numpy()
+        up = upsample_nearest2x(Tensor(x)).numpy()
         assert up.shape == (1, 2, 6, 6)
         assert np.allclose(up[0, 0, ::2, ::2], x[0, 0])
         assert np.allclose(up[0, 0, 1::2, ::2], x[0, 0])
