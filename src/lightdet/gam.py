@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import Conv2d, ConvBnAct, Linear, Module
-from .tensor import Tensor
+from .tensor import Tensor, activate
 
 
 class GAM(Module):
@@ -31,7 +31,7 @@ class GAM(Module):
     def channel_gate(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
         t = x.transpose(0, 2, 3, 1)
-        t = self.fc2(self.fc1(t).relu()).sigmoid()
+        t = self.fc2(activate(self.fc1(t), "relu")).sigmoid()
         return t.transpose(0, 3, 1, 2)
 
     def spatial_gate(self, x: Tensor) -> Tensor:

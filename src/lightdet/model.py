@@ -200,11 +200,12 @@ def build_model(kind: str, **kw) -> DetectorModel:
 ANCHOR_RATIO_THR = 4.0  # largest w or h ratio, either way, between a box and its anchor
 
 
-def assign_targets(targets: list[np.ndarray], detect: Detect, img_size: int,
+def assign_targets(targets: list[np.ndarray], anchors: list[np.ndarray],
                    grids: list[tuple[int, int]]):
     """Anchor/cell assignment per level.
 
     targets: per image, (n, 5) rows of (class, cx, cy, w, h) normalized to [0,1].
+    anchors: per level, the (3, 2) anchor sizes in grid units.
     A box lands in its center cell plus the two nearest neighbor cells, on every
     anchor whose w/h ratio to the box is within ANCHOR_RATIO_THR in both
     directions. Boxes with a zero (or negative) width or height are skipped.
@@ -222,11 +223,10 @@ def assign_targets(targets: list[np.ndarray], detect: Detect, img_size: int,
     sized = (rows[:, 3] > 0) & (rows[:, 4] > 0)
     rows, img = rows[sized], img[sized]
     out = []
-    for lvl, (gh, gw) in enumerate(grids):
-        anchors = detect.anchors[lvl] / (img_size / gh)  # grid units
+    for (gh, gw), lvl_anchors in zip(grids, anchors):
         size = np.array([gw, gh])
         gxy, twh = rows[:, 1:3] * size, rows[:, 3:5] * size
-        ratio = twh[:, None, :] / anchors  # (T, anchor, w/h)
+        ratio = twh[:, None, :] / lvl_anchors  # (T, anchor, w/h)
         fits = np.maximum(ratio, 1.0 / ratio).max(axis=2) < ANCHOR_RATIO_THR
         center = np.minimum(gxy.astype(np.int64), size - 1)
         step = np.where(gxy - center < 0.5, -1, 1)
@@ -280,14 +280,15 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
     """
     nc, no = detect.nc, detect.no
     grids = [(p.shape[2], p.shape[3]) for p in preds]
-    assigned = assign_targets(targets, detect, img_size, grids)
+    # grid-unit anchors: the one copy that both the assignment and the box scale read
+    anchors = [detect.anchors[lvl].astype(np.float64) / (img_size / gh)
+               for lvl, (gh, _) in enumerate(grids)]
+    assigned = assign_targets(targets, anchors, grids)
     zero = Tensor(np.zeros((), preds[0].dtype))
     lbox, lobj, lcls = zero, zero, zero
     n_matched = 0
     for lvl, (p, (b, a, gj, gi, tbox, tcls)) in enumerate(zip(preds, assigned)):
         n, _, gh, gw = p.shape
-        stride = img_size / gh
-        anchors_grid = detect.anchors[lvl].astype(np.float64) / stride
         pr = p.reshape(n, 3, no, gh, gw).transpose(0, 1, 3, 4, 2)  # N,3,H,W,no
         pobj = pr[..., 4]
         obj_sum = pobj.softplus().sum()
@@ -295,7 +296,7 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
             n_matched += b.size
             pm = pr[b, a, gj, gi]  # (M, no); duplicates accumulate in backward
             pxy = pm[:, 0:2].sigmoid() * 2.0 - 0.5
-            pwh = (pm[:, 2:4].sigmoid() * 2.0) ** 2 * Tensor(anchors_grid[a])
+            pwh = (pm[:, 2:4].sigmoid() * 2.0) ** 2 * Tensor(anchors[lvl][a])
             pbox = concat([pxy, pwh], axis=1)
             tb = Tensor(tbox)
             lbox = lbox + box_loss(box_kind, pbox, tb).mean()

@@ -1,5 +1,5 @@
-"""Layer zoo: modules with parameters, activations and norms, and the blocks
-the graphs are built from. C3 over Bottlenecks is the one cross-stage block:
+"""Layer zoo: modules with parameters and norms, and the blocks the graphs are
+built from. C3 over Bottlenecks is the one cross-stage block:
 plain in the trunk and the baseline neck, separable (DSSConv) and GAM-gated in
 the light neck.
 
@@ -9,14 +9,12 @@ the built model.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from . import tensor as _tensor
-from .tensor import (ACT_PAIRS, Tensor, activate, batch_norm, concat, conv2d, max_pool2d,
-                     upsample_nearest2x)
+from .tensor import ACT_PAIRS, Tensor, batch_norm, concat, conv2d, max_pool2d, upsample_nearest2x
 
 
 def make_divisible(x: float) -> int:
@@ -25,19 +23,6 @@ def make_divisible(x: float) -> int:
 
 def autopad(k: int) -> int:
     return k // 2
-
-
-# ---- activations ----
-
-
-ACTIVATIONS = {name: functools.partial(activate, name=name) for name in ACT_PAIRS}
-
-
-def activation(name: str):
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}") from None
 
 
 # ---- module base ----
@@ -157,17 +142,24 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", Tensor(np.zeros(c, np.float32)))
         self.register_buffer("running_var", Tensor(np.ones(c, np.float32)))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.with_act(x, None)
-
-    def with_act(self, x: Tensor, act: str | None) -> Tensor:
-        """BN, then the activation `act` (None: none), through `tensor.batch_norm`.
-        In training with an activation, x's buffer becomes the normalised input."""
+    def forward(self, x: Tensor, act: str) -> Tensor:
+        """BN, then the activation `act` of ACT_PAIRS, in place in x's buffer, so
+        x must be a fresh array that nothing else reads (a conv's output). In
+        training this is `tensor.batch_norm`'s node, and the running stats take
+        in the batch's. In eval it is the running-stat scale and shift, then the
+        activation, with no node: an input that requires grad is refused."""
         if x.ndim != 4:
             raise ValueError("BatchNorm2d expects NCHW")
         if not self.training:
-            return batch_norm(x, self.weight, self.bias, act, self.running_mean.data,
-                              self.running_var.data)[0]
+            if x.requires_grad:
+                raise ValueError("BatchNorm2d in eval has no backward: run it under no_grad()")
+            std = (self.running_var.data + _tensor.BN_EPS) ** 0.5
+            scale = self.weight.data / std
+            shift = self.bias.data - self.running_mean.data * scale
+            x.data *= scale.reshape(1, -1, 1, 1)
+            x.data += shift.reshape(1, -1, 1, 1)
+            ACT_PAIRS[act][0](x.data, x.data)
+            return x
         y, mu, var = batch_norm(x, self.weight, self.bias, act)
         n = x.size // x.shape[1]
         with np.errstate(all="ignore"):
@@ -215,32 +207,25 @@ class Linear(Module):
 class ConvBnAct(Module):
     """Conv -> BN -> activation, the detector's standard building block.
 
-    In training a block is two graph nodes: the conv, then one BN+activation
-    node that normalises in place in the conv's fresh output. So a block keeps
+    `act` names the activation in `tensor.ACT_PAIRS`. BN and the activation run
+    in place on the conv's fresh output (`BatchNorm2d.forward`). In training a
+    block is two graph nodes, the conv and one BN+activation node, and keeps
     two arrays of its output's size for backward: the normalised input and the
-    activation's output. In eval without gradients, BN's running-stat affine
-    and the activation run in place on the conv's fresh output: no BN array,
-    no BN or activation node. Each element takes the float32 steps of
-    act(bn(conv(x))) in order, so the output is bit-identical.
+    activation's output. In eval, under `no_grad()`, it makes no node beyond
+    the conv and no array beyond the conv's output.
     """
 
     def __init__(self, c1: int, c2: int, k: int = 1, s: int = 1, p: int | None = None,
                  g: int = 1, act: str = "mish", rng: np.random.Generator | None = None):
         super().__init__()
+        if act not in ACT_PAIRS:
+            raise ValueError(f"unknown activation {act!r}; choose from {sorted(ACT_PAIRS)}")
         self.conv = Conv2d(c1, c2, k, s, p, g, bias=False, rng=rng)
         self.bn = BatchNorm2d(c2)
-        self.act, self.act_name = activation(act), act
+        self.act = act
 
     def forward(self, x: Tensor) -> Tensor:
-        y, bn = self.conv(x), self.bn
-        if self.training or _tensor._grad_enabled:
-            return bn.with_act(y, self.act_name)
-        _, scale, shift = _tensor.bn_eval_affine(bn.weight.data, bn.bias.data,
-                                                 bn.running_mean.data, bn.running_var.data)
-        y.data *= scale.reshape(1, -1, 1, 1)
-        y.data += shift.reshape(1, -1, 1, 1)
-        ACT_PAIRS[self.act_name][0](y.data, y.data)
-        return y
+        return self.bn(self.conv(x), self.act)
 
 
 def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .nn import LayerNorm, Linear, Module
-from .tensor import Tensor, concat
+from .tensor import Tensor, activate, concat
 
 
 WINDOW_TARGET = 7  # the largest window side pick_window_size returns
@@ -86,7 +86,7 @@ class SepViTBlock(Module):
     # stage two: windows attend to each other; values are whole pixel groups
     def cross_window_attention(self, fpix: Tensor, wt: Tensor, return_attn: bool = False):
         n, nw, t, d = fpix.shape
-        g = self.norm_token(wt).gelu()
+        g = activate(self.norm_token(wt), "gelu")
         q = self.wq(g).reshape(n, nw, d)
         k = self.wk(g).reshape(n, nw, d)
         attn = ((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d))).softmax(axis=-1)
@@ -102,5 +102,5 @@ class SepViTBlock(Module):
         f = window_partition(x, ws)
         fpix, wt = self.window_attention(f)
         fhat = self.cross_window_attention(fpix, wt) + f
-        y = self.fc2(self.fc1(self.norm2(fhat)).gelu()) + fhat
+        y = self.fc2(activate(self.fc1(self.norm2(fhat)), "gelu")) + fhat
         return window_merge(y, ws, h, w)

@@ -8,9 +8,11 @@ output, so a graph holds no reference cycles and is freed as soon as its last
 reference goes.
 backward() walks the DAG once in reverse topological order. Arrays are float32 by
 default; float64 is used by grad_check. No array is mutated in place after it
-enters a graph, with one exception: batch_norm given an activation normalises
-into its input's buffer. Its input is a conv's fresh output, which nothing else
-reads: the conv's backward reads the conv's input and weight, never its output.
+enters a graph, with one exception: batch_norm normalises into its input's
+buffer. Its input is a conv's fresh output, which nothing else reads: the
+conv's backward reads the conv's input and weight, never its output. In eval,
+nn.BatchNorm2d also works in place in the conv's output, but only on an input
+that needs no gradient: it refuses one that does, so it never edits a graph.
 """
 from __future__ import annotations
 
@@ -259,17 +261,6 @@ class Tensor:
 
         return _unary(self, np.clip(a, lo, hi), "clamp", grad_fn)
 
-    def leaky_relu(self, slope: float = 0.01):
-        if not 0 < slope <= 1:  # the slopes for which max(a, slope * a) is leaky relu
-            raise ValueError(f"leaky_relu: slope {slope} is outside (0, 1]")
-        return _act(self, _leaky_relu(slope), "leaky_relu")
-
-    def relu(self):
-        return activate(self, "relu")
-
-    def gelu(self):
-        return activate(self, "gelu")
-
     def maximum(self, other):
         return _binary(self, other, np.maximum,
                        lambda a, b, g: (g * (a >= b), g * (a < b)), "maximum")
@@ -455,8 +446,8 @@ def _mish_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # f(x, out) writes the activation of x into out, which may be x itself, and
 # returns it; df(x, g) is the gradient it sends back to x given g at its
 # output, recomputed from x alone. The Tensor op (`activate`), the training
-# BN+activation node (`batch_norm`) and ConvBnAct's eval epilogue all run the
-# same pair, so each takes the same float32 steps.
+# BN+activation node (`batch_norm`) and BatchNorm2d's in-place eval forward all
+# run the same pair, so each takes the same float32 steps.
 
 
 def _mish(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -490,11 +481,6 @@ def _hswish_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * np.clip(a, 0.0, 6.0) + g * x * ((a >= 0.0) & (a <= 6.0))
 
 
-def _leaky_relu(slope: float):
-    return (lambda x, out: np.maximum(x, slope * x, out=out),
-            lambda x, g: g * np.maximum(x > 0, slope, dtype=x.dtype))
-
-
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
@@ -518,102 +504,65 @@ ACT_PAIRS = {
     # max(x, 0), not max(x, 0 * x): 0 * inf is NaN
     "relu": (lambda x, out: np.maximum(x, 0, out=out), lambda x, g: g * (x > 0)),
     "hswish": (_hswish, _hswish_grad),
-    "leakyrelu": _leaky_relu(0.01),
+    "leakyrelu": (lambda x, out: np.maximum(x, 0.01 * x, out=out),
+                  lambda x, g: g * np.maximum(x > 0, 0.01, dtype=x.dtype)),
     "gelu": (_gelu, _gelu_grad),
 }
 
 
-def _act(x: Tensor, pair, op: str) -> Tensor:
-    f, df = pair
-    xd = x.data
-    return _unary(x, f(xd, np.empty_like(xd)), op, lambda g: df(xd, g))
-
-
 def activate(x: Tensor, name: str) -> Tensor:
     """The activation `name` of ACT_PAIRS as one node; backward keeps only x."""
-    return _act(x, ACT_PAIRS[name], name)
-
-
-def mish(x: Tensor) -> Tensor:
-    """x * tanh(softplus(x)); backward recomputes its parts from x and keeps nothing."""
-    return activate(x, "mish")
+    f, df = ACT_PAIRS[name]
+    xd = x.data
+    return _unary(x, f(xd, np.empty_like(xd)), name, lambda g: df(xd, g))
 
 
 BN_EPS = 1e-5  # added to every BatchNorm variance, in training and eval
 BN_MOMENTUM = 0.03  # weight of each training batch in BatchNorm2d's running stats
 
 
-def bn_eval_affine(w: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray):
-    """Eval BatchNorm as x * scale + shift per channel: 1-D (std, scale, shift)."""
-    std = (var + BN_EPS) ** 0.5
-    scale = w / std
-    return std, scale, b - mean * scale
-
-
-def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, act: str | None,
-               mean: np.ndarray | None = None, var: np.ndarray | None = None):
-    """Normalise NCHW `x` per channel, scale by `weight`, shift by `bias`, then
-    apply the activation `act` of ACT_PAIRS (None: none).
-
-    Without `mean` and `var` (training), the statistics are the batch's own over
-    (N, H, W), with the biased variance, and backward keeps only the normalised
-    input. An activation joins the same node, which then normalises in place in
-    x's buffer, so x must be a fresh array that nothing else reads (a conv's
-    output); backward recomputes the activation's input with the forward's
-    steps. Given `mean` and `var` (eval), each element costs one multiply-add,
-    and the activation is a node of its own. Returns (out, mean, var), the
-    statistics as 1-D per-channel arrays.
+def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, act: str):
+    """Training BatchNorm of NCHW `x` and the activation `act` of ACT_PAIRS as
+    one node: the batch's own statistics over (N, H, W), biased variance, then
+    `weight` and `bias` per channel. It normalises in place in x's buffer, so x
+    must be a fresh array that nothing else reads (a conv's output). Backward
+    keeps only that normalised input and recomputes the activation's input from
+    it. Returns (out, mean, var), the statistics as 1-D per-channel arrays.
     """
     xd, w = x.data, weight.data
     cshape = (1, xd.shape[1], 1, 1)
     axes = (0, 2, 3)
     inv_n = 1.0 / (xd.size // xd.shape[1])
-    train = mean is None
-    fused = train and act is not None
-    if train:
-        mean = xd.sum(axis=axes) * inv_n
-        xhat = np.subtract(xd, mean.reshape(cshape), out=xd if fused else None)
-        y = np.square(xhat)
-        var = y.sum(axis=axes) * inv_n
-        std = (var + BN_EPS) ** 0.5
-        xhat /= std.reshape(cshape)
-        np.multiply(xhat, w.reshape(cshape), out=y)
-        y += bias.data.reshape(cshape)
-        if fused:
-            f, df = ACT_PAIRS[act]
-            f(y, y)
-    else:
-        std, scale, shift = bn_eval_affine(w, bias.data, mean, var)
-        y = xd * scale.reshape(cshape)
-        y += shift.reshape(cshape)
-    out = _node(y, (x, weight, bias), "batch_norm_act" if fused else "batch_norm")
+    f, df = ACT_PAIRS[act]
+    mean = xd.sum(axis=axes) * inv_n
+    xhat = np.subtract(xd, mean.reshape(cshape), out=xd)
+    y = np.square(xhat)
+    var = y.sum(axis=axes) * inv_n
+    std = (var + BN_EPS) ** 0.5
+    xhat /= std.reshape(cshape)
+    np.multiply(xhat, w.reshape(cshape), out=y)
+    y += bias.data.reshape(cshape)
+    f(y, y)
+    out = _node(y, (x, weight, bias), "batch_norm_act")
     if out.requires_grad:
         def _bw(g):
-            z = None
-            if fused:  # the activation's input, then its buffer holds g * xhat
-                z = np.multiply(xhat, w.reshape(cshape))
-                z += bias.data.reshape(cshape)
-                g = df(z, g)
-            xh = xhat if train else (xd - mean.reshape(cshape)) / std.reshape(cshape)
-            scale = (w / std).reshape(cshape)
+            # the activation's input, then its buffer holds g * xhat
+            z = np.multiply(xhat, w.reshape(cshape))
+            z += bias.data.reshape(cshape)
+            g = df(z, g)
             gb = g.sum(axis=axes)
-            gx = np.multiply(g, xh, out=z)
+            gx = np.multiply(g, xhat, out=z)
             gw = gx.sum(axis=axes)
             _accum(bias, gb.astype(bias.data.dtype, copy=False))
             _accum(weight, gw.astype(w.dtype, copy=False))
-            if train:
-                # dx = (w/std) * (g - mean(g) - xhat * mean(g * xhat))
-                np.multiply(xh, (gw * inv_n).reshape(cshape), out=gx)
-                np.subtract(g, gx, out=gx)
-                gx -= (gb * inv_n).reshape(cshape)
-                gx *= scale
-            else:
-                np.multiply(g, scale, out=gx)
+            # dx = (w/std) * (g - mean(g) - xhat * mean(g * xhat))
+            np.multiply(xhat, (gw * inv_n).reshape(cshape), out=gx)
+            np.subtract(g, gx, out=gx)
+            gx -= (gb * inv_n).reshape(cshape)
+            gx *= (w / std).reshape(cshape)
             _accum(x, gx.astype(xd.dtype, copy=False))
 
         out._backward = _bw
-    if act is not None and not train:
-        out = activate(out, act)
     return out, mean, var
 
 

@@ -4,7 +4,18 @@ import pathlib
 import numpy as np
 
 from lightdet.nn import BatchNorm2d
-from lightdet.tensor import Tensor, count_flops, no_grad
+from lightdet.tensor import BN_EPS, BN_MOMENTUM, Tensor, activate, count_flops, no_grad
+
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+# each activation of tensor.ACT_PAIRS written out in generic Tensor ops
+COMPOSITE_ACTS = {
+    "mish": lambda t: t * t.softplus().tanh(),
+    "relu": lambda t: t.maximum(0.0),
+    "hswish": lambda t: t * (t + 3.0).clamp(0.0, 6.0) * (1.0 / 6.0),
+    "leakyrelu": lambda t: t.maximum(t * 0.01),
+    "gelu": lambda t: (((t + t ** 3 * 0.044715) * _GELU_C).tanh() + 1.0) * t * 0.5,
+}
 
 
 def cast_f64(module):
@@ -24,6 +35,36 @@ def with_bn_stats(module, rng):
                               (m.running_mean, -0.3, 0.3), (m.running_var, 0.5, 2.0)):
                 t.data = rng.uniform(lo, hi, t.data.shape).astype(np.float32)
     return module
+
+
+def composite_bn(bn, x):
+    """BatchNorm2d without its activation, built from generic ops; in training
+    the running stats are updated as the layer does."""
+    c = bn.c
+    if bn.training:
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
+        n = x.size // c
+        m = BN_MOMENTUM
+        bn.running_mean.data = ((1 - m) * bn.running_mean.data
+                                + m * mu.numpy().reshape(-1)).astype(np.float32)
+        bn.running_var.data = ((1 - m) * bn.running_var.data
+                               + m * var.numpy().reshape(-1) * (n / (n - 1))).astype(np.float32)
+    else:
+        mu = bn.running_mean.reshape(1, c, 1, 1)
+        var = bn.running_var.reshape(1, c, 1, 1)
+    xhat = (x - mu) / ((var + BN_EPS) ** 0.5)
+    return xhat * bn.weight.reshape(1, c, 1, 1) + bn.bias.reshape(1, c, 1, 1)
+
+
+def eval_block_reference(block, x) -> np.ndarray:
+    """An eval ConvBnAct's output from its parts, run under no_grad: the conv,
+    BN's running-stat scale and shift in float32, then the activation's Tensor op."""
+    bn = block.bn
+    scale = bn.weight.data / (bn.running_var.data + BN_EPS) ** 0.5
+    shift = bn.bias.data - bn.running_mean.data * scale
+    y = block.conv(x).data * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
+    return activate(Tensor(y), block.act).data
 
 
 def counted_flops(module, shape):

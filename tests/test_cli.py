@@ -16,8 +16,7 @@ from lightdet.cli import (
     _THREAD_VARS, ACT_KINDS, BOX_KINDS, MODEL_KINDS, CliError, PROFILES, RunConfig,
     build_config, main, make_parser, parse_config_text,
 )
-from lightdet.nn import ACTIVATIONS
-from lightdet.tensor import Tensor, grad_check, no_grad
+from lightdet.tensor import ACT_PAIRS, Tensor, grad_check, no_grad
 
 
 def _cfg(argv):
@@ -106,7 +105,7 @@ def test_kind_lists_match_the_library_without_importing_numpy():
     # cli keeps its own copies because it must not import numpy before
     # --threads has set the BLAS variables
     assert BOX_KINDS == LOSS_KINDS
-    assert set(ACT_KINDS) <= set(ACTIVATIONS)
+    assert set(ACT_KINDS) <= set(ACT_PAIRS)
     for kind in MODEL_KINDS:
         assert model_mod.build_model(kind, width=0.125, img_size=64).kind == kind
     src = os.path.dirname(os.path.dirname(lightdet.__file__))
@@ -456,11 +455,12 @@ class TestGradcheckCmd:
         need = {"conv2d", "conv1x1", "conv_strided_grouped", "conv_stem",
                 "conv_output_side",
                 "depthwise_conv", "max_pool_sppf", "max_pool_strided",
-                "batchnorm", "batchnorm_eval", "layernorm",
+                "layernorm",
                 "mish", "mish_wide", "hswish", "leakyrelu", "gelu", "window_attention",
                 "cross_window_attention", "sepvit_block", "c3", "dss_conv", "dss_c3",
                 "gam", "gam_bottleneck", "training_loss"}
         need |= {f"box_{k}" for k in ("iou", "giou", "diou", "ciou", "eiou", "siou")}
+        need |= {f"bn_act_{a}" for a in ("mish", "relu", "hswish", "leakyrelu", "gelu")}
         assert need <= set(checks.CHECKS)
 
     def test_injected_wrong_gradient_fails(self, monkeypatch, capsys):

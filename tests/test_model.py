@@ -26,7 +26,7 @@ from lightdet.model import (
 from lightdet.nn import ConvBnAct
 from lightdet.tensor import Tensor, grad_check, no_grad
 
-from helpers import with_bn_stats
+from helpers import eval_block_reference, with_bn_stats
 
 # frozen from the implemented cost model at nc=2, 640px reference input
 BASELINE_PARAMS = 1_766_623
@@ -123,11 +123,20 @@ def _tiny_detect(nc=2):
     return Detect(nc, (8, 8, 8), img_size=640, rng=np.random.default_rng(0))
 
 
+def _grid_anchors(detect, img_size, grids):
+    """Each level's anchors in grid units, as `training_loss` passes them."""
+    return [detect.anchors[lvl].astype(np.float64) / (img_size / gh)
+            for lvl, (gh, _) in enumerate(grids)]
+
+
+GRIDS_32 = [(4, 4), (2, 2), (1, 1)]
+
+
 class TestAssign:
     def test_neighbor_cells(self):
         det = _tiny_detect()
         t = [np.array([[0, 0.4, 0.65, 0.3, 0.3]])]
-        levels = assign_targets(t, det, 32, [(4, 4), (2, 2), (1, 1)])
+        levels = assign_targets(t, _grid_anchors(det, 32, GRIDS_32), GRIDS_32)
         b, a, gj, gi, tb, tc = levels[0]
         # gx=1.6 -> center cell 1 plus right neighbor 2; gy=2.6 -> cells 2 and 3
         cells = set(zip(gi.tolist(), gj.tolist()))
@@ -139,14 +148,15 @@ class TestAssign:
         det = _tiny_detect()
         # 12.8 grid units wide at level 0 vs anchors (1.25..4.125): all ratios > 4
         t = [np.array([[0, 0.5, 0.5, 0.9, 0.9]])]
-        levels = assign_targets(t, det, 32 * 8, [(32, 32), (16, 16), (8, 8)])
+        grids = [(32, 32), (16, 16), (8, 8)]
+        levels = assign_targets(t, _grid_anchors(det, 32 * 8, grids), grids)
         assert levels[0][0].size == 0
         assert levels[2][0].size > 0  # coarse anchors accept the large box
 
     def test_edge_clamping(self):
         det = _tiny_detect()
         t = [np.array([[1, 1.0, 1.0, 0.3, 0.3]])]
-        levels = assign_targets(t, det, 32, [(4, 4), (2, 2), (1, 1)])
+        levels = assign_targets(t, _grid_anchors(det, 32, GRIDS_32), GRIDS_32)
         for b, a, gj, gi, tb, tc in levels:
             assert np.all(gi < 4) and np.all(gj < 4)
             assert np.all(gi >= 0) and np.all(gj >= 0)
@@ -154,16 +164,15 @@ class TestAssign:
     def test_degenerate_box_skipped(self):
         det = _tiny_detect()
         t = [np.array([[0, 0.5, 0.5, 0.0, 0.2]])]
-        levels = assign_targets(t, det, 32, [(4, 4), (2, 2), (1, 1)])
+        levels = assign_targets(t, _grid_anchors(det, 32, GRIDS_32), GRIDS_32)
         assert all(lv[0].size == 0 for lv in levels)
 
 
-def _assign_targets_loop(targets, detect, img_size, grids):
-    """The per-box loop `assign_targets` replaced, kept verbatim as its oracle."""
+def _assign_targets_loop(targets, grid_anchors, grids):
+    """The per-box loop `assign_targets` replaced, kept verbatim as its oracle
+    but for taking each level's grid-unit anchors as given."""
     out = []
-    for lvl, (gh, gw) in enumerate(grids):
-        stride = img_size / gh
-        anchors = detect.anchors[lvl] / stride  # grid units
+    for (gh, gw), anchors in zip(grids, grid_anchors):
         bs, as_, gjs, gis, tb, tc = [], [], [], [], [], []
         for b, t in enumerate(targets):
             for cls, cx, cy, w, h in np.asarray(t, dtype=np.float64).reshape(-1, 5):
@@ -221,8 +230,9 @@ class TestAssignMatchesLoop:
     GRIDS = [(16, 16), (8, 8), (4, 4)]
 
     def _check(self, targets, det, img, grids):
-        want = _assign_targets_loop(targets, det, img, grids)
-        got = assign_targets(targets, det, img, grids)
+        anchors = _grid_anchors(det, img, grids)
+        want = _assign_targets_loop(targets, anchors, grids)
+        got = assign_targets(targets, anchors, grids)
         assert len(got) == len(want)
         for lvl, (g, w) in enumerate(zip(got, want)):
             for name, ga, wa in zip(("b", "a", "gj", "gi", "tbox", "cls"), g, w):
@@ -317,14 +327,15 @@ class TestLoss:
         img = 32
         targets = [np.array([[1, 0.41, 0.62, 0.33, 0.37]])]
         grids = self.GRIDS
-        assigned = assign_targets(targets, det, img, grids)
+        anchors = _grid_anchors(det, img, grids)
+        assigned = assign_targets(targets, anchors, grids)
         preds = []
         big = 25.0
         for lvl, (gh, gw) in enumerate(grids):
             raw = np.full((1, 3, no, gh, gw), -big)
             raw[:, :, 5:, :, :] = -big
             b, a, gj, gi, tb, tc = assigned[lvl]
-            anchors_grid = det.anchors[lvl].astype(np.float64) / (img / gh)
+            anchors_grid = anchors[lvl]
             for m in range(b.size):
                 sx = (tb[m, 0] + 0.5) / 2.0
                 sy = (tb[m, 1] + 0.5) / 2.0
@@ -594,8 +605,21 @@ class TestConvBnActEpilogue:
             assert len(calls) == sum(isinstance(b, ConvBnAct) for b in m.modules())
             for block, x, x_before, y in calls:
                 assert x.data.tobytes() == x_before.tobytes()  # the input is left alone
-                want = block.act(block.bn(block.conv(x)))
-                assert y.tobytes() == want.data.tobytes()
+                assert y.tobytes() == eval_block_reference(block, x).tobytes()
+
+    @pytest.mark.parametrize("kind", ["baseline", "light"])
+    def test_eval_forward_needs_no_grad_and_leaves_the_model_alone(self, kind):
+        rng = np.random.default_rng(4)
+        m = with_bn_stats(build_model(kind, nc=2, width=0.125, img_size=64, rng=rng), rng)
+        m.eval()
+        x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
+        with no_grad():
+            before = [p.data.copy() for p in m(x)]
+        with pytest.raises(ValueError, match=r"no_grad\(\)"):
+            m(x)
+        with no_grad():
+            after = m(x)
+        assert all(a.tobytes() == b.data.tobytes() for a, b in zip(before, after))
 
 
 class TestCheckpoint:

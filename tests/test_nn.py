@@ -4,38 +4,36 @@ import numpy as np
 import pytest
 
 from lightdet.nn import (
-    ACTIVATIONS, BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm,
-    Linear, SPPF, activation, channel_shuffle, make_divisible,
+    BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm, Linear, SPPF, channel_shuffle,
+    make_divisible,
 )
-from lightdet.tensor import BN_MOMENTUM, Tensor, count_flops, grad_check, mish, no_grad, toposort
+from lightdet.tensor import (ACT_PAIRS, BN_MOMENTUM, Tensor, activate, count_flops, grad_check,
+                             no_grad, toposort)
 
-from helpers import cast_f64, counted_flops, with_bn_stats
-
-# bitwise references: activations as built from several Tensor ops before each
-# became one array-level pair
-OLD_COMPOSITES = {"hswish": lambda t: t * (t + 3.0).clamp(0.0, 6.0) * (1.0 / 6.0)}
+from helpers import (COMPOSITE_ACTS, cast_f64, composite_bn, counted_flops, eval_block_reference,
+                     with_bn_stats)
 
 
 class TestActivations:
     def test_hswish_hand_values(self):
         x = Tensor(np.array([-4.0, -3.0, 0.0, 1.0, 3.0, 4.0]))
-        y = ACTIVATIONS["hswish"](x).numpy()
+        y = activate(x, "hswish").numpy()
         assert np.allclose(y, [0.0, 0.0, 0.0, 4.0 / 6.0, 3.0, 4.0], atol=1e-6)
 
     def test_mish_matches_reference_formula(self, rng):
         x = rng.standard_normal(32) * 3
-        got = mish(Tensor(x)).numpy()
+        got = activate(Tensor(x), "mish").numpy()
         want = x * np.tanh(np.log1p(np.exp(x)))
         assert np.allclose(got, want, atol=1e-9)
 
     def test_leaky_relu_two_pieces(self):
         x = Tensor(np.array([-2.0, 2.0]))
-        y = ACTIVATIONS["leakyrelu"](x).numpy()
+        y = activate(x, "leakyrelu").numpy()
         assert np.allclose(y, [-0.02, 2.0])
 
     def test_unknown_activation_raises(self):
-        with pytest.raises(ValueError):
-            activation("swishish")
+        with pytest.raises(ValueError, match="unknown activation 'swishish'; choose from"):
+            ConvBnAct(2, 4, act="swishish")
 
     @pytest.mark.parametrize("name", ["leakyrelu", "hswish", "mish", "gelu", "relu"])
     def test_activation_gradcheck(self, name, rng):
@@ -43,10 +41,9 @@ class TestActivations:
         raw = rng.uniform(0.3, 2.4, size=12) * rng.choice([-1.0, 1.0], size=12)
         raw = raw[np.abs(np.abs(raw) - 0.0) > 0.2]
         x = Tensor(raw)
-        fn = ACTIVATIONS[name]
 
         def f(t):
-            return fn(t).sum()
+            return activate(t, name).sum()
 
         err, _ = grad_check(f, [x])
         assert err <= 1e-4
@@ -55,23 +52,24 @@ class TestActivations:
 class TestNorms:
     def test_batchnorm_train_normalizes(self, rng):
         bn = BatchNorm2d(3)
+        bn.bias.data[:] = 10.0  # so relu passes every normalised value through
         x = Tensor(rng.standard_normal((4, 3, 5, 5)) * 3 + 1)
-        y = bn(x).numpy()
+        y = bn(x, "relu").numpy() - 10.0
         assert np.allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
         assert np.allclose(y.std(axis=(0, 2, 3)), 1.0, atol=2e-2)
 
     def test_batchnorm_running_stats_and_eval(self, rng):
         bn = BatchNorm2d(2)
         x = rng.standard_normal((8, 2, 4, 4)) + 5.0
-        bn(Tensor(x))
+        bn(Tensor(x.copy()), "relu")  # BN works in place in its input's buffer
         # one update from the initial (0, 1) stats, the variance unbiased
         m = BN_MOMENTUM
         mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3), ddof=1)
         assert np.allclose(bn.running_mean.numpy(), m * mu, rtol=1e-6)
         assert np.allclose(bn.running_var.numpy(), (1 - m) + m * var, rtol=1e-6)
         bn.eval()
-        y1 = bn(Tensor(x)).numpy()
-        y2 = bn(Tensor(x)).numpy()
+        y1 = bn(Tensor(x.copy()), "relu").numpy()
+        y2 = bn(Tensor(x.copy()), "relu").numpy()
         assert np.array_equal(y1, y2)  # eval path must not touch state
 
     def test_batchnorm_gradcheck(self, rng):
@@ -79,7 +77,7 @@ class TestNorms:
         x = Tensor(rng.standard_normal((2, 2, 3, 3)))
 
         def f(t):
-            return bn(t).tanh().sum()
+            return bn(t * 1.0, "mish").tanh().sum()  # a fresh buffer for BN to work in
 
         err, _ = grad_check(f, [x])
         assert err <= 1e-4
@@ -190,9 +188,9 @@ class TestModules:
         x_before = x.data.copy()
         with no_grad():
             y = m(x)
-            want = m.act(m.bn(m.conv(x)))
+            want = eval_block_reference(m, x)
         assert y._op == "conv2d"  # neither BN nor Mish made a node
-        assert y.data.tobytes() == want.data.tobytes()
+        assert y.data.tobytes() == want.tobytes()
         assert x.data.tobytes() == x_before.tobytes()
 
     @pytest.mark.parametrize("act", ["mish", "hswish", "leakyrelu", "relu"])
@@ -200,39 +198,40 @@ class TestModules:
     def test_convbnact_with_grad_is_one_bn_act_node_in_training(self, act, training, rng):
         m = with_bn_stats(ConvBnAct(4, 8, 3, act=act, rng=rng), rng).train(training)
         x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32), requires_grad=True)
-        got = [t._op for t in toposort(m(x)) if t._prev]
         if training:
-            assert got == ["conv2d", "batch_norm_act"]
-        else:  # eval keeps BN and the activation apart
-            assert got == ["conv2d", "batch_norm", act]
+            assert [t._op for t in toposort(m(x)) if t._prev] == ["conv2d", "batch_norm_act"]
+        else:  # eval builds no BN node, so it refuses to run with gradients
+            with pytest.raises(ValueError, match=r"no_grad\(\)"):
+                m(x)
 
-    @pytest.mark.parametrize("act", ["mish", "relu", "hswish", "leakyrelu", "gelu"])
-    def test_training_node_equals_the_three_node_composite_bit_for_bit(self, act):
+    @pytest.mark.parametrize("act", sorted(ACT_PAIRS))
+    def test_training_node_matches_the_composite_float64(self, act):
         def block():
             m = ConvBnAct(4, 8, 3, act=act, rng=np.random.default_rng(6))
-            return with_bn_stats(m, np.random.default_rng(7))
+            return cast_f64(with_bn_stats(m, np.random.default_rng(7)))
 
         fused, ref = block(), block()
-        old_act = OLD_COMPOSITES.get(act, ref.act)
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
-        r = Tensor(rng.standard_normal((2, 8, 6, 6)).astype(np.float32))
-        xf, xc = Tensor(x, requires_grad=True), Tensor(x.copy(), requires_grad=True)
-        yf, yc = fused(xf), old_act(ref.bn(ref.conv(xc)))
-        assert yf.dtype == np.float32 and yf.data.tobytes() == yc.data.tobytes()
+        x = rng.standard_normal((2, 4, 6, 6))
+        r = Tensor(rng.standard_normal((2, 8, 6, 6)))
+        xf, xc = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        yf, yc = fused(xf), COMPOSITE_ACTS[act](composite_bn(ref.bn, ref.conv(xc)))
+        assert yf._op == "batch_norm_act" and yf.dtype == np.float64
+        assert np.max(np.abs(yf.numpy() - yc.numpy())) <= 1e-12
         (yf * r).sum().backward()
         (yc * r).sum().backward()
         for a, b in zip([xf] + fused.parameters(), [xc] + ref.parameters()):
-            assert a.grad.dtype == np.float32 and a.grad.tobytes() == b.grad.tobytes()
+            assert a.grad.dtype == np.float64 and np.max(np.abs(a.grad - b.grad)) <= 1e-10
+        # both sides round the same float64 statistics to float32
         for (_, a), (_, b) in zip(fused.named_buffers(), ref.named_buffers()):
-            assert a.data.tobytes() == b.data.tobytes()
+            np.testing.assert_allclose(a.numpy(), b.numpy(), rtol=1e-6)
 
     @pytest.mark.parametrize("dt", [np.float32, np.float64])
     def test_hswish_equals_its_old_three_node_form_bit_for_bit(self, dt, rng):
         x = np.concatenate([np.linspace(-4.0, 4.0, 17), rng.standard_normal(40) * 4]).astype(dt)
         g = rng.standard_normal(x.shape).astype(dt)
         xf, xc = Tensor(x, requires_grad=True), Tensor(x.copy(), requires_grad=True)
-        yf, yc = ACTIVATIONS["hswish"](xf), OLD_COMPOSITES["hswish"](xc)
+        yf, yc = activate(xf, "hswish"), COMPOSITE_ACTS["hswish"](xc)
         assert yf.data.tobytes() == yc.data.tobytes()
         (yf * Tensor(g)).sum().backward()
         (yc * Tensor(g)).sum().backward()

@@ -11,9 +11,11 @@ from lightdet import tensor as tensor_mod
 from lightdet.boxes import box_loss
 from lightdet.nn import BatchNorm2d
 from lightdet.tensor import (
-    BN_EPS, BN_MOMENTUM, Tensor, _accum, batch_norm, concat, conv2d, count_flops, grad_check,
-    max_pool2d, mish, no_grad, toposort, upsample_nearest2x,
+    ACT_PAIRS, Tensor, _accum, activate, batch_norm, concat, conv2d, count_flops, grad_check,
+    max_pool2d, no_grad, toposort, upsample_nearest2x,
 )
+
+from helpers import COMPOSITE_ACTS, composite_bn
 
 
 def matmul_loops(a, b):
@@ -96,14 +98,11 @@ UNARY_OPS = {
     "arcsin": Tensor.arcsin,
     "arctan": Tensor.arctan,
     "clamp": lambda t: t.clamp(0.3, 0.7),
-    "leaky_relu": Tensor.leaky_relu,
-    "relu": Tensor.relu,
-    "gelu": Tensor.gelu,
     "reshape": lambda t: t.reshape(2, -1),
     "transpose": lambda t: t.transpose(0, 2, 3, 1),
     "getitem": lambda t: t[:, 1:, ::2],
     "softmax": lambda t: t.softmax(axis=1),
-    "mish": mish,
+    **{name: (lambda t, n=name: activate(t, n)) for name in ACT_PAIRS},
     "max_pool2d": lambda t: max_pool2d(t, 2),
     "max_pool2d_padded": lambda t: max_pool2d(t, 3, 2, padding=1),
     "upsample_nearest2x": upsample_nearest2x,
@@ -139,22 +138,16 @@ class TestActivationForms:
         assert same_bits(grad, g * want * (1.0 - want))
 
     @pytest.mark.parametrize("dt", [np.float32, np.float64])
-    @pytest.mark.parametrize("slope", [0.01, 0.1, 0.5, 1.0])
-    def test_leaky_relu_bit_identical_to_where_form(self, rng, dt, slope):
+    def test_leaky_relu_bit_identical_to_where_form(self, rng, dt):
         x, g = self._inputs(rng, dt)
-        got, grad = self._run(lambda t: t.leaky_relu(slope), x, g)
-        assert same_bits(got, np.where(x > 0, x, slope * x))
-        assert same_bits(grad, g * np.where(x > 0, 1.0, slope).astype(dt))
-
-    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5])
-    def test_leaky_relu_refuses_a_slope_outside_its_form(self, slope):
-        with pytest.raises(ValueError, match="slope"):
-            Tensor(np.ones(3)).leaky_relu(slope)
+        got, grad = self._run(lambda t: activate(t, "leakyrelu"), x, g)
+        assert same_bits(got, np.where(x > 0, x, 0.01 * x))
+        assert same_bits(grad, g * np.where(x > 0, 1.0, 0.01).astype(dt))
 
     @pytest.mark.parametrize("dt", [np.float32, np.float64])
     def test_relu(self, rng, dt):
         x, g = self._inputs(rng, dt)
-        got, grad = self._run(Tensor.relu, x, g)
+        got, grad = self._run(lambda t: activate(t, "relu"), x, g)
         # +0.0 below zero and at -0.0; NaN stays NaN; relu(+inf) is +inf, relu(-inf) 0
         want = np.where(np.isnan(x) | (x > 0), x, 0.0).astype(dt)
         assert same_bits(got, want)
@@ -229,9 +222,9 @@ class TestBackward:
         # a backward closure that held its own output node would form a cycle,
         # and every graph would then live until the cycle collector ran; the
         # graph below runs every kind of backward closure in tensor.py: the one
-        # _unary installs (for mish, a padded max_pool2d, up2x and the Tensor
-        # methods, the box losses' sqrt, sin, arcsin, arctan, clamp and neg
-        # among them), _binary's, matmul's, concat's, batch_norm's and conv2d's
+        # _unary installs (for the activations, a padded max_pool2d, up2x and the
+        # Tensor methods, the box losses' sqrt, sin, arcsin, arctan, clamp and
+        # neg among them), _binary's, matmul's, concat's, batch_norm's and conv2d's
         x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 1, 3, 3)), requires_grad=True)
         boxes = np.concatenate([rng.uniform(0.3, 0.7, (4, 2)), rng.uniform(0.1, 0.4, (4, 2))], 1)
@@ -241,9 +234,10 @@ class TestBackward:
         gc.disable()
         try:
             y = conv2d(x, w, padding=1, groups=4)
-            y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)), None)[0]
-            y = upsample_nearest2x(max_pool2d(mish(y), 2, padding=1))
-            y = concat([y.sigmoid(), y.softplus(), y.tanh(), y.gelu(), y.leaky_relu(0.1)], axis=1)
+            y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)), "relu")[0]
+            y = upsample_nearest2x(max_pool2d(activate(y, "mish"), 2, padding=1))
+            y = concat([y.sigmoid(), y.softplus(), y.tanh(), activate(y, "gelu"),
+                        activate(y, "leakyrelu")], axis=1)
             y = (y.exp() - y) ** 2 / (y.abs() + 1.0)
             z = y.reshape(2, -1).swapaxes(0, 1)[:5].softmax(axis=0)
             loss = (z @ Tensor(np.ones((2, 3)), requires_grad=True)).mean()
@@ -261,11 +255,11 @@ class TestBackward:
                                         requires_grad=True)
                                  for s in ((2, 4, 6, 6), (8, 4, 1, 1), (8, 1, 3, 3),
                                            (3, 8, 3, 3), (3,)))
-            y = mish(conv2d(x, w1))
+            y = activate(conv2d(x, w1), "mish")
             y = batch_norm(conv2d(y, wd, padding=1, groups=8),
                            Tensor(np.ones(8, np.float32), requires_grad=True),
-                           Tensor(np.zeros(8, np.float32), requires_grad=True), None)[0]
-            y = conv2d(y + y.gelu(), w2, b2, stride=2, padding=1)
+                           Tensor(np.zeros(8, np.float32), requires_grad=True), "relu")[0]
+            y = conv2d(y + activate(y, "gelu"), w2, b2, stride=2, padding=1)
             return (y * y).mean()
 
         def backward_keeping_every_grad(root):
@@ -325,8 +319,8 @@ class TestGradCheck:
         x = Tensor(raw)
 
         def f(t):
-            return (t.abs().sqrt() + t.arcsin().sin() + t.arctan() + t.gelu()
-                    + t.softplus() + t.leaky_relu(0.1)).sum()
+            return (t.abs().sqrt() + t.arcsin().sin() + t.arctan() + activate(t, "gelu")
+                    + t.softplus() + activate(t, "leakyrelu")).sum()
 
         err, rep = grad_check(f, [x])
         assert err <= 1e-4
@@ -347,7 +341,7 @@ class TestGradCheck:
         x = Tensor(np.array([0.0, 0.5]))  # element 0 sits exactly on the relu kink
 
         def f(t):
-            return t.relu().sum()
+            return activate(t, "relu").sum()
 
         _, rep = grad_check(f, [x])
         flags = {k: kink for (_, k, _, _, _, kink) in rep}
@@ -374,25 +368,6 @@ class TestGradCheck:
         assert err > 1e-2
 
 
-def composite_bn(bn, x):
-    """BatchNorm2d built from generic ops, running stats updated as the layer does."""
-    c = bn.c
-    if bn.training:
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-        n = x.size // c
-        m = BN_MOMENTUM
-        bn.running_mean.data = ((1 - m) * bn.running_mean.data
-                                + m * mu.numpy().reshape(-1)).astype(np.float32)
-        bn.running_var.data = ((1 - m) * bn.running_var.data
-                               + m * var.numpy().reshape(-1) * (n / (n - 1))).astype(np.float32)
-    else:
-        mu = bn.running_mean.reshape(1, c, 1, 1)
-        var = bn.running_var.reshape(1, c, 1, 1)
-    xhat = (x - mu) / ((var + BN_EPS) ** 0.5)
-    return xhat * bn.weight.reshape(1, c, 1, 1) + bn.bias.reshape(1, c, 1, 1)
-
-
 def _bn_pair(rng, training):
     """Two identical float64 BatchNorm2d layers with non-trivial affine and running stats."""
     layers = []
@@ -413,7 +388,7 @@ class TestFusedLayers:
         raw = np.concatenate([rng.standard_normal(200) * 8.0, np.linspace(-30.0, 30.0, 61)])
         xf = Tensor(raw, requires_grad=True)
         xc = Tensor(raw, requires_grad=True)
-        fused, ref = mish(xf), xc * xc.softplus().tanh()
+        fused, ref = activate(xf, "mish"), COMPOSITE_ACTS["mish"](xc)
         assert fused._op == "mish" and fused._prev == (xf,) and fused.dtype == np.float64
         assert np.max(np.abs(fused.numpy() - ref.numpy())) <= 1e-12
         fused.sum().backward()
@@ -424,7 +399,7 @@ class TestFusedLayers:
         x = np.linspace(-100.0, 100.0, 2001, dtype=np.float32)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            y = mish(Tensor(x)).numpy()
+            y = activate(Tensor(x), "mish").numpy()
         assert y.dtype == np.float32 and np.isfinite(y).all()
         assert y[-1] == 100.0 and -1e-30 < y[0] < 0.0
 
@@ -432,32 +407,35 @@ class TestFusedLayers:
     def test_batch_norm_matches_composite_float64(self, rng, training):
         (fused, ref), x, r = _bn_pair(rng, training)
         xf, xc = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
-        yf, yc = fused(xf), composite_bn(ref, xc)
-        assert yf._op == "batch_norm" and yf.dtype == np.float64
+        yc = COMPOSITE_ACTS["mish"](composite_bn(ref, xc))
+        if not training:  # in place, so only under no_grad; eval has no backward
+            with no_grad():
+                yf = fused(xf * 1.0, "mish")
+            assert yf.dtype == np.float64
+            assert np.max(np.abs(yf.numpy() - yc.numpy())) <= 1e-12
+            for name in ("running_mean", "running_var"):  # neither side touches them
+                assert np.array_equal(getattr(fused, name).numpy(), getattr(ref, name).numpy())
+            return
+        yf = fused(xf * 1.0, "mish")  # a fresh buffer for the node to normalise in
+        assert yf._op == "batch_norm_act" and yf.dtype == np.float64
         assert np.max(np.abs(yf.numpy() - yc.numpy())) <= 1e-12
         (yf * Tensor(r)).sum().backward()
         (yc * Tensor(r)).sum().backward()
         for a, b in ((xf, xc), (fused.weight, ref.weight), (fused.bias, ref.bias)):
             assert a.grad.shape == a.shape
             assert np.max(np.abs(a.grad - b.grad)) <= 1e-10
-        # training: both sides round the same float64 statistics to float32;
-        # eval: neither touches them
+        # both sides round the same float64 statistics to float32
         for name in ("running_mean", "running_var"):
             got, want = getattr(fused, name).numpy(), getattr(ref, name).numpy()
-            assert got.dtype == want.dtype == (np.float32 if training else np.float64)
+            assert got.dtype == want.dtype == np.float32
             np.testing.assert_allclose(got, want, rtol=1e-6)
 
     def test_batch_norm_returns_the_statistics_it_used(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        x = rng.standard_normal((2, 3, 4, 4))
         w, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
-        _, mean, var = batch_norm(x, w, b, None)
-        assert np.allclose(mean, x.numpy().mean(axis=(0, 2, 3)), atol=1e-12)
-        assert np.allclose(var, x.numpy().var(axis=(0, 2, 3)), atol=1e-12)
-        rm, rv = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
-        y, mean, var = batch_norm(x, w, b, None, rm, rv)
-        assert mean is rm and var is rv
-        assert np.allclose(y.numpy(), (x.numpy() - rm.reshape(1, 3, 1, 1))
-                           / np.sqrt(rv + BN_EPS).reshape(1, 3, 1, 1), atol=1e-12)
+        _, mean, var = batch_norm(Tensor(x.copy()), w, b, "relu")
+        assert np.allclose(mean, x.mean(axis=(0, 2, 3)), atol=1e-12)
+        assert np.allclose(var, x.var(axis=(0, 2, 3)), atol=1e-12)
 
 
 def maxpool_scan(x, k, s, p, g=None):
