@@ -3,8 +3,6 @@
 Boxes travel in center form (cx, cy, w, h). Losses operate on Tensors with a
 trailing axis of 4 so they batch over any leading shape, and every branch is
 differentiable; subgradients at ties follow numpy's maximum/minimum convention.
-The rasterization oracle never uses the analytic intersection formula: it counts
-grid-cell centers, which is what the loss tests compare against.
 """
 from __future__ import annotations
 
@@ -17,7 +15,7 @@ from .tensor import Tensor
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Box:
     cx: float
     cy: float
@@ -151,42 +149,3 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union -= inter
     union += EPS
     return np.divide(inter, union, out=union)
-
-
-# ---- independent oracle ----
-
-
-def rasterized_iou(a: Box, b: Box, n: int = 4000, dense: bool = False) -> float:
-    """IoU by counting grid-cell centers inside each box.
-
-    An n-cell grid spans the pair's joint bounding frame. A cell belongs to a box
-    when its center does. dense=True materializes the full 2D occupancy grids;
-    the default counts the same cells through the x/y center masks (identical
-    result, no n^2 memory).
-    """
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    x0, x1 = min(ax1, bx1), max(ax2, bx2)
-    y0, y1 = min(ay1, by1), max(ay2, by2)
-    span = max(x1 - x0, y1 - y0, 1e-12)
-    xs = x0 + (np.arange(n) + 0.5) * (span / n)
-    ys = y0 + (np.arange(n) + 0.5) * (span / n)
-
-    in_ax = (xs >= ax1) & (xs <= ax2)
-    in_ay = (ys >= ay1) & (ys <= ay2)
-    in_bx = (xs >= bx1) & (xs <= bx2)
-    in_by = (ys >= by1) & (ys <= by2)
-
-    if dense:
-        grid_a = np.outer(in_ay, in_ax)
-        grid_b = np.outer(in_by, in_bx)
-        cells_a = int(grid_a.sum())
-        cells_b = int(grid_b.sum())
-        cells_i = int((grid_a & grid_b).sum())
-    else:
-        cells_a = int(in_ax.sum()) * int(in_ay.sum())
-        cells_b = int(in_bx.sum()) * int(in_by.sum())
-        cells_i = int((in_ax & in_bx).sum()) * int((in_ay & in_by).sum())
-
-    cells_u = cells_a + cells_b - cells_i
-    return cells_i / cells_u if cells_u else 0.0

@@ -217,17 +217,6 @@ def labels_to_canvas(labels: np.ndarray, rec: dict) -> np.ndarray:
     return out
 
 
-def labels_from_canvas(labels: np.ndarray, rec: dict) -> np.ndarray:
-    """Exact inverse of labels_to_canvas."""
-    out = np.asarray(labels, dtype=np.float64).reshape(-1, 5).copy()
-    t = rec["target"]
-    out[:, 1] = (out[:, 1] * t - rec["pad_x"]) / rec["new_w"]
-    out[:, 2] = (out[:, 2] * t - rec["pad_y"]) / rec["new_h"]
-    out[:, 3] = out[:, 3] * t / rec["new_w"]
-    out[:, 4] = out[:, 4] * t / rec["new_h"]
-    return out
-
-
 def hflip(img_chw: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mirror image (channel-first) and labels about the vertical axis."""
     out = np.ascontiguousarray(img_chw[..., ::-1])

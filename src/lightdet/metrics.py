@@ -16,7 +16,7 @@ import numpy as np
 from .boxes import Box, corners_np, iou_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Detection:
     box: Box
     class_id: int
@@ -142,38 +142,6 @@ def evaluate(dets_per_image: list[list[Detection]],
     best = int(np.argmax(f1))
     return MetricReport(map50, aps, skipped, float(precision[best]),
                         float(recall[best]), float(conf[order][best]), counts)
-
-
-def oracle_ap_sweep(dets_per_image: list[list[Detection]],
-                    gts_per_image: list[list[tuple[int, Box]]],
-                    class_id: int):
-    """Brute-force reference: re-match the whole dataset at every confidence cut.
-
-    Never reuses the incremental bookkeeping; each threshold starts from nothing.
-    Returns None when the class has no ground truth.
-    """
-    n_gt = sum(1 for gts in gts_per_image for cls, _ in gts if cls == class_id)
-    if n_gt == 0:
-        return None
-    all_confs = sorted({d.confidence for dets in dets_per_image for d in dets
-                        if d.class_id == class_id}, reverse=True)
-    recalls, precisions = [], []
-    for thr in all_confs:
-        tp_total, det_total = 0, 0
-        for dets, gts in zip(dets_per_image, gts_per_image):
-            keep = sort_detections([d for d in dets
-                                    if d.class_id == class_id and d.confidence >= thr])
-            cls_gts = [g for g in gts if g[0] == class_id]
-            flags = match_image(keep, cls_gts)
-            tp_total += sum(flags)
-            det_total += len(flags)
-        if det_total == 0:
-            continue
-        recalls.append(tp_total / n_gt)
-        precisions.append(tp_total / det_total)
-    if not recalls:
-        return 0.0
-    return ap_from_points(np.asarray(recalls), np.asarray(precisions))
 
 
 def fps_bench(fn, warmup: int = 3, reps: int = 10) -> dict[str, float]:

@@ -447,7 +447,10 @@ def _mish_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # returns it; df(x, g) is the gradient it sends back to x given g at its
 # output, recomputed from x alone. The Tensor op (`activate`), the training
 # BN+activation node (`batch_norm`) and BatchNorm2d's in-place eval forward all
-# run the same pair, so each takes the same float32 steps.
+# run the same pair, so each takes the same float32 steps. Each pair runs a
+# contiguous array in chunks of ACT_BLOCK values (`_chunked`), so that the
+# several passes of one activation stay in cache; elementwise steps give the
+# same bits at any chunk size.
 
 
 def _mish(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -499,7 +502,38 @@ def _gelu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * d.astype(x.dtype)
 
 
-ACT_PAIRS = {
+ACT_BLOCK = 1 << 16  # values per chunk: 256 KB of float32, well inside a core's L2
+
+
+def _chunked(f, df):
+    """The pair (f, df), run in chunks of ACT_BLOCK values on C-contiguous arrays
+    larger than one chunk; any other array goes through whole."""
+    def whole(x, y):
+        return x.size <= ACT_BLOCK or not (x.flags.c_contiguous and y.flags.c_contiguous)
+
+    def fwd(x, out):
+        if whole(x, out):
+            return f(x, out)
+        xf, of = x.reshape(-1), out.reshape(-1)
+        for i in range(0, xf.size, ACT_BLOCK):
+            f(xf[i:i + ACT_BLOCK], of[i:i + ACT_BLOCK])
+        return out
+
+    def bwd(x, g):
+        if whole(x, g):
+            return df(x, g)
+        xf, gf, d = x.reshape(-1), g.reshape(-1), None
+        for i in range(0, xf.size, ACT_BLOCK):
+            part = df(xf[i:i + ACT_BLOCK], gf[i:i + ACT_BLOCK])
+            if d is None:
+                d = np.empty(x.shape, part.dtype)
+            d.reshape(-1)[i:i + ACT_BLOCK] = part
+        return d
+
+    return fwd, bwd
+
+
+ACT_PAIRS = {name: _chunked(f, df) for name, (f, df) in {
     "mish": (_mish, _mish_grad),
     # max(x, 0), not max(x, 0 * x): 0 * inf is NaN
     "relu": (lambda x, out: np.maximum(x, 0, out=out), lambda x, g: g * (x > 0)),
@@ -507,7 +541,7 @@ ACT_PAIRS = {
     "leakyrelu": (lambda x, out: np.maximum(x, 0.01 * x, out=out),
                   lambda x, g: g * np.maximum(x > 0, 0.01, dtype=x.dtype)),
     "gelu": (_gelu, _gelu_grad),
-}
+}.items()}
 
 
 def activate(x: Tensor, name: str) -> Tensor:
@@ -570,7 +604,17 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, act: str):
 
 
 def _pad2d(xd: np.ndarray, p: int, value: float = 0.0) -> np.ndarray:
-    return np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=value) if p else xd
+    """xd's last two axes padded by p on each side with `value`: np.pad's copy
+    without its per-call overhead."""
+    if not p:
+        return xd
+    n, c, h, w = xd.shape
+    out = np.full((n, c, h + 2 * p, w + 2 * p), value, xd.dtype)
+    out[..., p:p + h, p:p + w] = xd
+    return out
+
+
+COLS_BLOCK = 1 << 17  # im2col values per matmul under no_grad(): 512 KB of float32
 
 
 def _tap_slices(kh: int, kw: int, ho: int, wo: int, stride: int) -> list[tuple]:
@@ -606,11 +650,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     - otherwise im2col: gather the k*k taps into columns, W @ cols. A depthwise
       conv (groups == Cin == Cout) lands here as one (1, k*k) @ (k*k, Ho*Wo)
       matmul per channel. The columns are one copy of a strided view of the
-      padded input, freed after the matmul. Backward keeps only x.data: the
-      weight gradient gathers one image's columns at a time and sums the
-      images in order; the input gradient takes W^T @ g over a wide (Ho, W2)
-      grid, so that each tap's share is one contiguous slice of a phase of
-      x's zero-padded s*s phase grid, and adds them there in tap order.
+      padded input, freed after the matmul. Under no_grad() they are gathered
+      and multiplied a few output rows at a time (COLS_BLOCK values), so that
+      each block stays in cache; with gradients the matmul stays whole, since
+      a smaller one may take other BLAS kernels and other bits. Backward keeps
+      only x.data: the weight gradient gathers one image's columns at a time
+      and sums the images in order; the input gradient takes W^T @ g over a
+      wide (Ho, W2) grid, so that each tap's share is one contiguous slice of
+      a phase of x's zero-padded s*s phase grid, and adds them there in tap
+      order.
     The padded input is never a graph node: the gradient goes straight to x.
     """
     n, c, h, wd = x.shape
@@ -647,13 +695,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             out_data += y[:, :, t][taps[t]]
         out_data = out_data.reshape(n, cout, ho, wo)
     else:
-        def windows(xp):  # (n, c, kh, kw, ho, wo) view: tap (i, j) of output o reads s*o + (i, j)
+        def windows(xp, rows):  # (n, c, kh, kw, rows, wo): tap (i, j) of output o reads s*o + (i, j)
             sh, sw = xp.strides[2:]
             return np.lib.stride_tricks.as_strided(
-                xp, (n, c, kh, kw, ho, wo), xp.strides[:2] + (sh, sw, s * sh, s * sw), writeable=False)
+                xp, (n, c, kh, kw, rows, wo), xp.strides[:2] + (sh, sw, s * sh, s * sw), writeable=False)
 
         wg = w.data.reshape(groups, og, cpg * kk)
-        out_data = np.matmul(wg, windows(xd).reshape(n, groups, cpg * kk, npix))
+        step = ho if _grad_enabled else max(1, COLS_BLOCK // (n * c * kk * wo))
+        out_data = np.empty((n, groups, og, npix), np.result_type(wg, xd))
+        for r in range(0, ho, step):
+            rows = min(step, ho - r)
+            block = windows(xd[:, :, s * r:], rows).reshape(n, groups, cpg * kk, rows * wo)
+            np.matmul(wg, block, out=out_data[..., r * wo:(r + rows) * wo])
         out_data = out_data.reshape(n, cout, ho, wo)
     if b is not None:
         out_data += b.data.reshape(1, cout, 1, 1)
@@ -686,7 +739,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                     if mode == "pointwise":
                         gw = np.matmul(cols, gt)
                     else:  # one image's columns at a time, from the input the graph holds
-                        win = windows(_pad2d(x.data, padding))
+                        win = windows(_pad2d(x.data, padding), ho)
                         gw = np.stack([np.matmul(win[i].reshape(groups, cpg * kk, npix), gt[i])
                                        for i in range(n)])
                     # per image, then summed over the batch in order

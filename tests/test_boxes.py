@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lightdet.boxes import (
-    EPS, Box, LOSS_KINDS, box_loss, corners_np, iou_matrix, rasterized_iou,
-)
+from lightdet.boxes import EPS, Box, LOSS_KINDS, box_loss, corners_np, iou_matrix
 from lightdet.tensor import Tensor, grad_check
+
+from oracles import rasterized_iou
 
 
 def iou(a, b) -> float:

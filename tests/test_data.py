@@ -4,7 +4,6 @@ import pytest
 from lightdet.data import (
     ensure_split,
     hflip,
-    labels_from_canvas,
     labels_to_canvas,
     letterbox,
     load_sample,
@@ -21,6 +20,8 @@ from lightdet.data import (
     write_split,
 )
 from lightdet.errors import ValidationError
+
+from oracles import labels_from_canvas
 
 
 class TestPpm:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from helpers import ScriptedClock
 from lightdet import metrics
 from lightdet.boxes import Box, corners_np, iou_matrix
 from lightdet.metrics import (
-    Detection, ap_for_class, ap_from_points, evaluate, fps_bench, match_image,
-    oracle_ap_sweep, sort_detections,
+    Detection, ap_for_class, ap_from_points, evaluate, fps_bench, match_image, sort_detections,
 )
+from oracles import oracle_ap_sweep
 
 
 def det(cx, cy, w, h, cls=0, conf=0.5):
@@ -37,6 +39,18 @@ def random_instance(rng, n_images=3, num_classes=2):
         dets_all.append(dets)
         gts_all.append(gts)
     return dets_all, gts_all
+
+
+class TestRecords:
+    def test_box_and_detection_are_slotted_value_records(self):
+        d = det(0.25, 0.5, 0.125, 0.75, cls=1, conf=0.5)
+        assert d == det(0.25, 0.5, 0.125, 0.75, cls=1, conf=0.5)
+        assert d != det(0.25, 0.5, 0.125, 0.5, cls=1, conf=0.5)
+        assert d != ((0.25, 0.5, 0.125, 0.75), 1, 0.5)  # a record, not a tuple
+        assert [f.name for f in dataclasses.fields(Box)] == ["cx", "cy", "w", "h"]
+        assert [f.name for f in dataclasses.fields(Detection)] == ["box", "class_id", "confidence"]
+        assert dataclasses.astuple(d) == ((0.25, 0.5, 0.125, 0.75), 1, 0.5)
+        assert not hasattr(d, "__dict__") and not hasattr(d.box, "__dict__")
 
 
 class TestMatching:

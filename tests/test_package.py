@@ -10,7 +10,7 @@ from helpers import count_defaulted_params
 MAX_DEFAULTED_PARAMS = 106
 # Lines of src/lightdet/*.py, as `wc -l` counts them. A change that raises
 # this number names why: a measured gain or a closed bug.
-MAX_SRC_LINES = 3420
+MAX_SRC_LINES = 3389
 
 
 def test_defaulted_parameters_do_not_grow():

@@ -438,6 +438,56 @@ class TestFusedLayers:
         assert np.allclose(var, x.var(axis=(0, 2, 3)), atol=1e-12)
 
 
+class TestChunkedActivations:
+    """Each ACT_PAIRS pair on a contiguous array above ACT_BLOCK values runs in
+    chunks; with the block made larger than any input it runs whole."""
+
+    @staticmethod
+    def _inputs(n, dt):
+        rng = np.random.default_rng(n)
+        x = (rng.standard_normal(n) * 5).astype(dt)
+        x[:len(SPECIALS)] = SPECIALS
+        return x, rng.standard_normal(n).astype(dt)
+
+    @staticmethod
+    def _run(name, x, g):
+        f, df = ACT_PAIRS[name]
+        out = x.copy()
+        with np.errstate(all="ignore"):
+            return f(x, np.empty_like(x)), f(out, out), df(x, g)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "3B+17"])
+    @pytest.mark.parametrize("name", sorted(ACT_PAIRS))
+    def test_chunked_equals_whole_bit_for_bit(self, name, extra, dt, monkeypatch):
+        block = tensor_mod.ACT_BLOCK
+        n = 3 * block + 17 if extra == "3B+17" else block + extra
+        x, g = self._inputs(n, dt)
+        x = x.reshape(1, -1, 1)  # any C-contiguous shape is run as its flat view
+        g = g.reshape(x.shape)
+        chunked = self._run(name, x, g)
+        monkeypatch.setattr(tensor_mod, "ACT_BLOCK", 4 * n)
+        whole = self._run(name, x, g)
+        for a, b in zip(chunked, whole):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("name", sorted(ACT_PAIRS))
+    def test_a_strided_view_runs_whole_and_in_place(self, name):
+        n = 2 * tensor_mod.ACT_BLOCK + 5
+        x, g = self._inputs(2 * n, np.float32)
+        xv, gv = x[::2], g[::2]
+        assert not xv.flags.c_contiguous
+        got = self._run(name, xv, gv)
+        want = self._run(name, xv.copy(), gv.copy())
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+        out = x.copy()
+        with np.errstate(all="ignore"):
+            ACT_PAIRS[name][0](out[::2], out[::2])
+        assert out[::2].tobytes() == want[0].tobytes()
+        assert out[1::2].tobytes() == x[1::2].tobytes()  # the gaps are left alone
+
+
 def maxpool_scan(x, k, s, p, g=None):
     """Oracle: the strict `>` tap scan max_pool2d ran before its separable max.
 
@@ -476,6 +526,16 @@ def maxpool_run(x, k, s, p, g):
 
 
 class TestSpatial:
+    @pytest.mark.parametrize("value", [0.0, -np.inf])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 3, 5, 7), (2, 1, 9, 3)])
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_pad2d_equals_np_pad(self, rng, value, p, shape, dt):
+        x = rng.standard_normal(shape).astype(dt)
+        want = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=value)
+        assert same_bits(tensor_mod._pad2d(x, p, value), want)
+        assert tensor_mod._pad2d(x, 0, value) is x
+
     def test_conv2d_matches_direct_loops(self, rng):
         x = rng.standard_normal((2, 3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
@@ -728,6 +788,20 @@ class TestConvPaths:
         want, _ = conv2d_einsum(x, w, b, np.zeros(y.shape, np.float32), **kw)
         assert y.dtype == np.float32
         assert np.max(np.abs(y - want)) <= 1e-5
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(k for k in CONV_CASES if not _output_side(k)))
+    def test_no_grad_row_blocks_match_the_oracle(self, name, rows, monkeypatch):
+        x, w, b, kw = self._case(name, np.float64)
+        n, c, _, width = x.shape
+        k = w.shape[-1]
+        wo = (width + 2 * kw["padding"] - k) // kw["stride"] + 1
+        # blocks of `rows` output rows, the last one short where they do not divide
+        monkeypatch.setattr(tensor_mod, "COLS_BLOCK", rows * n * c * k * k * wo)
+        with no_grad():
+            y = conv2d(Tensor(x), Tensor(w), Tensor(b), **kw).numpy()
+        want, _ = conv2d_einsum(x, w, b, np.zeros(y.shape), **kw)
+        assert np.max(np.abs(y - want)) <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(k for k in CONV_CASES if not _output_side(k)))
     def test_float32_bits_match_matmul_over_oracle_columns(self, name):
