@@ -18,26 +18,26 @@ from .tensor import Tensor, concat, upsample_nearest2x
 class LightBiFpn(Module):
     """(P3, P4, P5) -> (N3, N4, N5) with strides 8/16/32 preserved per level.
 
-    Channel plan: lateral/top-down width `mid`, outputs (out3, out4, out5).
+    Channel plan: lateral/top-down width `mid`; each output keeps its input's
+    width, so (N3, N4, N5) have (c3, c4, c5) channels.
     The middle output stage concatenates three sources: the upsampled-then-refined
     top-down feature, the downsampled N3, and the untouched P4 input (the extra
     bidirectional edge).
     """
 
-    def __init__(self, c3: int, c4: int, c5: int, mid: int, out3: int, out4: int,
-                 out5: int, act: str = "mish",
+    def __init__(self, c3: int, c4: int, c5: int, mid: int, act: str = "mish",
                  attn_td: Module | None = None, attn_out4: Module | None = None,
                  rng: np.random.Generator | None = None):
         super().__init__()
         self.lat5 = ConvBnAct(c5, mid, 1, act=act, rng=rng)
         self.td4 = C3(mid + c4, mid, shortcut=False, act=act, separable=True,
                       attentions=[attn_td], rng=rng)
-        self.out3 = C3(mid + c3, out3, shortcut=False, act=act, separable=True, rng=rng)
-        self.down3 = DSSConv(out3, out3, 2, act=act, rng=rng)
-        self.out4 = C3(out3 + mid + c4, out4, shortcut=False, act=act, separable=True,
+        self.out3 = C3(mid + c3, c3, shortcut=False, act=act, separable=True, rng=rng)
+        self.down3 = DSSConv(c3, 2, act=act, rng=rng)
+        self.out4 = C3(c3 + mid + c4, c4, shortcut=False, act=act, separable=True,
                        attentions=[attn_out4], rng=rng)
-        self.down4 = DSSConv(out4, out4, 2, act=act, rng=rng)
-        self.out5 = C3(out4 + mid, out5, shortcut=False, act=act, separable=True, rng=rng)
+        self.down4 = DSSConv(c4, 2, act=act, rng=rng)
+        self.out5 = C3(c4 + mid, c5, shortcut=False, act=act, separable=True, rng=rng)
 
     def forward(self, p3: Tensor, p4: Tensor, p5: Tensor):
         lat = self.lat5(p5)

@@ -183,8 +183,7 @@ def resize_nearest(img: np.ndarray, nh: int, nw: int) -> np.ndarray:
     return img[ri][:, ci]
 
 
-def letterbox(img: np.ndarray, target: int = 448,
-              pad_value: int = PAD_GRAY) -> tuple[np.ndarray, dict]:
+def letterbox(img: np.ndarray, target: int = 448) -> tuple[np.ndarray, dict]:
     """Aspect-preserving resize onto a square gray canvas.
 
     The transform record carries the realized scale and padding so label
@@ -199,7 +198,7 @@ def letterbox(img: np.ndarray, target: int = 448,
     resized = img if (nw, nh) == (w, h) else resize_nearest(img, nh, nw)
     px = (target - nw) // 2
     py = (target - nh) // 2
-    out = np.full((target, target, 3), pad_value, dtype=img.dtype)
+    out = np.full((target, target, 3), PAD_GRAY, dtype=img.dtype)
     out[py:py + nh, px:px + nw] = resized
     rec = {"orig_w": w, "orig_h": h, "new_w": nw, "new_h": nh,
            "pad_x": px, "pad_y": py, "target": target}

@@ -1,10 +1,11 @@
 """Global attention gate: a channel gate followed by a spatial gate.
 
 The channel gate runs a per-position two-layer MLP across the channel axis (no
-pooling anywhere), the spatial gate a pair of 7x7 convolutions through a narrow
-hidden width. Both squash through a sigmoid and multiply the feature map, so the
-module can only attenuate: elementwise |output| <= |input|, and zero input stays
-zero. The spatial gate reads the channel-gated map, not the raw input.
+pooling anywhere), the spatial gate a pair of 7x7 convolutions; both pass the c
+channels through a hidden width of min(4, c // 2). Both squash through a sigmoid
+and multiply the feature map, so the module can only attenuate: elementwise
+|output| <= |input|, and zero input stays zero. The spatial gate reads the
+channel-gated map, not the raw input.
 """
 from __future__ import annotations
 
@@ -15,14 +16,13 @@ from .tensor import Tensor, activate
 
 
 class GAM(Module):
-    def __init__(self, c: int, hidden: int | None = None, k: int = 7,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, c: int, k: int = 7, rng: np.random.Generator | None = None):
         super().__init__()
+        if c < 2:
+            raise ValueError(f"GAM needs at least 2 channels, got {c}")
         rng = rng or np.random.default_rng(0)
-        hidden = hidden if hidden is not None else max(c // 4, 1)
-        if hidden <= 0:
-            raise ValueError("gate hidden width must be positive")
-        self.c, self.hidden, self.k = c, hidden, k
+        hidden = min(4, c // 2)
+        self.c, self.hidden = c, hidden
         self.fc1 = Linear(c, hidden, rng=rng)
         self.fc2 = Linear(hidden, c, rng=rng)
         self.sp1 = ConvBnAct(c, hidden, k, act="relu", rng=rng)

@@ -138,7 +138,7 @@ class Baseline(DetectorModel):
 
     def _build_top(self, c1, c2, c3, c4, act, rng):
         self.stage4 = C3(c4, c4, _depth(3), act=act, rng=rng)
-        self.sppf = SPPF(c4, c4, 5, act=act, rng=rng)
+        self.sppf = SPPF(c4, act=act, rng=rng)
         self.lat5 = ConvBnAct(c4, c3, 1, act=act, rng=rng)
         self.up1 = Upsample2x()
         self.cat_td4 = Concat()
@@ -174,13 +174,10 @@ class Light(DetectorModel):
         self.attn_reduce = ConvBnAct(c4, c3, 1, act=act, rng=rng)
         self.attn = SepViTBlock(c3, rng=rng)
         self.attn_expand = ConvBnAct(c3, c4, 1, act=act, rng=rng)
-        self.sppf = SPPF(c4, c4, 5, act=act, rng=rng)
-        self.neck = LightBiFpn(
-            c3=c2, c4=c3, c5=c4, mid=c1, out3=c2, out4=c3, out5=c4, act=act,
-            attn_td=GAM(c1 // 2, hidden=min(4, c1 // 2), rng=rng),
-            attn_out4=GAM(c3 // 2, hidden=min(4, c3 // 2), rng=rng),
-            rng=rng,
-        )
+        self.sppf = SPPF(c4, act=act, rng=rng)
+        self.neck = LightBiFpn(c3=c2, c4=c3, c5=c4, mid=c1, act=act,
+                               attn_td=GAM(c1 // 2, rng=rng),
+                               attn_out4=GAM(c3 // 2, rng=rng), rng=rng)
 
     def forward(self, x: Tensor) -> list[Tensor]:
         p3, p4, x = self._trunk(x)

@@ -228,47 +228,48 @@ class ConvBnAct(Module):
         return self.bn(self.conv(x), self.act)
 
 
-def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
-    """Interleave channel groups; a pure permutation, hence exactly invertible."""
+def channel_shuffle(x: Tensor) -> Tensor:
+    """Interleave the two channel halves; a pure permutation, hence exactly invertible."""
     n, c, h, w = x.shape
-    if c % groups:
-        raise ValueError(f"channel_shuffle: {c} channels not divisible by {groups} groups")
-    y = x.reshape(n, groups, c // groups, h, w)
+    if c % 2:
+        raise ValueError(f"channel_shuffle: {c} channels do not split into two groups")
+    y = x.reshape(n, 2, c // 2, h, w)
     y = y.transpose(0, 2, 1, 3, 4)
     return y.reshape(n, c, h, w)
 
 
 class DSSConv(Module):
-    """Depthwise 3x3 then pointwise 1x1 (each BN+act), finished by a 2-group shuffle."""
+    """Depthwise 3x3 then pointwise 1x1 (each BN+act, both at width c), finished
+    by a 2-group shuffle."""
 
-    def __init__(self, c1: int, c2: int, s: int = 1, act: str = "mish",
+    def __init__(self, c: int, s: int = 1, act: str = "mish",
                  rng: np.random.Generator | None = None):
         super().__init__()
-        if c2 % 2:
-            raise ValueError("output channels must be even for the channel shuffle")
-        self.dw = ConvBnAct(c1, c1, 3, s, g=c1, act=act, rng=rng)
-        self.pw = ConvBnAct(c1, c2, 1, act=act, rng=rng)
+        if c % 2:
+            raise ValueError("channels must be even for the channel shuffle")
+        self.dw = ConvBnAct(c, c, 3, s, g=c, act=act, rng=rng)
+        self.pw = ConvBnAct(c, c, 1, act=act, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return channel_shuffle(self.pw(self.dw(x)), 2)
+        return channel_shuffle(self.pw(self.dw(x)))
 
 
 # ---- structural blocks shared by both models ----
 
 
 class Bottleneck(Module):
-    """1x1 conv -> 3x3 conv at the output width (a DSSConv when `separable`),
-    then the optional gate module, then the optional residual."""
+    """1x1 conv -> 3x3 conv (a DSSConv when `separable`), both at width c, then
+    the optional gate module, then the optional residual."""
 
-    def __init__(self, c1: int, c2: int, shortcut: bool = True, act: str = "mish",
+    def __init__(self, c: int, shortcut: bool = True, act: str = "mish",
                  separable: bool = False, attention: Module | None = None,
                  rng: np.random.Generator | None = None):
         super().__init__()
-        self.cv1 = ConvBnAct(c1, c2, 1, act=act, rng=rng)
-        self.cv2 = (DSSConv(c2, c2, act=act, rng=rng) if separable
-                    else ConvBnAct(c2, c2, 3, act=act, rng=rng))
+        self.cv1 = ConvBnAct(c, c, 1, act=act, rng=rng)
+        self.cv2 = (DSSConv(c, act=act, rng=rng) if separable
+                    else ConvBnAct(c, c, 3, act=act, rng=rng))
         self.attn = attention
-        self.add = shortcut and c1 == c2
+        self.add = shortcut
 
     def forward(self, x: Tensor) -> Tensor:
         y = self.cv2(self.cv1(x))
@@ -291,7 +292,7 @@ class C3(Module):
             raise ValueError("one attention slot per bottleneck")
         self.cv1 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
         self.cv2 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
-        self.m = [Bottleneck(ch, ch, shortcut, act=act, separable=separable, attention=a,
+        self.m = [Bottleneck(ch, shortcut, act=act, separable=separable, attention=a,
                              rng=rng) for a in attns]
         self.cv3 = ConvBnAct(2 * ch, c2, 1, act=act, rng=rng)
 
@@ -302,22 +303,23 @@ class C3(Module):
         return self.cv3(concat([y, self.cv2(x)], axis=1))
 
 
-class SPPF(Module):
-    """Spatial pyramid pooling, fast variant: three chained k-pools, concat, fuse."""
+SPPF_POOL = 5  # side of SPPF's max-pools
 
-    def __init__(self, c1: int, c2: int, k: int = 5, act: str = "mish",
-                 rng: np.random.Generator | None = None):
+
+class SPPF(Module):
+    """Spatial pyramid pooling, fast variant: three chained pools, concat, fuse."""
+
+    def __init__(self, c: int, act: str = "mish", rng: np.random.Generator | None = None):
         super().__init__()
-        ch = c1 // 2
-        self.cv1 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
-        self.cv2 = ConvBnAct(ch * 4, c2, 1, act=act, rng=rng)
-        self.k = k
+        ch = c // 2
+        self.cv1 = ConvBnAct(c, ch, 1, act=act, rng=rng)
+        self.cv2 = ConvBnAct(ch * 4, c, 1, act=act, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         y = self.cv1(x)
-        p1 = max_pool2d(y, self.k, 1, padding=self.k // 2)
-        p2 = max_pool2d(p1, self.k, 1, padding=self.k // 2)
-        p3 = max_pool2d(p2, self.k, 1, padding=self.k // 2)
+        p1 = max_pool2d(y, SPPF_POOL, 1, padding=SPPF_POOL // 2)
+        p2 = max_pool2d(p1, SPPF_POOL, 1, padding=SPPF_POOL // 2)
+        p3 = max_pool2d(p2, SPPF_POOL, 1, padding=SPPF_POOL // 2)
         return self.cv2(concat([y, p1, p2, p3], axis=1))
 
 

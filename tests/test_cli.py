@@ -265,37 +265,52 @@ class TestSynth:
         assert main(["synth"]) == 1
 
 
+@pytest.fixture(scope="module")
+def fit_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fit")
+    assert main(["synth", "--data", str(root), "--images", "30", "--img", "64",
+                 "--seed", "5"]) == 0
+    return str(root)
+
+
+# On fit_dataset this run logs val map50 0.2500 first at epoch 21 and again at
+# the last, epoch 23: best and last are different files with a figure above 0.
+FIT_ARGS = ["--img", "64", "--width", "0.125", "--epochs", "24", "--batch", "4",
+            "--lr", "0.2", "--cosine", "--seed", "5"]
+
+
 def _eval_map50(dataset, split, weights, capsys) -> str:
     assert main(["eval", "--data", dataset, "--split", split, "--weights", weights]
-                + TRAIN_ARGS) == 0
+                + FIT_ARGS) == 0
     return re.search(r"map50 ([\d.]+)$", capsys.readouterr().out.strip()).group(1)
 
 
 class TestTrain:
-    def test_epoch_lines_and_checkpoint(self, tiny_dataset, tmp_path, capsys):
+    def test_epoch_lines_and_checkpoint(self, fit_dataset, tmp_path, capsys):
         ckpt = str(tmp_path / "model.ckpt")
         last = str(tmp_path / "last.ckpt")
-        code = main(["train", "--data", tiny_dataset, "--weights", ckpt] + TRAIN_ARGS)
+        code = main(["train", "--data", fit_dataset, "--weights", ckpt] + FIT_ARGS)
         out = capsys.readouterr().out
         assert code == 0
         rows = [l for l in out.splitlines() if l.startswith("epoch")]
-        assert len(rows) == 2
+        assert len(rows) == 24
         for row in rows:
             assert re.search(r"box [\d.]+ {2}obj [\d.]+ {2}cls [\d.]+", row)
             assert "map50" in row
         assert os.path.getsize(ckpt) > 1000
         assert os.path.getsize(last) > 1000
         m = re.search(r"best checkpoint (\S+) \((\w+)_map50 ([\d.]+) at epoch (\d+)\); "
-                      r"last checkpoint (\S+) \(epoch 1\)", out)
+                      r"last checkpoint (\S+) \(epoch 23\)", out)
         assert m, out
         best_path, split, best_map50, best_epoch, last_path = m.groups()
         assert (best_path, last_path) == (ckpt, last)
-        with open(ckpt, "rb") as a, open(last, "rb") as b:
-            assert (a.read() == b.read()) == (best_epoch == "1")
-        # each file reproduces, on the logged split, the figure train printed for it
-        assert _eval_map50(tiny_dataset, split, ckpt, capsys) == best_map50
         last_map50 = re.search(r"map50 ([\d.]+)$", rows[-1]).group(1)
-        assert _eval_map50(tiny_dataset, split, last, capsys) == last_map50
+        assert float(best_map50) > 0 and float(last_map50) > 0, out
+        with open(ckpt, "rb") as a, open(last, "rb") as b:
+            assert (a.read() == b.read()) == (best_epoch == "23")
+        # each file reproduces, on the logged split, the figure train printed for it
+        assert _eval_map50(fit_dataset, split, ckpt, capsys) == best_map50
+        assert _eval_map50(fit_dataset, split, last, capsys) == last_map50
 
     def test_same_seed_same_trace(self, tiny_dataset, tmp_path, capsys):
         a = str(tmp_path / "a.ckpt")
@@ -464,10 +479,9 @@ class TestGradcheckCmd:
         assert need <= set(checks.CHECKS)
 
     def test_injected_wrong_gradient_fails(self, monkeypatch, capsys):
-        results = checks.run_checks(names=["conv2d", "stub"],
-                                    extra={"stub": _wrong_gradient_probe})
-        assert results[0].ok and not results[1].ok
         monkeypatch.setitem(checks.CHECKS, "stub", _wrong_gradient_probe)
+        results = checks.run_checks(names=["conv2d", "stub"])
+        assert results[0].ok and not results[1].ok
         assert main(["gradcheck"]) == 2
         assert "FAIL" in capsys.readouterr().out
 

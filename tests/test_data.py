@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lightdet.data import (
+    PAD_GRAY,
     ensure_split,
     hflip,
     labels_to_canvas,
@@ -186,9 +187,9 @@ class TestLetterbox:
 
     def test_2to1_pads_quarter_top_bottom(self):
         img = np.zeros((32, 64, 3), np.uint8)
-        out, rec = letterbox(img, 64, pad_value=7)
+        out, rec = letterbox(img, 64)
         assert rec["pad_y"] == 16 and rec["pad_x"] == 0
-        assert np.all(out[:16] == 7) and np.all(out[-16:] == 7)
+        assert np.all(out[:16] == PAD_GRAY) and np.all(out[-16:] == PAD_GRAY)
         assert np.all(out[16:48] == 0)
 
     def test_label_roundtrip_exact(self, rng):

@@ -42,19 +42,23 @@ class TestGAM:
         assert np.allclose(gam(x).numpy(), want, atol=1e-7)
 
     def test_reference_param_counts(self, rng):
-        assert GAM(16, hidden=4, rng=rng).param_count() == 6444
-        assert GAM(64, hidden=4, rng=rng).param_count() == 25740
+        assert GAM(16, rng=rng).param_count() == 6444
+        assert GAM(64, rng=rng).param_count() == 25740
 
-    def test_default_rate(self, rng):
-        gam = GAM(32, rng=rng)
-        assert gam.hidden == 8
+    def test_hidden_width_rule(self, rng):
+        for c, hidden in [(2, 1), (8, 4), (16, 4), (64, 4)]:
+            gam = GAM(c, rng=rng)
+            assert gam.hidden == min(4, c // 2) == hidden
+            assert gam.fc1.cout == gam.sp2.c1 == hidden
+        with pytest.raises(ValueError, match="at least 2 channels"):
+            GAM(1, rng=rng)
 
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             GAM(8, rng=rng)(Tensor(np.zeros((1, 4, 3, 3), np.float32)))
 
     def test_gradcheck(self, rng):
-        gam = cast_f64(GAM(4, hidden=2, k=3, rng=rng))
+        gam = cast_f64(GAM(4, k=3, rng=rng))
         x = Tensor(rng.standard_normal((1, 4, 4, 4)))
 
         def f(t):
@@ -64,6 +68,6 @@ class TestGAM:
         assert err <= 1e-4
 
     def test_flops_positive_and_quadratic_free(self, rng):
-        gam = GAM(16, hidden=4, rng=rng)
+        gam = GAM(16, rng=rng)
         flops, _ = counted_flops(gam, (1, 16, 10, 10))
         assert flops == 2 * (2 * 100 * 16 * 4 + 2 * 49 * 100 * 16 * 4)
