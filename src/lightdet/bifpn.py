@@ -25,9 +25,9 @@ class LightBiFpn(Module):
     bidirectional edge).
     """
 
-    def __init__(self, c3: int, c4: int, c5: int, mid: int, act: str = "mish",
-                 attn_td: Module | None = None, attn_out4: Module | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, c3: int, c4: int, c5: int, mid: int, act: str,
+                 attn_td: Module | None, attn_out4: Module | None,
+                 rng: np.random.Generator):
         super().__init__()
         self.lat5 = ConvBnAct(c5, mid, 1, act=act, rng=rng)
         self.td4 = C3(mid + c4, mid, shortcut=False, act=act, separable=True,

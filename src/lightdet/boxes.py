@@ -40,17 +40,8 @@ def _corners_t(b: Tensor):
     return cx - hw, cy - hh, cx + hw, cy + hh
 
 
-def _as_tensor(b) -> Tensor:
-    if isinstance(b, Box):
-        return Tensor(b.array())
-    if isinstance(b, Tensor):
-        return b
-    return Tensor(np.asarray(b))
-
-
-def box_loss(kind: str, pred, gt) -> Tensor:
+def box_loss(kind: str, pred: Tensor, gt: Tensor) -> Tensor:
     """1 - score for the requested IoU family member; batches over leading dims."""
-    pred, gt = _as_tensor(pred), _as_tensor(gt)
     ax1, ay1, ax2, ay2 = _corners_t(pred)
     bx1, by1, bx2, by2 = _corners_t(gt)
     pw, ph = ax2 - ax1, ay2 - ay1

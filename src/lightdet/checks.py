@@ -206,19 +206,19 @@ def _sepvit():
 
 @_check("c3")
 def _c3():
-    m = C3(4, 4, n=2, rng=np.random.default_rng(42))
+    m = C3(4, 4, n=2, act="mish", rng=np.random.default_rng(42))
     return _module_err(m, [_x((1, 4, 4, 4), 43)])
 
 
 @_check("dss_conv")
 def _dss_conv():
-    m = DSSConv(4, rng=np.random.default_rng(18))
+    m = DSSConv(4, act="mish", rng=np.random.default_rng(18))
     return _module_err(m, [_x((1, 4, 4, 4), 19)])
 
 
 @_check("dss_c3")
 def _dss_c3():
-    m = C3(4, 4, separable=True, rng=np.random.default_rng(20))
+    m = C3(4, 4, separable=True, act="mish", rng=np.random.default_rng(20))
     return _module_err(m, [_x((1, 4, 4, 4), 21)])
 
 
@@ -231,7 +231,8 @@ def _gam():
 @_check("gam_bottleneck")
 def _gam_bottleneck():
     rng = np.random.default_rng(24)
-    m = Bottleneck(4, separable=True, attention=GAM(4, k=3, rng=rng), rng=rng)
+    m = Bottleneck(4, shortcut=True, act="mish", separable=True,
+                   attention=GAM(4, k=3, rng=rng), rng=rng)
     return _module_err(m, [_x((1, 4, 4, 4), 25)])
 
 

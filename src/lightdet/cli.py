@@ -1,8 +1,9 @@
 """Command-line front end: synth, train, eval, cost, bench, gradcheck.
 
-Only the standard library is imported at module level; numpy and the model
-code load lazily inside each command so that `--threads N` can pin the BLAS
-thread pools through environment variables before numpy first loads.
+Only modules that import nothing beyond the standard library load at module
+level (`errors` is one); numpy and the model code load lazily inside each
+command so that `--threads N` can pin the BLAS thread pools through
+environment variables before numpy first loads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import dataclasses
 import os
 import sys
 from dataclasses import dataclass, field
+
+from .errors import ValidationError
 
 BOX_KINDS = ("iou", "giou", "diou", "ciou", "eiou", "siou")
 ACT_KINDS = ("leakyrelu", "hswish", "mish")
@@ -23,7 +26,7 @@ LAST_CKPT = "last.ckpt"  # train's final weights, written beside the best checkp
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class CliError(Exception):
+class CliError(ValidationError):
     """Bad invocation caught before any work happens."""
 
 
@@ -173,7 +176,6 @@ def cmd_train(cfg: RunConfig) -> int:
     import numpy as np
 
     from .data import load_split
-    from .errors import ValidationError
     from .model import save_checkpoint
     from .train import epoch_shape, evaluate_model, fit
 
@@ -344,15 +346,10 @@ def main(argv: list[str] | None = None) -> int:
                 os.environ[var] = str(args.threads)
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
-    except CliError as e:
+    except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports, not raises
-        from .errors import ValidationError
-
-        if isinstance(e, ValidationError):
-            print(f"error: {e}", file=sys.stderr)
-            return 1
         print(f"runtime failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

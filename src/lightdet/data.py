@@ -84,7 +84,7 @@ def write_labels(path: str, rows: np.ndarray) -> None:
             fh.write(f"{int(cls)} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}\n")
 
 
-def parse_labels(path: str, nc: int = 2) -> np.ndarray:
+def parse_labels(path: str, nc: int) -> np.ndarray:
     """YOLO label file -> (n, 5) float64 of (class, cx, cy, w, h).
 
     Blank lines are fine (a negative image is an empty file); anything else
@@ -183,7 +183,7 @@ def resize_nearest(img: np.ndarray, nh: int, nw: int) -> np.ndarray:
     return img[ri][:, ci]
 
 
-def letterbox(img: np.ndarray, target: int = 448) -> tuple[np.ndarray, dict]:
+def letterbox(img: np.ndarray, target: int) -> tuple[np.ndarray, dict]:
     """Aspect-preserving resize onto a square gray canvas.
 
     The transform record carries the realized scale and padding so label
@@ -278,7 +278,7 @@ def _mask_bbox_label(mask: np.ndarray, cls: int, size: int) -> np.ndarray:
                      w / size, h / size], dtype=np.float64)
 
 
-def synth_scene(rng: np.random.Generator, size: int = 96):
+def synth_scene(rng: np.random.Generator, size: int):
     """One rendered scene -> (uint8 image HWC, (n,5) labels). Blobs never leave
     their labeled boxes and fill at least ~60% of them."""
     img = _background(rng, size)
@@ -296,7 +296,7 @@ def synth_scene(rng: np.random.Generator, size: int = 96):
     return img.astype(np.uint8), np.asarray(labels, np.float64).reshape(-1, 5)
 
 
-def synth_generate(n: int, seed: int, out_dir: str, size: int = 96) -> list[str]:
+def synth_generate(n: int, seed: int, out_dir: str, size: int) -> list[str]:
     """Render n deterministic scenes into the standard dataset layout."""
     if n < 1:
         raise ValidationError("need n >= 1 images")
@@ -318,21 +318,20 @@ def synth_generate(n: int, seed: int, out_dir: str, size: int = 96) -> list[str]
 # ---- loading ----
 
 
-def load_sample(root: str, stem: str, nc: int, img_size: int | None = None):
-    """One (image (3,S,S) float32 RGB in [0, 1], labels (n,5)) pair, letterboxed on demand."""
+def load_sample(root: str, stem: str, nc: int, img_size: int):
+    """One (image (3,S,S) float32 RGB in [0, 1], labels (n,5)) pair at S = img_size."""
     img = read_ppm(os.path.join(root, "images", stem + ".ppm"))
     lbl_path = os.path.join(root, "labels", stem + ".txt")
     labels = parse_labels(lbl_path, nc) if os.path.exists(lbl_path) \
         else np.zeros((0, 5), np.float64)
-    if img_size is not None and img.shape[:2] != (img_size, img_size):
+    if img.shape[:2] != (img_size, img_size):
         img, rec = letterbox(img, img_size)
         labels = labels_to_canvas(labels, rec)
     chw = img.transpose(2, 0, 1).astype(np.float32) / 255.0
     return chw, labels
 
 
-def load_split(root: str, seed: int, tag: str, nc: int,
-               img_size: int | None = None):
+def load_split(root: str, seed: int, tag: str, nc: int, img_size: int):
     """All samples of one split -> (images (N,3,S,S) float32, targets, stems)."""
     if tag not in SPLIT_TAGS:
         raise ValidationError(f"unknown split tag {tag!r}")

@@ -16,11 +16,10 @@ from .tensor import Tensor, activate
 
 
 class GAM(Module):
-    def __init__(self, c: int, k: int = 7, rng: np.random.Generator | None = None):
+    def __init__(self, c: int, k: int = 7, *, rng: np.random.Generator):
         super().__init__()
         if c < 2:
             raise ValueError(f"GAM needs at least 2 channels, got {c}")
-        rng = rng or np.random.default_rng(0)
         hidden = min(4, c // 2)
         self.c, self.hidden = c, hidden
         self.fc1 = Linear(c, hidden, rng=rng)

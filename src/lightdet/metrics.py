@@ -30,7 +30,6 @@ class MetricReport:
     skipped_classes: list[int]
     precision: float
     recall: float
-    best_conf: float
     per_class_counts: dict[int, int] = field(default_factory=dict)
 
 
@@ -131,7 +130,7 @@ def evaluate(dets_per_image: list[list[Detection]],
     conf = np.concatenate(pooled_conf) if pooled_conf else np.array([])
     tp = np.concatenate(pooled_tp) if pooled_tp else np.array([], dtype=bool)
     if conf.size == 0 or total_gt == 0:
-        return MetricReport(map50, aps, skipped, 0.0, 0.0, 0.0, counts)
+        return MetricReport(map50, aps, skipped, 0.0, 0.0, counts)
     order = np.argsort(-conf, kind="stable")
     tp_sorted = tp[order].astype(np.float64)
     cum_tp = np.cumsum(tp_sorted)
@@ -141,7 +140,7 @@ def evaluate(dets_per_image: list[list[Detection]],
     f1 = 2 * precision * recall / np.maximum(precision + recall, 1e-12)
     best = int(np.argmax(f1))
     return MetricReport(map50, aps, skipped, float(precision[best]),
-                        float(recall[best]), float(conf[order][best]), counts)
+                        float(recall[best]), counts)
 
 
 def fps_bench(fn, warmup: int = 3, reps: int = 10) -> dict[str, float]:

@@ -35,7 +35,7 @@ class Detect(Module):
     """Per-level 1x1 convs producing 3 anchored predictions of (box, obj, classes)."""
 
     def __init__(self, nc: int, ch: tuple[int, int, int], img_size: int,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator):
         super().__init__()
         if nc < 1:
             raise ValueError("need at least one class")
@@ -74,10 +74,8 @@ class DetectorModel(Module):
     """The shared trunk (stem ... down4), what a subclass's `_build_top` adds, then
     the head; each subclass wires its graph in its own `forward`."""
 
-    def __init__(self, nc: int = 2, width: float = 0.25, act: str = "mish",
-                 img_size: int = 640, rng: np.random.Generator | None = None):
+    def __init__(self, nc: int, width: float, act: str, img_size: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.nc, self.width, self.act, self.img_size = nc, width, act, img_size
         c0, c1, c2, c3, c4 = (make_divisible(c * width) for c in (64, 128, 256, 512, 1024))
         self.stem = ConvBnAct(3, c0, 6, 2, p=2, act=act, rng=rng)
@@ -261,7 +259,7 @@ def _pair_iou_np(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 
 def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect,
-                  img_size: int, box_kind: str = "siou", obj_target: str = "iou"):
+                  img_size: int, box_kind: str, obj_target: str = "iou"):
     """Scalar loss Tensor plus float components.
 
     Objectness is logit-space BCE against a dense target field: zero at

@@ -119,9 +119,8 @@ def _he_weight(rng: np.random.Generator, cout: int, cin_per_group: int, k: int) 
 
 class Conv2d(Module):
     def __init__(self, c1: int, c2: int, k: int = 1, s: int = 1, p: int | None = None,
-                 g: int = 1, bias: bool = True, rng: np.random.Generator | None = None):
+                 g: int = 1, bias: bool = True, *, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         if c1 % g or c2 % g:
             raise ValueError("channels must divide groups")
         self.c1, self.c2, self.k, self.s, self.g = c1, c2, k, s, g
@@ -190,10 +189,8 @@ class LayerNorm(Module):
 
 
 class Linear(Module):
-    def __init__(self, cin: int, cout: int, bias: bool = True,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, cin: int, cout: int, bias: bool = True, *, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.cin, self.cout = cin, cout
         w = rng.standard_normal((cin, cout)) * math.sqrt(1.0 / cin)
         self.weight = Tensor(w.astype(np.float32), requires_grad=True)
@@ -216,7 +213,7 @@ class ConvBnAct(Module):
     """
 
     def __init__(self, c1: int, c2: int, k: int = 1, s: int = 1, p: int | None = None,
-                 g: int = 1, act: str = "mish", rng: np.random.Generator | None = None):
+                 g: int = 1, *, act: str, rng: np.random.Generator):
         super().__init__()
         if act not in ACT_PAIRS:
             raise ValueError(f"unknown activation {act!r}; choose from {sorted(ACT_PAIRS)}")
@@ -242,8 +239,7 @@ class DSSConv(Module):
     """Depthwise 3x3 then pointwise 1x1 (each BN+act, both at width c), finished
     by a 2-group shuffle."""
 
-    def __init__(self, c: int, s: int = 1, act: str = "mish",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, c: int, s: int = 1, *, act: str, rng: np.random.Generator):
         super().__init__()
         if c % 2:
             raise ValueError("channels must be even for the channel shuffle")
@@ -261,9 +257,8 @@ class Bottleneck(Module):
     """1x1 conv -> 3x3 conv (a DSSConv when `separable`), both at width c, then
     the optional gate module, then the optional residual."""
 
-    def __init__(self, c: int, shortcut: bool = True, act: str = "mish",
-                 separable: bool = False, attention: Module | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, c: int, shortcut: bool, act: str, separable: bool,
+                 attention: Module | None, rng: np.random.Generator):
         super().__init__()
         self.cv1 = ConvBnAct(c, c, 1, act=act, rng=rng)
         self.cv2 = (DSSConv(c, act=act, rng=rng) if separable
@@ -282,9 +277,8 @@ class C3(Module):
     """Cross-stage block: two half-width 1x1 branches, n bottlenecks on one, concat, fuse."""
 
     def __init__(self, c1: int, c2: int, n: int = 1, shortcut: bool = True,
-                 act: str = "mish", separable: bool = False,
-                 attentions: list[Module | None] | None = None,
-                 rng: np.random.Generator | None = None):
+                 separable: bool = False, attentions: list[Module | None] | None = None,
+                 *, act: str, rng: np.random.Generator):
         super().__init__()
         ch = c2 // 2
         attns = attentions or [None] * n
@@ -292,8 +286,7 @@ class C3(Module):
             raise ValueError("one attention slot per bottleneck")
         self.cv1 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
         self.cv2 = ConvBnAct(c1, ch, 1, act=act, rng=rng)
-        self.m = [Bottleneck(ch, shortcut, act=act, separable=separable, attention=a,
-                             rng=rng) for a in attns]
+        self.m = [Bottleneck(ch, shortcut, act, separable, a, rng) for a in attns]
         self.cv3 = ConvBnAct(2 * ch, c2, 1, act=act, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -309,7 +302,7 @@ SPPF_POOL = 5  # side of SPPF's max-pools
 class SPPF(Module):
     """Spatial pyramid pooling, fast variant: three chained pools, concat, fuse."""
 
-    def __init__(self, c: int, act: str = "mish", rng: np.random.Generator | None = None):
+    def __init__(self, c: int, act: str, rng: np.random.Generator):
         super().__init__()
         ch = c // 2
         self.cv1 = ConvBnAct(c, ch, 1, act=act, rng=rng)

@@ -52,12 +52,10 @@ def window_merge(tokens: Tensor, ws: int, h: int, w: int) -> Tensor:
 class SepViTBlock(Module):
     """d-channel attention block with a 4d-wide MLP; preserves NCHW shape."""
 
-    def __init__(self, d: int, window_size: int | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, d: int, window_size: int | None = None, *, rng: np.random.Generator):
         super().__init__()
         if d <= 0:
             raise ValueError("channel dim must be positive")
-        rng = rng or np.random.default_rng(0)
         self.d = d
         self.window_size = window_size
         self.norm1 = LayerNorm(d)

@@ -111,9 +111,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag})"
@@ -203,7 +200,7 @@ class Tensor:
         return _unary(self, self.data.sum(axis=axis, keepdims=keepdims), "sum", grad_fn)
 
     def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else _axis_size(self.data.shape, axis)
+        n = self.data.size if axis is None else int(np.prod(np.take(self.data.shape, axis)))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # ---- elementwise ----
@@ -377,15 +374,6 @@ def _binary(a, b, fwd, bwd, op: str) -> Tensor:
             _accum(b, _unbroadcast(np.asarray(gb, dtype=dt), b.data.shape).astype(b.data.dtype, copy=False))
         out._backward = _bw
     return out
-
-
-def _axis_size(shape, axis) -> int:
-    if isinstance(axis, int):
-        return shape[axis]
-    n = 1
-    for ax in axis:
-        n *= shape[ax]
-    return n
 
 
 def toposort(root: Tensor) -> list[Tensor]:

@@ -14,35 +14,34 @@ from .tensor import Tensor
 
 WEIGHT_DECAY = 5e-4  # on multi-axis tensors only
 CLIP_NORM = 10.0  # largest global gradient norm an update uses
+WARMUP = 20  # steps over which the learning rate ramps up linearly
 FINAL_FRAC = 0.1  # where the cosine schedule ends, as a share of the base rate
 
 
 class SGD:
     """Momentum SGD; weight decay touches only multi-axis tensors (never biases,
     norm affines, or other vectors), and the learning rate ramps linearly over
-    the first `warmup` steps. With `total_steps` set, the post-warmup rate
+    the first WARMUP steps. With `total_steps` set, the post-warmup rate
     follows a half-cosine down to FINAL_FRAC of the base rate. Gradients are
     rescaled to a global norm of at most CLIP_NORM before the update; small
     batches drive the norm orders of magnitude past the useful step scale. A
     non-finite norm raises FloatingPointError before any update."""
 
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.937,
-                 warmup: int = 20, total_steps: int | None = None):
+    def __init__(self, params, lr: float, momentum: float, total_steps: int | None):
         self.params = [p for p in params if p.requires_grad]
         self.vel = [np.zeros_like(p.data) for p in self.params]
         self.lr = lr
         self.momentum = momentum
-        self.warmup = max(int(warmup), 0)
         self.total_steps = total_steps
         self.t = 0
 
     def lr_at(self, t: int) -> float:
-        if self.warmup and t < self.warmup:
-            return self.lr * (t + 1) / self.warmup
-        if not self.total_steps or self.total_steps <= self.warmup:
+        if t < WARMUP:
+            return self.lr * (t + 1) / WARMUP
+        if not self.total_steps or self.total_steps <= WARMUP:
             return self.lr
-        span = self.total_steps - self.warmup
-        prog = min(max((t - self.warmup) / span, 0.0), 1.0)
+        span = self.total_steps - WARMUP
+        prog = min(max((t - WARMUP) / span, 0.0), 1.0)
         lo = self.lr * FINAL_FRAC
         return lo + (self.lr - lo) * 0.5 * (1.0 + math.cos(math.pi * prog))
 
@@ -76,9 +75,8 @@ def epoch_shape(n: int, batch: int) -> tuple[int, int]:
 
 
 def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
-        iters: int, batch: int = 8, lr: float = 0.01, momentum: float = 0.937,
-        warmup: int = 20, box_kind: str = "siou", seed: int = 0,
-        augment: bool = False, cosine: bool = False, on_epoch=None) -> list[dict]:
+        iters: int, batch: int, lr: float, momentum: float, box_kind: str,
+        seed: int, cosine: bool, augment: bool = False, on_epoch=None) -> list[dict]:
     """Runs `iters` optimizer steps over the set; returns the per-step loss parts.
 
     Batches cycle through a seeded shuffle, reshuffled each pass. `on_epoch`
@@ -90,8 +88,7 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
     if n == 0:
         raise ValueError("empty training set")
     b, steps_per_epoch = epoch_shape(n, batch)
-    opt = SGD(model.parameters(), lr=lr, momentum=momentum, warmup=warmup,
-              total_steps=iters if cosine else None)
+    opt = SGD(model.parameters(), lr, momentum, iters if cosine else None)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     cursor = 0

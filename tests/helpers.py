@@ -100,13 +100,16 @@ class ScriptedClock:
         self.ticks += 1
 
 
-def count_defaulted_params(package_dir) -> int:
-    """Parameters with a default value, over every function and method in the
-    package's modules. Lambdas are left out: their defaults bind loop variables."""
-    total = 0
+def defaulted_params(package_dir):
+    """("file:line", function, parameter) for each parameter with a default
+    value, over every function and method in the package's modules. Lambdas
+    are left out: their defaults bind loop variables."""
     for path in sorted(pathlib.Path(package_dir).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                total += len(node.args.defaults)
-                total += sum(d is not None for d in node.args.kw_defaults)
-    return total
+                a = node.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):]
+                named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                for arg in named:
+                    yield f"{path.name}:{node.lineno}", node.name, arg.arg

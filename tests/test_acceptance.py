@@ -46,7 +46,7 @@ def _line(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 def _totals(kind: str) -> tuple[int, int]:
     build = Baseline if kind == "baseline" else Light
-    model = build(nc=2, width=0.25, rng=np.random.default_rng(0))
+    model = build(nc=2, width=0.25, act="mish", img_size=640, rng=np.random.default_rng(0))
     rows = model.cost_rows(640)
     return sum(r[1] for r in rows), sum(r[2] for r in rows)
 
@@ -253,7 +253,7 @@ def test_10_overfit_smoke(tmp_path, capsys):
 
 def test_11_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(18)
-    model = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(19))
+    model = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(19))
     model.eval()
     x = Tensor(rng.random((1, 3, 64, 64)).astype(np.float32))
     with no_grad():
@@ -261,7 +261,7 @@ def test_11_checkpoint_roundtrip(tmp_path):
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, model)
 
-    other = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(99))
+    other = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(99))
     load_checkpoint(path, other)
     other.eval()
     with no_grad():
@@ -278,7 +278,7 @@ def test_11_checkpoint_roundtrip(tmp_path):
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(p, other)
         messages.append(str(exc.value))
-    wrong_arch = Light(nc=3, width=0.125, img_size=64,
+    wrong_arch = Light(nc=3, width=0.125, act="mish", img_size=64,
                        rng=np.random.default_rng(20))
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path, wrong_arch)

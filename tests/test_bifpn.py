@@ -11,21 +11,21 @@ from helpers import cast_f64
 
 class TestDSSConv:
     def test_shapes_and_stride(self, rng):
-        m = DSSConv(16, 2, rng=rng)
+        m = DSSConv(16, 2, act="mish", rng=rng)
         y = m(Tensor(rng.standard_normal((2, 16, 8, 8)).astype(np.float32)))
         assert y.shape == (2, 16, 4, 4)
 
     def test_param_count(self, rng):
-        m = DSSConv(16, rng=rng)
+        m = DSSConv(16, act="mish", rng=rng)
         assert m.param_count() == (16 * 9 + 32) + (16 * 16 + 32)
 
     def test_odd_output_rejected(self, rng):
         with pytest.raises(ValueError):
-            DSSConv(15, rng=rng)
+            DSSConv(15, act="mish", rng=rng)
 
     def test_depthwise_stage_touches_channels_independently(self, rng):
         # before the pointwise mix, channel c of dw depends only on channel c of x
-        m = DSSConv(4, rng=rng)
+        m = DSSConv(4, act="mish", rng=rng)
         a = rng.standard_normal((1, 4, 6, 6)).astype(np.float32)
         b = a.copy()
         b[0, 3] += rng.standard_normal((6, 6)).astype(np.float32)
@@ -35,7 +35,7 @@ class TestDSSConv:
         assert not np.allclose(ya[0, 3], yb[0, 3])
 
     def test_gradcheck(self, rng):
-        m = cast_f64(DSSConv(4, rng=rng))
+        m = cast_f64(DSSConv(4, act="mish", rng=rng))
         x = Tensor(rng.standard_normal((1, 4, 4, 4)))
 
         def f(t):
@@ -49,27 +49,29 @@ class TestDSSC3:
     """The light neck's depthwise-separable shuffle C3: `C3(separable=True)`."""
 
     def test_bottleneck_residual_rule(self, rng):
-        assert Bottleneck(8, separable=True, rng=rng).add
-        assert not Bottleneck(8, shortcut=False, separable=True, rng=rng).add
+        for shortcut in (True, False):
+            b = Bottleneck(8, shortcut=shortcut, act="mish", separable=True, attention=None,
+                           rng=rng)
+            assert b.add == shortcut
 
     def test_reference_param_counts(self, rng):
-        plain = C3(160, 32, n=1, shortcut=False, separable=True, rng=rng)
+        plain = C3(160, 32, n=1, shortcut=False, separable=True, act="mish", rng=rng)
         assert plain.param_count() == 7024
         gated = C3(160, 32, n=1, shortcut=False, separable=True,
-                   attentions=[GAM(16, rng=rng)], rng=rng)
+                   attentions=[GAM(16, rng=rng)], act="mish", rng=rng)
         assert gated.param_count() == 13468
 
     def test_attention_slot_count_checked(self, rng):
         with pytest.raises(ValueError):
-            C3(16, 16, n=2, separable=True, attentions=[None], rng=rng)
+            C3(16, 16, n=2, separable=True, attentions=[None], act="mish", rng=rng)
 
     def test_forward_shape(self, rng):
-        m = C3(24, 16, n=2, separable=True, rng=rng)
+        m = C3(24, 16, n=2, separable=True, act="mish", rng=rng)
         y = m(Tensor(rng.standard_normal((1, 24, 6, 6)).astype(np.float32)))
         assert y.shape == (1, 16, 6, 6)
 
     def test_gradcheck(self, rng):
-        m = cast_f64(C3(4, 4, n=1, separable=True, rng=rng))
+        m = cast_f64(C3(4, 4, n=1, separable=True, act="mish", rng=rng))
         x = Tensor(rng.standard_normal((1, 4, 4, 4)))
 
         def f(t):
@@ -79,8 +81,9 @@ class TestDSSC3:
         assert err <= 1e-4
 
 
-def tiny_neck(rng, **kw):
-    return LightBiFpn(c3=8, c4=16, c5=32, mid=4, rng=rng, **kw)
+def tiny_neck(rng):
+    return LightBiFpn(c3=8, c4=16, c5=32, mid=4, act="mish", attn_td=None, attn_out4=None,
+                      rng=rng)
 
 
 class TestLightBiFpn:
@@ -133,7 +136,7 @@ class TestLightBiFpn:
         assert not np.allclose(n4a.numpy(), n4b.numpy())
 
     def test_full_width_param_total_with_gates(self, rng):
-        neck = LightBiFpn(c3=64, c4=128, c5=256, mid=32, attn_td=GAM(16, rng=rng),
+        neck = LightBiFpn(c3=64, c4=128, c5=256, mid=32, act="mish", attn_td=GAM(16, rng=rng),
                           attn_out4=GAM(64, rng=rng), rng=rng)
         assert neck.param_count() == 280392
 

@@ -9,9 +9,14 @@ from lightdet.tensor import Tensor, grad_check
 from oracles import rasterized_iou
 
 
+def box_loss_of(kind: str, a: Box, b: Box) -> Tensor:
+    """`box_loss` of one pair of boxes."""
+    return box_loss(kind, Tensor(a.array()), Tensor(b.array()))
+
+
 def iou(a, b) -> float:
     """Plain IoU through the tensor path the training loss runs."""
-    return 1.0 - box_loss("iou", a, b).item()
+    return 1.0 - box_loss_of("iou", a, b).item()
 
 
 def random_box(rng, lo=0.15, hi=0.6):
@@ -128,7 +133,7 @@ class TestLossFamily:
         for _ in range(10):
             b = random_box(rng)
             for kind in LOSS_KINDS:
-                assert box_loss(kind, b, b).item() <= 1e-6, kind
+                assert box_loss_of(kind, b, b).item() <= 1e-6, kind
 
     def test_family_orderings(self, rng, rng1):
         preds = np.stack([random_box(rng).array() for _ in range(10000)])
@@ -147,18 +152,18 @@ class TestLossFamily:
         gts = np.stack([random_box(rng).array() for _ in range(8)])
         for kind in LOSS_KINDS:
             batched = box_loss(kind, Tensor(preds), Tensor(gts)).numpy()
-            single = [box_loss(kind, Box(*preds[i]), Box(*gts[i])).item() for i in range(8)]
+            single = [box_loss(kind, Tensor(preds[i]), Tensor(gts[i])).item() for i in range(8)]
             assert np.allclose(batched, single, atol=1e-9), kind
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_scale_and_translation_invariance(self, kind, rng):
         p, g = random_box(rng), random_box(rng)
-        base = box_loss(kind, p, g).item()
+        base = box_loss_of(kind, p, g).item()
         k, tx, ty = 7.3, 3.0, -2.0
-        scaled = box_loss(kind, Box(p.cx * k, p.cy * k, p.w * k, p.h * k),
-                          Box(g.cx * k, g.cy * k, g.w * k, g.h * k)).item()
-        shifted = box_loss(kind, Box(p.cx + tx, p.cy + ty, p.w, p.h),
-                           Box(g.cx + tx, g.cy + ty, g.w, g.h)).item()
+        scaled = box_loss_of(kind, Box(p.cx * k, p.cy * k, p.w * k, p.h * k),
+                             Box(g.cx * k, g.cy * k, g.w * k, g.h * k)).item()
+        shifted = box_loss_of(kind, Box(p.cx + tx, p.cy + ty, p.w, p.h),
+                              Box(g.cx + tx, g.cy + ty, g.w, g.h)).item()
         assert scaled == pytest.approx(base, abs=1e-6)
         assert shifted == pytest.approx(base, abs=1e-6)
 
@@ -189,9 +194,9 @@ class TestLossFamily:
         flat = Box(0.5, 0.5, 0.0, 0.3)
         other = Box(0.5, 0.5, 0.2, 0.2)
         for kind in LOSS_KINDS:
-            val = box_loss(kind, flat, other).item()
+            val = box_loss_of(kind, flat, other).item()
             assert np.isfinite(val), kind
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            box_loss("xiou", Box(0, 0, 1, 1), Box(0, 0, 1, 1))
+            box_loss_of("xiou", Box(0, 0, 1, 1), Box(0, 0, 1, 1))

@@ -107,7 +107,9 @@ def test_kind_lists_match_the_library_without_importing_numpy():
     assert BOX_KINDS == LOSS_KINDS
     assert set(ACT_KINDS) <= set(ACT_PAIRS)
     for kind in MODEL_KINDS:
-        assert model_mod.build_model(kind, width=0.125, img_size=64).kind == kind
+        m = model_mod.build_model(kind, nc=2, width=0.125, act="mish", img_size=64,
+                                  rng=np.random.default_rng(0))
+        assert m.kind == kind
     src = os.path.dirname(os.path.dirname(lightdet.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c",

@@ -37,7 +37,8 @@ class TestPpm:
         # load_sample reads <root>/images/<stem>.ppm; a missing label file is a negative
         (tmp_path / "images").mkdir()
         write_ppm(str(tmp_path / "images" / "a.ppm"), img)
-        t, labels = load_sample(str(tmp_path), "a", nc=2)
+        # at the longer side: a wide image keeps its pixels in the canvas's top rows
+        t, labels = load_sample(str(tmp_path), "a", nc=2, img_size=max(img.shape[:2]))
         assert labels.shape == (0, 5)
         return t
 
@@ -104,24 +105,24 @@ class TestLabels:
     def test_blank_lines_ok(self, tmp_path):
         p = str(tmp_path / "l.txt")
         open(p, "w").write("\n0 0.5 0.5 0.2 0.2\n\n\n")
-        assert parse_labels(p).shape == (1, 5)
+        assert parse_labels(p, nc=2).shape == (1, 5)
 
     def test_empty_file_is_negative_image(self, tmp_path):
         p = str(tmp_path / "l.txt")
         open(p, "w").write("")
-        assert parse_labels(p).shape == (0, 5)
+        assert parse_labels(p, nc=2).shape == (0, 5)
 
     def test_range_error_carries_line_number(self, tmp_path):
         p = str(tmp_path / "l.txt")
         open(p, "w").write("0 0.5 0.5 0.2 0.2\n1 0.5 0.5 1.5 0.2\n")
         with pytest.raises(ValidationError, match=":2:"):
-            parse_labels(p)
+            parse_labels(p, nc=2)
 
     def test_non_numeric(self, tmp_path):
         p = str(tmp_path / "l.txt")
         open(p, "w").write("0 0.5 x 0.2 0.2\n")
         with pytest.raises(ValidationError, match="non-numeric"):
-            parse_labels(p)
+            parse_labels(p, nc=2)
 
     def test_class_out_of_range(self, tmp_path):
         p = str(tmp_path / "l.txt")
@@ -133,7 +134,7 @@ class TestLabels:
         p = str(tmp_path / "l.txt")
         open(p, "w").write("0 0.5 0.5 0.2\n")
         with pytest.raises(ValidationError, match="5 fields"):
-            parse_labels(p)
+            parse_labels(p, nc=2)
 
 
 class TestSplit:
@@ -305,7 +306,7 @@ class TestLoad:
     def test_load_split_shapes(self, tmp_path):
         root = str(tmp_path)
         synth_generate(12, 3, root, size=32)
-        imgs, targets, stems = load_split(root, 3, "train", 2)
+        imgs, targets, stems = load_split(root, 3, "train", 2, img_size=32)
         assert imgs.shape[1:] == (3, 32, 32)
         assert imgs.dtype == np.float32
         assert len(targets) == len(stems) == imgs.shape[0]
@@ -324,8 +325,8 @@ class TestLoad:
         synth_generate(10, 3, root, size=16)
         write_split(root, 3, [(f"synth_{i:05d}", "train") for i in range(10)])
         with pytest.raises(ValidationError, match="empty"):
-            load_split(root, 3, "val", 2)
+            load_split(root, 3, "val", 2, img_size=16)
 
     def test_unknown_tag_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="tag"):
-            load_split(str(tmp_path), 0, "dev", 2)
+            load_split(str(tmp_path), 0, "dev", 2, img_size=32)

@@ -37,12 +37,12 @@ LIGHT_FLOPS = 3_371_501_568
 
 @pytest.fixture(scope="module")
 def baseline():
-    return Baseline(nc=2, rng=np.random.default_rng(0))
+    return Baseline(nc=2, width=0.25, act="mish", img_size=640, rng=np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
 def light():
-    return Light(nc=2, rng=np.random.default_rng(0))
+    return Light(nc=2, width=0.25, act="mish", img_size=640, rng=np.random.default_rng(0))
 
 
 class TestBudgets:
@@ -59,7 +59,7 @@ class TestBudgets:
     def test_cost_rows_leave_a_training_model_untouched(self):
         # a train-mode forward would move the BatchNorm running stats
         for build in (Baseline, Light):
-            m = build(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(3))
+            m = build(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(3))
             before = {k: t.numpy().tobytes() for k, t in m.named_state()}
             m.cost_rows(64)
             assert all(sub.training for sub in m.modules())
@@ -83,26 +83,28 @@ class TestBudgets:
         assert sum(r[2] for r in baseline.cost_rows(320)) * 4 == BASELINE_FLOPS
 
     def test_build_model_dispatch(self):
-        assert build_model("light", nc=1, width=0.125, img_size=64).kind == "light"
+        m = build_model("light", nc=1, width=0.125, act="mish", img_size=64,
+                        rng=np.random.default_rng(0))
+        assert m.kind == "light"
         with pytest.raises(ValueError):
             build_model("tiny")
 
 
 class TestForward:
     def test_output_shapes(self):
-        m = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(1))
         x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 64, 64)).astype(np.float32))
         preds = m(x)
         assert [p.shape for p in preds] == [(2, 21, 8, 8), (2, 21, 4, 4), (2, 21, 2, 2)]
 
     def test_baseline_output_shapes(self):
-        m = Baseline(nc=1, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Baseline(nc=1, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(1))
         x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32))
         preds = m(x)
         assert [p.shape for p in preds] == [(1, 18, 8, 8), (1, 18, 4, 4), (1, 18, 2, 2)]
 
     def test_eval_forward_deterministic(self):
-        m = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(1))
         m.eval()
         x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32))
         with no_grad():
@@ -112,7 +114,7 @@ class TestForward:
             assert np.array_equal(pa, pb)
 
     def test_obj_bias_prior(self):
-        m = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(1))
         b = m.detect.m[0].bias.numpy().reshape(3, 7)
         assert np.allclose(b[:, 4], math.log(8.0 / (64 / 8) ** 2), atol=1e-6)
         assert np.allclose(b[:, 5:], math.log(0.6 / 1.00001), atol=1e-5)
@@ -285,7 +287,7 @@ class TestLoss:
         det = _tiny_detect()
         preds = _mk_preds(rng, self.GRIDS, det.no)
         targets = [np.array([[0, 0.4, 0.6, 0.3, 0.35], [1, 0.2, 0.2, 0.2, 0.2]])]
-        total, parts = training_loss(preds, targets, det, 32)
+        total, parts = training_loss(preds, targets, det, 32, box_kind="siou")
         assert parts["matched"] > 0
         assert parts["box"] > 0 and parts["obj"] > 0 and parts["cls"] > 0
         assert abs(parts["total"] - float(total.numpy())) < 1e-9
@@ -293,7 +295,7 @@ class TestLoss:
     def test_no_targets_obj_only(self, rng):
         det = _tiny_detect()
         preds = _mk_preds(rng, self.GRIDS, det.no)
-        total, parts = training_loss(preds, [np.zeros((0, 5))], det, 32)
+        total, parts = training_loss(preds, [np.zeros((0, 5))], det, 32, box_kind="siou")
         assert parts["matched"] == 0
         assert parts["box"] == 0.0 and parts["cls"] == 0.0 and parts["obj"] > 0
 
@@ -316,7 +318,7 @@ class TestLoss:
         det = _tiny_detect()
         preds = _mk_preds(rng, self.GRIDS, det.no)
         targets = [np.array([[0, 0.4, 0.6, 0.3, 0.35]])]
-        total, _ = training_loss(preds, targets, det, 32)
+        total, _ = training_loss(preds, targets, det, 32, box_kind="siou")
         total.backward()
         for p in preds:
             assert p.grad is not None and np.abs(p.grad).sum() > 0
@@ -346,7 +348,7 @@ class TestLoss:
                 raw[0, a[m], 4, gj[m], gi[m]] = big
                 raw[0, a[m], 5 + tc[m], gj[m], gi[m]] = big
             preds.append(Tensor(raw.reshape(1, 3 * no, gh, gw)))
-        total, parts = training_loss(preds, targets, det, img)
+        total, parts = training_loss(preds, targets, det, img, box_kind="siou")
         assert parts["matched"] > 0
         assert float(total.numpy()) <= 1e-3
 
@@ -355,8 +357,8 @@ class TestLoss:
         det = _tiny_detect()
         preds = _mk_preds(rng, self.GRIDS, det.no)
         row = [0, 0.4, 0.6, 0.3, 0.35]
-        _, single = training_loss(preds, [np.array([row])], det, 32)
-        _, doubled = training_loss(preds, [np.array([row, row])], det, 32)
+        _, single = training_loss(preds, [np.array([row])], det, 32, box_kind="siou")
+        _, doubled = training_loss(preds, [np.array([row, row])], det, 32, box_kind="siou")
         assert doubled["matched"] == 2 * single["matched"]
         assert doubled["obj"] == pytest.approx(single["obj"], rel=1e-12)
         assert doubled["box"] == pytest.approx(single["box"], rel=1e-12)
@@ -369,12 +371,12 @@ class TestLoss:
         for p in preds:
             p.data[:] = np.abs(p.data)
         targets = [np.array([[0, 0.4, 0.6, 0.3, 0.35]])]
-        _, graded = training_loss(preds, targets, det, 32, obj_target="iou")
-        _, const = training_loss(preds, targets, det, 32, obj_target="one")
+        _, graded = training_loss(preds, targets, det, 32, obj_target="iou", box_kind="siou")
+        _, const = training_loss(preds, targets, det, 32, obj_target="one", box_kind="siou")
         assert graded["obj"] >= const["obj"]
         assert graded["box"] == pytest.approx(const["box"], rel=1e-12)
         with pytest.raises(ValueError):
-            training_loss(preds, targets, det, 32, obj_target="dice")
+            training_loss(preds, targets, det, 32, obj_target="dice", box_kind="siou")
 
 
 class TestPairIou:
@@ -540,7 +542,7 @@ class TestNms:
             assert len(got) == max_det  # the cap, not the candidates, ended the pass
 
     def test_detect_images_runs(self):
-        m = Light(nc=2, width=0.125, img_size=64, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(1))
         x = np.random.default_rng(0).standard_normal((2, 3, 64, 64)).astype(np.float32)
         dets = detect_images(m, x, conf_thr=0.001)
         assert len(dets) == 2
@@ -556,7 +558,7 @@ class TestNms:
 
     def test_detections_equal_per_box_construction(self):
         # untrained, at conf 0.001: every image fills max_det
-        m = Light(nc=2, width=0.125, img_size=128, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, act="mish", img_size=128, rng=np.random.default_rng(1))
         x = np.random.default_rng(0).standard_normal((2, 3, 128, 128)).astype(np.float32)
         got = detect_images(m, x, conf_thr=0.001)
         with no_grad():
@@ -610,7 +612,8 @@ class TestConvBnActEpilogue:
     @pytest.mark.parametrize("kind", ["baseline", "light"])
     def test_eval_forward_needs_no_grad_and_leaves_the_model_alone(self, kind):
         rng = np.random.default_rng(4)
-        m = with_bn_stats(build_model(kind, nc=2, width=0.125, img_size=64, rng=rng), rng)
+        m = build_model(kind, nc=2, width=0.125, act="mish", img_size=64, rng=rng)
+        m = with_bn_stats(m, rng)
         m.eval()
         x = Tensor(rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
         with no_grad():
@@ -685,12 +688,12 @@ class TestCheckpoint:
         # parameters do not depend on the input size, so a 128 px checkpoint
         # loads into a 256 px model; the anchors must stay the 256 px ones
         path = str(tmp_path / "w.bin")
-        save_checkpoint(path, Light(nc=2, width=0.125, img_size=128,
+        save_checkpoint(path, Light(nc=2, width=0.125, act="mish", img_size=128,
                                     rng=np.random.default_rng(0)))
         assert b"anchors" not in open(path, "rb").read()
-        m = Light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(1))
+        m = Light(nc=2, width=0.125, act="mish", img_size=256, rng=np.random.default_rng(1))
         load_checkpoint(path, m)
-        fresh = Light(nc=2, width=0.125, img_size=256, rng=np.random.default_rng(2))
+        fresh = Light(nc=2, width=0.125, act="mish", img_size=256, rng=np.random.default_rng(2))
         assert np.array_equal(m.detect.anchors, fresh.detect.anchors)
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -719,7 +722,7 @@ class TestCheckpoint:
             frozen = fh.read().splitlines()
         got = [f"{kind}\t{name}\t{'x'.join(map(str, t.shape))}"
                for kind in ("baseline", "light")
-               for name, t in build_model(kind, nc=2, width=0.125, img_size=128,
+               for name, t in build_model(kind, nc=2, width=0.125, act="mish", img_size=128,
                                           rng=np.random.default_rng(0)).named_state()]
         assert got == frozen
 
@@ -758,7 +761,7 @@ class TestCheckpoint:
     def test_wrong_architecture(self, tmp_path):
         path = str(tmp_path / "w.bin")
         save_checkpoint(path, self._model())
-        other = Baseline(nc=2, width=0.125, img_size=64,
+        other = Baseline(nc=2, width=0.125, act="mish", img_size=64,
                          rng=np.random.default_rng(0))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, other)

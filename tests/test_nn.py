@@ -33,7 +33,7 @@ class TestActivations:
 
     def test_unknown_activation_raises(self):
         with pytest.raises(ValueError, match="unknown activation 'swishish'; choose from"):
-            ConvBnAct(2, 4, act="swishish")
+            ConvBnAct(2, 4, act="swishish", rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", ["leakyrelu", "hswish", "mish", "gelu", "relu"])
     def test_activation_gradcheck(self, name, rng):
@@ -130,25 +130,25 @@ class TestShuffle:
 
 class TestModules:
     def test_named_parameters_are_unique_and_dotted(self, rng):
-        block = C3(8, 8, n=2, rng=rng)
+        block = C3(8, 8, n=2, act="mish", rng=rng)
         names = [n for n, _ in block.named_parameters()]
         assert len(names) == len(set(names))
         assert any(n.startswith("m.1.cv2.") for n in names)
 
     def test_param_count_matches_formula(self, rng):
-        conv = ConvBnAct(16, 32, 3, rng=rng)
+        conv = ConvBnAct(16, 32, 3, act="mish", rng=rng)
         assert conv.param_count() == 32 * 16 * 9 + 2 * 32
         lin = Linear(8, 4, rng=rng)
         assert lin.param_count() == 8 * 4 + 4
 
     def test_conv_cost_formula(self, rng):
-        conv = ConvBnAct(16, 32, 3, s=2, rng=rng)
+        conv = ConvBnAct(16, 32, 3, s=2, act="mish", rng=rng)
         flops, y = counted_flops(conv, (1, 16, 64, 64))
         assert y.shape == (1, 32, 32, 32)
         assert flops == 2 * (32 * 16 * 9) * 32 * 32
 
     def test_block_credit_is_the_sum_of_its_convs(self, rng):
-        block = C3(8, 8, n=2, rng=rng)
+        block = C3(8, 8, n=2, act="mish", rng=rng)
         with no_grad(), count_flops() as count:
             block(Tensor(np.zeros((2, 8, 6, 6), np.float32)))
         convs = [m for m in block.modules() if isinstance(m, Conv2d)]
@@ -156,12 +156,12 @@ class TestModules:
         assert count[block.cv1] == 2 * (4 * 8) * 36 * 2
 
     def test_c3_reference_param_count(self, rng):
-        assert C3(64, 64, n=2, rng=rng).param_count() == 29184
-        assert SPPF(256, rng=rng).param_count() == 164608
+        assert C3(64, 64, n=2, act="mish", rng=rng).param_count() == 29184
+        assert SPPF(256, act="mish", rng=rng).param_count() == 164608
 
     def test_bottleneck_residual_needs_matching_channels(self, rng):
         # one width c for input, branch and output, so the residual always adds
-        b = Bottleneck(8, shortcut=True, rng=rng)
+        b = Bottleneck(8, shortcut=True, act="mish", separable=False, attention=None, rng=rng)
         assert b.add
         x = Tensor(rng.standard_normal((1, 8, 4, 4)).astype(np.float32))
         with no_grad():
@@ -170,7 +170,7 @@ class TestModules:
             b(Tensor(np.zeros((1, 4, 4, 4), np.float32)))
 
     def test_train_eval_toggles_recursively(self, rng):
-        block = C3(8, 8, rng=rng)
+        block = C3(8, 8, act="mish", rng=rng)
         block.eval()
         assert not block.m[0].cv1.bn.training
         block.train()
@@ -245,7 +245,7 @@ class TestModules:
         # the normalised input and the activation's output; three nodes (conv,
         # BN, activation) would also keep the conv's and BN's outputs: four
         rng = np.random.default_rng(8)
-        m = ConvBnAct(8, 16, 3, rng=rng)
+        m = ConvBnAct(8, 16, 3, act="mish", rng=rng)
         x = Tensor(rng.standard_normal((2, 8, 64, 64)).astype(np.float32), requires_grad=True)
         out_bytes = 2 * 16 * 64 * 64 * 4
         tracemalloc.start()
@@ -265,8 +265,8 @@ class TestModules:
         assert not np.array_equal(m.bn.running_mean.data, before)
 
     def test_c3_and_sppf_gradcheck(self, rng):
-        c3 = cast_f64(C3(4, 4, n=1, rng=rng))
-        spp = cast_f64(SPPF(4, rng=rng))
+        c3 = cast_f64(C3(4, 4, n=1, act="mish", rng=rng))
+        spp = cast_f64(SPPF(4, act="mish", rng=rng))
         x = Tensor(rng.standard_normal((1, 4, 6, 6)))
 
         def f(t):

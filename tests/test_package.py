@@ -3,18 +3,21 @@ import pathlib
 
 import lightdet
 
-from helpers import count_defaulted_params
+from helpers import defaulted_params
 
 # A parameter that no caller passes is an option nobody uses. A change that
 # needs a new defaulted parameter raises this number and names the caller.
-MAX_DEFAULTED_PARAMS = 99
+MAX_DEFAULTED_PARAMS = 54
 # Lines of src/lightdet/*.py, as `wc -l` counts them. A change that raises
 # this number names why: a measured gain or a closed bug.
-MAX_SRC_LINES = 3378
+MAX_SRC_LINES = 3338
+# Parameter names of the run settings whose one default is RunConfig's (cli.py)
+RUN_SETTINGS = {"act", "box_kind", "nc", "width", "img_size", "batch", "lr", "momentum",
+                "seed", "rng"}
 
 
 def test_defaulted_parameters_do_not_grow():
-    n = count_defaulted_params(os.path.dirname(lightdet.__file__))
+    n = len(list(defaulted_params(os.path.dirname(lightdet.__file__))))
     assert n <= MAX_DEFAULTED_PARAMS, (
         f"src/lightdet has {n} defaulted parameters, above {MAX_DEFAULTED_PARAMS}")
 
@@ -23,3 +26,10 @@ def test_source_lines_do_not_grow():
     paths = pathlib.Path(lightdet.__file__).parent.glob("*.py")
     n = sum(p.read_bytes().count(b"\n") for p in paths)
     assert n <= MAX_SRC_LINES, f"src/lightdet has {n} lines, above {MAX_SRC_LINES}"
+
+
+def test_run_settings_have_one_default():
+    # library calls take every run setting, and an rng, from their caller
+    found = [f"{where} {fn}({param}=)" for where, fn, param
+             in defaulted_params(os.path.dirname(lightdet.__file__)) if param in RUN_SETTINGS]
+    assert not found, f"run settings defaulted outside RunConfig: {', '.join(found)}"
