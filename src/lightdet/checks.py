@@ -173,13 +173,17 @@ def _mish_wide():
     return err
 
 
-@_check("window_attention")
-def _dwa():
-    blk = SepViTBlock(4, window_size=2, rng=np.random.default_rng(11))
+def _off_origin_token(blk: SepViTBlock) -> SepViTBlock:
     # the token starts at zero, where normalizing its (constant) row divides
     # by sqrt(eps) and central differences lose accuracy; check off the origin
     blk.window_token.data = np.random.default_rng(28).standard_normal(
         blk.window_token.shape) * 0.25
+    return blk
+
+
+@_check("window_attention")
+def _dwa():
+    blk = _off_origin_token(SepViTBlock(4, rng=np.random.default_rng(11)))
     f = window_partition(_x((1, 4, 4, 4), 12, scale=0.5), 2)
 
     def call(m, t):
@@ -191,7 +195,7 @@ def _dwa():
 
 @_check("cross_window_attention")
 def _pwa():
-    blk = SepViTBlock(4, window_size=2, rng=np.random.default_rng(13))
+    blk = SepViTBlock(4, rng=np.random.default_rng(13))
     fpix = _x((1, 4, 4, 4), 14)
     wt = _x((1, 4, 1, 4), 15)
     return _module_err(blk, [fpix, wt],
@@ -200,8 +204,9 @@ def _pwa():
 
 @_check("sepvit_block")
 def _sepvit():
-    blk = SepViTBlock(4, window_size=2, rng=np.random.default_rng(16))
-    return _module_err(blk, [_x((1, 4, 4, 4), 17)])
+    blk = _off_origin_token(SepViTBlock(4, rng=np.random.default_rng(16)))
+    # a 4x6 map picks 2x2 windows, six of them, so stage two mixes windows
+    return _module_err(blk, [_x((1, 4, 4, 6), 17)])
 
 
 @_check("c3")
@@ -224,7 +229,7 @@ def _dss_c3():
 
 @_check("gam")
 def _gam():
-    m = GAM(4, k=3, rng=np.random.default_rng(22))
+    m = GAM(4, rng=np.random.default_rng(22))
     return _module_err(m, [_x((1, 4, 4, 4), 23)])
 
 
@@ -232,7 +237,7 @@ def _gam():
 def _gam_bottleneck():
     rng = np.random.default_rng(24)
     m = Bottleneck(4, shortcut=True, act="mish", separable=True,
-                   attention=GAM(4, k=3, rng=rng), rng=rng)
+                   attention=GAM(4, rng=rng), rng=rng)
     return _module_err(m, [_x((1, 4, 4, 4), 25)])
 
 
@@ -273,14 +278,11 @@ def _loss():
     return err
 
 
-def run_checks(names: list[str] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) and time each one."""
-    chosen = list(CHECKS) if names is None else names
+def run_checks() -> list[CheckResult]:
+    """Run every check in CHECKS and time each one."""
     results = []
-    for nm in chosen:
-        if nm not in CHECKS:
-            raise KeyError(f"unknown check {nm!r}; choose from {sorted(CHECKS)}")
+    for nm, check in CHECKS.items():
         t0 = time.perf_counter()
-        err = float(CHECKS[nm]())
+        err = float(check())
         results.append(CheckResult(nm, err, time.perf_counter() - t0))
     return results

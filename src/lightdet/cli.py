@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -22,6 +23,7 @@ MODEL_KINDS = ("baseline", "light")
 SPLITS = ("train", "val", "test")
 COST_REF_SIZE = 640
 LAST_CKPT = "last.ckpt"  # train's final weights, written beside the best checkpoint
+BENCH_WARMUP, BENCH_REPS = 3, 10  # untimed, then timed detect_images calls
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -158,6 +160,12 @@ def _load_weights(cfg: RunConfig, model) -> None:
         load_checkpoint(cfg.weights, model)
 
 
+def _check_has_boxes(cfg: RunConfig, tag: str, targets) -> None:
+    """Evaluation scores against ground truth: a split of negatives alone cannot be scored."""
+    if not any(len(t) for t in targets):
+        raise CliError(f"split {tag!r} of {cfg.data} has no labelled box to evaluate against")
+
+
 def cmd_synth(cfg: RunConfig) -> int:
     from .data import ensure_split, synth_generate
 
@@ -195,6 +203,7 @@ def cmd_train(cfg: RunConfig) -> int:
         val_tag = "val"
     except ValidationError:
         val_images, val_targets, val_tag = images, targets, "train"
+    _check_has_boxes(cfg, val_tag, val_targets)
 
     model = _build(cfg)
     batch, steps_per_epoch = epoch_shape(len(images), cfg.batch)
@@ -243,6 +252,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.data:
         raise CliError("eval needs --data DIR")
     images, targets, _ = load_split(cfg.data, cfg.seed, cfg.split, cfg.nc, cfg.img)
+    _check_has_boxes(cfg, cfg.split, targets)
     model = _build(cfg)
     _load_weights(cfg, model)
     rep = evaluate_model(model, images, targets)
@@ -277,16 +287,21 @@ def cmd_cost(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     import numpy as np
 
-    from .metrics import fps_bench
     from .model import detect_images
 
     model = _build(cfg)
     _load_weights(cfg, model)
     x = np.random.default_rng(cfg.seed).random((1, 3, cfg.img, cfg.img),
                                                dtype=np.float32)
-    stats = fps_bench(lambda: detect_images(model, x))
-    print(f"mean_ms {stats['mean_ms']:.2f}  p95_ms {stats['p95_ms']:.2f}  "
-          f"fps {stats['fps']:.2f}")
+    for _ in range(BENCH_WARMUP):
+        detect_images(model, x)
+    ms = []
+    for _ in range(BENCH_REPS):
+        t0 = time.perf_counter()
+        detect_images(model, x)
+        ms.append((time.perf_counter() - t0) * 1e3)
+    mean = float(np.mean(ms))
+    print(f"mean_ms {mean:.2f}  p95_ms {float(np.percentile(ms, 95)):.2f}  fps {1e3 / mean:.2f}")
     return 0
 
 

@@ -14,9 +14,11 @@ import numpy as np
 from .nn import Conv2d, ConvBnAct, Linear, Module
 from .tensor import Tensor, activate
 
+GAM_KERNEL = 7  # the spatial gate's convolution side
+
 
 class GAM(Module):
-    def __init__(self, c: int, k: int = 7, *, rng: np.random.Generator):
+    def __init__(self, c: int, *, rng: np.random.Generator):
         super().__init__()
         if c < 2:
             raise ValueError(f"GAM needs at least 2 channels, got {c}")
@@ -24,8 +26,8 @@ class GAM(Module):
         self.c, self.hidden = c, hidden
         self.fc1 = Linear(c, hidden, rng=rng)
         self.fc2 = Linear(hidden, c, rng=rng)
-        self.sp1 = ConvBnAct(c, hidden, k, act="relu", rng=rng)
-        self.sp2 = Conv2d(hidden, c, k, bias=True, rng=rng)
+        self.sp1 = ConvBnAct(c, hidden, GAM_KERNEL, act="relu", rng=rng)
+        self.sp2 = Conv2d(hidden, c, GAM_KERNEL, bias=True, rng=rng)
 
     def channel_gate(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape

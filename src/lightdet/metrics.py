@@ -1,4 +1,4 @@
-"""Detection quality metrics: greedy matching, PR curves, AP, and a timing bench.
+"""Detection quality metrics: greedy matching, PR curves and AP.
 
 Matching is class-aware and greedy in confidence order (ties broken by detection
 index): each detection takes the unmatched ground truth of its class with the
@@ -8,12 +8,13 @@ ground truth anywhere are reported as skipped, not averaged.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import Box, corners_np, iou_matrix
+
+MATCH_IOU = 0.5  # a detection matches a ground truth at this IoU or above (mAP@0.5)
 
 
 @dataclass(slots=True)
@@ -37,8 +38,7 @@ def _corners(boxes: list[Box]) -> np.ndarray:
     return corners_np(np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64))
 
 
-def match_image(dets: list[Detection], gts: list[tuple[int, Box]],
-                iou_thr: float = 0.5) -> list[bool]:
+def match_image(dets: list[Detection], gts: list[tuple[int, Box]]) -> list[bool]:
     """True/False per detection, in the given order after confidence sorting.
 
     Detections must already be sorted by descending confidence; this matcher
@@ -50,7 +50,7 @@ def match_image(dets: list[Detection], gts: list[tuple[int, Box]],
     # the IoU of each same-class gt at or above the threshold, -1 elsewhere;
     # IoU 0 never matches, even at threshold 0
     same = np.array([d.class_id for d in dets])[:, None] == np.array([g[0] for g in gts])
-    cand = np.where(same & (ious >= iou_thr) & (ious > 0), ious, -1.0)
+    cand = np.where(same & (ious >= MATCH_IOU) & (ious > 0), ious, -1.0)
     flags = [False] * len(dets)  # a detection with no candidate stays False
     for i in np.flatnonzero(cand.max(axis=1) > 0):
         j = int(np.argmax(cand[i]))  # the earliest gt on equal IoU
@@ -142,20 +142,3 @@ def evaluate(dets_per_image: list[list[Detection]],
     return MetricReport(map50, aps, skipped, float(precision[best]),
                         float(recall[best]), counts)
 
-
-def fps_bench(fn, warmup: int = 3, reps: int = 10) -> dict[str, float]:
-    """Latency of fn() in milliseconds plus throughput; wall-clock, single feed."""
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1e3)
-    arr = np.asarray(times)
-    mean = float(arr.mean())
-    return {
-        "mean_ms": mean,
-        "p95_ms": float(np.percentile(arr, 95)),
-        "fps": 1e3 / mean if mean > 0 else float("inf"),
-    }

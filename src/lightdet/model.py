@@ -352,18 +352,18 @@ def decode_predictions(preds_np: list[np.ndarray], anchors_px: np.ndarray,
     return np.concatenate(out, axis=1)
 
 
+NMS_IOU = 0.45  # a box overlapping a higher-scored kept box above this IoU is dropped
 # NMS settles this many sorted candidates per step: enough to spread the fixed
 # cost of each step's numpy calls, few enough that the block-by-block IoU matrix
 # stays small (on ~1,000-candidate images 64 and 128 time the same, 256 slower)
 _NMS_BLOCK = 128
 
 
-def nms_indices(boxes_xyxy: np.ndarray, scores: np.ndarray, iou_thr: float = 0.45,
-                max_det: int = 300) -> np.ndarray:
-    """Greedy suppression; ties in score keep the lower index first.
+def nms_indices(boxes_xyxy: np.ndarray, scores: np.ndarray, max_det: int) -> np.ndarray:
+    """Greedy suppression to at most `max_det` boxes; ties in score keep the lower index first.
 
     A candidate is kept when its IoU with every higher-ranked kept box is at
-    most `iou_thr`. The sorted candidates go in blocks: one IoU matrix against
+    most NMS_IOU. The sorted candidates go in blocks: one IoU matrix against
     the boxes kept so far drops those already suppressed, and a greedy pass
     over the block's own IoU matrix settles the rest. IoU is symmetric to the
     bit, so the kept set is the one a box-at-a-time loop finds.
@@ -376,9 +376,9 @@ def nms_indices(boxes_xyxy: np.ndarray, scores: np.ndarray, iou_thr: float = 0.4
         cand = order[start:start + _NMS_BLOCK]
         if keep:
             # kept only where `<=` holds, so a NaN IoU suppresses
-            clear = iou_matrix(boxes_xyxy[cand], boxes_xyxy[keep]) <= iou_thr
+            clear = iou_matrix(boxes_xyxy[cand], boxes_xyxy[keep]) <= NMS_IOU
             cand = cand[clear.all(axis=1)]
-        clear = iou_matrix(boxes_xyxy[cand], boxes_xyxy[cand]) <= iou_thr
+        clear = iou_matrix(boxes_xyxy[cand], boxes_xyxy[cand]) <= NMS_IOU
         alive = np.ones(cand.size, dtype=bool)
         for r in range(cand.size):
             if alive[r]:

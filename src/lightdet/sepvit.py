@@ -52,12 +52,11 @@ def window_merge(tokens: Tensor, ws: int, h: int, w: int) -> Tensor:
 class SepViTBlock(Module):
     """d-channel attention block with a 4d-wide MLP; preserves NCHW shape."""
 
-    def __init__(self, d: int, window_size: int | None = None, *, rng: np.random.Generator):
+    def __init__(self, d: int, *, rng: np.random.Generator):
         super().__init__()
         if d <= 0:
             raise ValueError("channel dim must be positive")
         self.d = d
-        self.window_size = window_size
         self.norm1 = LayerNorm(d)
         self.wq = Linear(d, d, bias=False, rng=rng)
         self.wk = Linear(d, d, bias=False, rng=rng)
@@ -70,7 +69,7 @@ class SepViTBlock(Module):
         self.window_token = Tensor(np.zeros((1, 1, 1, d), np.float32), requires_grad=True)
 
     # stage one: attention inside each window over pixel tokens + window token
-    def window_attention(self, f: Tensor, return_attn: bool = False):
+    def window_attention(self, f: Tensor) -> tuple[Tensor, Tensor]:
         n, nw, t, d = f.shape
         wt = self.window_token * Tensor(np.ones((n, nw, 1, d), f.data.dtype))
         ft = concat([f, wt], axis=2)
@@ -78,25 +77,23 @@ class SepViTBlock(Module):
         q, k, v = self.wq(h), self.wk(h), self.wv(h)
         attn = ((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d))).softmax(axis=-1)
         out = attn @ v
-        pix, token = out[:, :, :t, :], out[:, :, t:, :]
-        return (pix, token, attn) if return_attn else (pix, token)
+        return out[:, :, :t, :], out[:, :, t:, :]
 
     # stage two: windows attend to each other; values are whole pixel groups
-    def cross_window_attention(self, fpix: Tensor, wt: Tensor, return_attn: bool = False):
+    def cross_window_attention(self, fpix: Tensor, wt: Tensor) -> Tensor:
         n, nw, t, d = fpix.shape
         g = activate(self.norm_token(wt), "gelu")
         q = self.wq(g).reshape(n, nw, d)
         k = self.wk(g).reshape(n, nw, d)
         attn = ((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d))).softmax(axis=-1)
         mixed = attn @ fpix.reshape(n, nw, t * d)
-        out = mixed.reshape(n, nw, t, d)
-        return (out, attn) if return_attn else out
+        return mixed.reshape(n, nw, t, d)
 
     def forward(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
         if c != self.d:
             raise ValueError(f"expected {self.d} channels, got {c}")
-        ws = self.window_size or pick_window_size(h, w)
+        ws = pick_window_size(h, w)
         f = window_partition(x, ws)
         fpix, wt = self.window_attention(f)
         fhat = self.cross_window_attention(fpix, wt) + f

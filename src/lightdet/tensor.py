@@ -760,13 +760,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     return out
 
 
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
+def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     """Max over k*k windows padded with -inf: a running max over the k column taps
     of each row, then over k rows. A NaN in a window gives NaN. Backward keeps the
     padded input and gives each output's gradient to the first tap in (i, j)
     order whose value equals the output, so a tie sends it all to one tap.
     """
-    stride = stride or kernel
     xd = _pad2d(x.data, padding, -np.inf)
     hp, wp = xd.shape[2:]
     ho = (hp - kernel) // stride + 1

@@ -75,8 +75,22 @@ def counted_flops(module, shape):
     return count.total, y
 
 
+def softmax_outputs(monkeypatch) -> list:
+    """Record every `Tensor.softmax` output, in call order, into the returned
+    list: how a test reads SepViT's attention maps."""
+    seen = []
+    softmax = Tensor.softmax
+
+    def recorded(self, *args, **kwargs):
+        seen.append(softmax(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(Tensor, "softmax", recorded)
+    return seen
+
+
 class ScriptedClock:
-    """Stands in for the `time` module that `lightdet.metrics` reads.
+    """Stands in for the `time` module that `lightdet.cli` reads to time `bench`.
 
     `perf_counter()` returns a counter that only `tick()` advances: by COLD
     seconds on the first tick, by STEADY seconds on every later one. A job

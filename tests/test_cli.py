@@ -9,7 +9,7 @@ import pytest
 
 from helpers import ScriptedClock
 import lightdet
-from lightdet import checks, metrics
+from lightdet import checks, cli
 from lightdet import model as model_mod
 from lightdet.boxes import LOSS_KINDS
 from lightdet.cli import (
@@ -360,6 +360,20 @@ class TestTrain:
         assert "cannot be named last.ckpt" in capsys.readouterr().err
         assert not os.path.exists(ckpt)
 
+    def test_split_without_boxes_fails_before_training(self, tmp_path, capsys):
+        # empty label files are negative images; a split of only those cannot be scored
+        root = tmp_path / "ds"
+        assert main(["synth", "--data", str(root), "--images", "12", "--img", "64",
+                     "--seed", "5"]) == 0
+        for line in (root / "split_5.txt").read_text().splitlines():
+            stem, tag = line.split("\t")
+            if tag == "val":
+                (root / "labels" / f"{stem}.txt").write_text("")
+        for argv in (["train"] + TRAIN_ARGS, ["eval", "--split", "val"] + TRAIN_ARGS):
+            assert main(argv + ["--data", str(root)]) == 1
+            assert f"split 'val' of {root} has no labelled box" in capsys.readouterr().err
+        assert not [f for f in os.listdir(root) if f.endswith((".ckpt", ".tmp"))]
+
 
 class TestEval:
     def test_report_shape(self, tiny_dataset, capsys):
@@ -431,13 +445,34 @@ class TestBench:
                 clock.tick()
                 return out
 
-            monkeypatch.setattr(metrics, "time", clock)
+            monkeypatch.setattr(cli, "time", clock)
             monkeypatch.setattr(model_mod, "detect_images", timed_detect)
             runs.append(self._run(capsys))
         steady_ms = ScriptedClock.STEADY * 1e3
         assert runs[0] == runs[1]
         assert runs[0] == pytest.approx((steady_ms, steady_ms, 1e3 / steady_ms),
                                         abs=half)
+
+    def test_figures_are_mean_and_p95_of_the_timed_calls(self, capsys, monkeypatch):
+        # scripted clock that starts once warm-up is over: the first timed
+        # detect costs COLD and the rest STEADY
+        clock, calls = ScriptedClock(), []
+        real_detect = model_mod.detect_images
+
+        def timed_detect(*args, **kwargs):
+            out = real_detect(*args, **kwargs)
+            calls.append(out)
+            if len(calls) > cli.BENCH_WARMUP:
+                clock.tick()
+            return out
+
+        monkeypatch.setattr(cli, "time", clock)
+        monkeypatch.setattr(model_mod, "detect_images", timed_detect)
+        got = self._run(capsys)
+        assert len(calls) == cli.BENCH_WARMUP + cli.BENCH_REPS
+        times = [ScriptedClock.COLD * 1e3] + [ScriptedClock.STEADY * 1e3] * (cli.BENCH_REPS - 1)
+        mean = np.mean(times)
+        assert got == pytest.approx((mean, np.percentile(times, 95), 1e3 / mean), abs=0.005)
 
     def test_wider_model_slower(self, capsys):
         mean_small, _, _ = self._run(capsys, width="0.125")
@@ -481,12 +516,12 @@ class TestGradcheckCmd:
         assert need <= set(checks.CHECKS)
 
     def test_injected_wrong_gradient_fails(self, monkeypatch, capsys):
-        monkeypatch.setitem(checks.CHECKS, "stub", _wrong_gradient_probe)
-        results = checks.run_checks(names=["conv2d", "stub"])
+        monkeypatch.setattr(checks, "CHECKS", {"conv2d": checks.CHECKS["conv2d"],
+                                               "stub": _wrong_gradient_probe})
+        results = checks.run_checks()
+        assert [r.name for r in results] == ["conv2d", "stub"]
         assert results[0].ok and not results[1].ok
         assert main(["gradcheck"]) == 2
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
-            checks.run_checks(names=["perpetual_motion"])
+        out = capsys.readouterr().out
+        assert re.search(r"^stub +max_err .* FAIL", out, re.M)
+        assert "1/2 checks passed" in out

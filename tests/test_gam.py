@@ -58,7 +58,7 @@ class TestGAM:
             GAM(8, rng=rng)(Tensor(np.zeros((1, 4, 3, 3), np.float32)))
 
     def test_gradcheck(self, rng):
-        gam = cast_f64(GAM(4, k=3, rng=rng))
+        gam = cast_f64(GAM(4, rng=rng))
         x = Tensor(rng.standard_normal((1, 4, 4, 4)))
 
         def f(t):

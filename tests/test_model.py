@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from lightdet import model as model_mod
 from lightdet.boxes import Box, corners_np, iou_matrix
 from lightdet.errors import CheckpointError
 from lightdet.metrics import Detection
@@ -493,33 +494,34 @@ class TestNms:
     def test_overlap_suppressed(self):
         boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11], [50, 50, 60, 60.0]])
         scores = np.array([0.9, 0.8, 0.7])
-        keep = nms_indices(boxes, scores, iou_thr=0.45)
+        keep = nms_indices(boxes, scores, 300)
         assert keep.tolist() == [0, 2]
 
     def test_low_overlap_kept(self):
         boxes = np.array([[0, 0, 10, 10], [8, 8, 18, 18.0]])
-        keep = nms_indices(boxes, np.array([0.9, 0.8]), iou_thr=0.45)
+        keep = nms_indices(boxes, np.array([0.9, 0.8]), 300)
         assert keep.tolist() == [0, 1]
 
     def test_max_det(self):
         boxes = np.array([[i * 20.0, 0, i * 20 + 10, 10] for i in range(5)])
-        keep = nms_indices(boxes, np.linspace(1, 0.5, 5), max_det=3)
+        keep = nms_indices(boxes, np.linspace(1, 0.5, 5), 3)
         assert len(keep) == 3
 
     def test_score_tie_stable(self):
         boxes = np.array([[0, 0, 10, 10], [100, 0, 110, 10.0]])
-        keep = nms_indices(boxes, np.array([0.5, 0.5]))
+        keep = nms_indices(boxes, np.array([0.5, 0.5]), 300)
         assert keep.tolist() == [0, 1]
 
     def test_empty_input(self):
-        keep = nms_indices(np.zeros((0, 4)), np.zeros(0))
+        keep = nms_indices(np.zeros((0, 4)), np.zeros(0), 300)
         assert keep.shape == (0,) and keep.dtype == np.int64
 
     @pytest.mark.parametrize("case", ["random", "clusters", "tied_scores",
                                       "max_det_mid_block", "zero_area", "class_offset"])
-    def test_matches_bruteforce_suppression(self, rng, case):
+    def test_matches_bruteforce_suppression(self, rng, monkeypatch, case):
         # independent scalar-loop oracle; the 700-box cases span several NMS blocks
         boxes, scores, thr, max_det = _nms_case(case, rng)
+        monkeypatch.setattr(model_mod, "NMS_IOU", thr)
         n = len(scores)
 
         def iou(a, b):
@@ -535,7 +537,7 @@ class TestNms:
                 break
             if all(iou(boxes[i], boxes[j]) <= thr for j in expect):
                 expect.append(i)
-        got = nms_indices(boxes, scores, iou_thr=thr, max_det=max_det)
+        got = nms_indices(boxes, scores, max_det)
         assert got.dtype == np.int64
         assert got.tolist() == expect
         if max_det < n:
@@ -571,7 +573,7 @@ class TestNms:
             sel = conf >= 0.001
             boxes = np.clip(corners_np(row[sel, :4]), 0.0, 128.0)
             cls, conf = cls[sel], conf[sel]
-            keep = nms_indices(boxes + cls[:, None] * 256.0, conf)
+            keep = nms_indices(boxes + cls[:, None] * 256.0, conf, 300)
             want = []
             for i in keep:  # the center form, one kept box at a time, in float64
                 x1, y1, x2, y2 = boxes[i]

@@ -1,16 +1,19 @@
+import inspect
 import os
 import pathlib
 
 import lightdet
+from lightdet.model import detect_images
+from lightdet.train import fit
 
 from helpers import defaulted_params
 
 # A parameter that no caller passes is an option nobody uses. A change that
 # needs a new defaulted parameter raises this number and names the caller.
-MAX_DEFAULTED_PARAMS = 54
+MAX_DEFAULTED_PARAMS = 43
 # Lines of src/lightdet/*.py, as `wc -l` counts them. A change that raises
 # this number names why: a measured gain or a closed bug.
-MAX_SRC_LINES = 3338
+MAX_SRC_LINES = 3336
 # Parameter names of the run settings whose one default is RunConfig's (cli.py)
 RUN_SETTINGS = {"act", "box_kind", "nc", "width", "img_size", "batch", "lr", "momentum",
                 "seed", "rng"}
@@ -33,3 +36,10 @@ def test_run_settings_have_one_default():
     found = [f"{where} {fn}({param}=)" for where, fn, param
              in defaulted_params(os.path.dirname(lightdet.__file__)) if param in RUN_SETTINGS]
     assert not found, f"run settings defaulted outside RunConfig: {', '.join(found)}"
+
+
+def test_defaults_the_benchmark_reads():
+    # perfbench/workloads.py reads detect_images' max_det default and calls fit
+    # without augment, so both defaults are part of what the benchmark measures
+    assert inspect.signature(detect_images).parameters["max_det"].default == 300
+    assert inspect.signature(fit).parameters["augment"].default is False

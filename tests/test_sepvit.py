@@ -4,7 +4,7 @@ import pytest
 from lightdet.sepvit import SepViTBlock, pick_window_size, window_merge, window_partition
 from lightdet.tensor import Tensor, grad_check
 
-from helpers import cast_f64, counted_flops
+from helpers import cast_f64, counted_flops, softmax_outputs
 
 
 class TestWindows:
@@ -44,20 +44,21 @@ class TestWindows:
 
 class TestBlock:
     def test_shape_preserved_reference_case(self, rng):
-        block = SepViTBlock(256, window_size=7, rng=rng)
+        block = SepViTBlock(256, rng=rng)
         x = Tensor(rng.standard_normal((1, 256, 14, 14)).astype(np.float32))
         y = block(x)
         assert y.shape == (1, 256, 14, 14)
         assert np.isfinite(y.numpy()).all()
 
-    def test_attention_rows_sum_to_one(self, rng):
+    def test_attention_rows_sum_to_one(self, rng, monkeypatch):
         block = SepViTBlock(16, rng=rng)
         f = window_partition(Tensor(rng.standard_normal((2, 16, 6, 6)).astype(np.float32)), 3)
-        _, wt, attn = block.window_attention(f, return_attn=True)
-        assert np.allclose(attn.numpy().sum(axis=-1), 1.0, atol=1e-6)
-        fpix, _ = block.window_attention(f)
-        _, attn2 = block.cross_window_attention(fpix, wt, return_attn=True)
-        assert np.allclose(attn2.numpy().sum(axis=-1), 1.0, atol=1e-6)
+        attn = softmax_outputs(monkeypatch)
+        fpix, wt = block.window_attention(f)
+        block.cross_window_attention(fpix, wt)
+        assert [a.shape for a in attn] == [(2, 4, 10, 10), (2, 4, 4)]
+        for a in attn:
+            assert np.allclose(a.numpy().sum(axis=-1), 1.0, atol=1e-6)
 
     def test_single_window_cross_stage_is_identity(self, rng):
         block = SepViTBlock(8, rng=rng)
@@ -108,15 +109,9 @@ class TestBlock:
         block = SepViTBlock(d, rng=rng)
         assert block.param_count() == 11 * d * d + 10 * d == 181504
 
-    def test_adaptive_matches_explicit_window(self, rng):
-        x = Tensor(rng.standard_normal((1, 8, 14, 14)).astype(np.float32))
-        b1 = SepViTBlock(8, rng=np.random.default_rng(3))
-        b2 = SepViTBlock(8, window_size=7, rng=np.random.default_rng(3))
-        assert np.array_equal(b1(x).numpy(), b2(x).numpy())
-
     def test_block_gradcheck(self, rng):
-        block = cast_f64(SepViTBlock(8, window_size=2, rng=rng))
-        x = Tensor(rng.standard_normal((1, 8, 4, 4)))
+        block = cast_f64(SepViTBlock(8, rng=rng))
+        x = Tensor(rng.standard_normal((1, 8, 4, 6)))  # six 2x2 windows
 
         def f(t):
             return block(t).tanh().mean()

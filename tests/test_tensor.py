@@ -103,7 +103,7 @@ UNARY_OPS = {
     "getitem": lambda t: t[:, 1:, ::2],
     "softmax": lambda t: t.softmax(axis=1),
     **{name: (lambda t, n=name: activate(t, n)) for name in ACT_PAIRS},
-    "max_pool2d": lambda t: max_pool2d(t, 2),
+    "max_pool2d": lambda t: max_pool2d(t, 2, 2),
     "max_pool2d_padded": lambda t: max_pool2d(t, 3, 2, padding=1),
     "upsample_nearest2x": upsample_nearest2x,
 }
@@ -235,7 +235,7 @@ class TestBackward:
         try:
             y = conv2d(x, w, padding=1, groups=4)
             y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)), "relu")[0]
-            y = upsample_nearest2x(max_pool2d(activate(y, "mish"), 2, padding=1))
+            y = upsample_nearest2x(max_pool2d(activate(y, "mish"), 2, 2, padding=1))
             y = concat([y.sigmoid(), y.softplus(), y.tanh(), activate(y, "gelu"),
                         activate(y, "leakyrelu")], axis=1)
             y = (y.exp() - y) ** 2 / (y.abs() + 1.0)
@@ -594,7 +594,7 @@ class TestSpatial:
 
     def test_maxpool_forward_and_grad(self, rng):
         # 3x3 stride 2 padding 1, where every tap wins some window, and 2x2 at
-        # the default stride
+        # stride 2
         for dt in (np.float32, np.float64):
             x = rng.standard_normal((2, 6, 9, 9)).astype(dt)
             g = rng.standard_normal((2, 6, 5, 5)).astype(dt)
@@ -603,7 +603,7 @@ class TestSpatial:
             got, ggot = maxpool_run(x, 3, 2, 1, g)
             assert same_bits(got, want) and same_bits(ggot, gwant)
             want, gwant, _ = maxpool_scan(x, 2, 2, 0, g[..., :4, :4])
-            got, ggot = maxpool_run(x, 2, None, 0, g[..., :4, :4])
+            got, ggot = maxpool_run(x, 2, 2, 0, g[..., :4, :4])
             assert same_bits(got, want) and same_bits(ggot, gwant)
 
         # the padding never wins, even over an all-negative input
@@ -870,7 +870,7 @@ class TestCountFlops:
     def test_nothing_else_is_counted(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32), requires_grad=True)
         with count_flops() as count:
-            y = upsample_nearest2x(max_pool2d(x * 2.0 + 1.0, 2)).sigmoid().sum()
+            y = upsample_nearest2x(max_pool2d(x * 2.0 + 1.0, 2, 2)).sigmoid().sum()
             y.backward()
         assert count.total == 0
 
