@@ -83,8 +83,8 @@ class RunConfig:
 PROFILES: dict[str, dict] = {
     "toy": {"width": 0.125, "images": 64, "img": 128, "batch": 16,
             "lr": 0.2, "epochs": 75, "iters": 300, "cosine": True},
-    "paper": {"width": 0.25, "img": 448, "batch": 16, "lr": 0.01,
-              "epochs": 100},
+    # RunConfig's defaults are the paper's settings
+    "paper": {k: getattr(RunConfig, k) for k in ("width", "img", "batch", "lr", "epochs")},
 }
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -183,7 +183,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     import numpy as np
 
-    from .data import load_split
+    from .data import load_split, read_split
     from .model import save_checkpoint
     from .train import epoch_shape, evaluate_model, fit
 
@@ -197,12 +197,11 @@ def cmd_train(cfg: RunConfig) -> int:
         raise CliError(f"--weights cannot be named {LAST_CKPT}: train writes "
                        f"the final weights to {last_path}")
     images, targets, _ = load_split(cfg.data, cfg.seed, "train", cfg.nc, cfg.img)
-    try:
-        val_images, val_targets, _ = load_split(cfg.data, cfg.seed, "val",
-                                                cfg.nc, cfg.img)
+    # model selection scores the val split, or the train split if the manifest has none
+    val_images, val_targets, val_tag = images, targets, "train"
+    if any(tag == "val" for _, tag in read_split(cfg.data, cfg.seed)):
+        val_images, val_targets, _ = load_split(cfg.data, cfg.seed, "val", cfg.nc, cfg.img)
         val_tag = "val"
-    except ValidationError:
-        val_images, val_targets, val_tag = images, targets, "train"
     _check_has_boxes(cfg, val_tag, val_targets)
 
     model = _build(cfg)

@@ -88,11 +88,8 @@ def ap_for_class(dets_per_image: list[list[Detection]],
             flags.append(flag)
     if n_gt == 0:
         return None, np.array(confs), np.array(flags, dtype=bool), 0
-    order = np.lexsort((np.arange(len(confs)), -np.asarray(confs, dtype=np.float64))) \
-        if confs else np.array([], dtype=int)
-    tp = np.asarray(flags, dtype=np.float64)[order] if confs else np.array([])
-    if tp.size == 0:
-        return 0.0, np.array([]), np.array([], dtype=bool), n_gt
+    order = np.lexsort((np.arange(len(confs)), -np.asarray(confs, dtype=np.float64)))
+    tp = np.asarray(flags, dtype=np.float64)[order]
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(1.0 - tp)
     recall = cum_tp / n_gt
@@ -129,7 +126,7 @@ def evaluate(dets_per_image: list[list[Detection]],
     # pooled curve across the evaluated classes
     conf = np.concatenate(pooled_conf) if pooled_conf else np.array([])
     tp = np.concatenate(pooled_tp) if pooled_tp else np.array([], dtype=bool)
-    if conf.size == 0 or total_gt == 0:
+    if conf.size == 0:
         return MetricReport(map50, aps, skipped, 0.0, 0.0, counts)
     order = np.argsort(-conf, kind="stable")
     tp_sorted = tp[order].astype(np.float64)

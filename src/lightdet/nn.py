@@ -31,11 +31,6 @@ def autopad(k: int) -> int:
 class Module:
     def __init__(self):
         self.training = True
-        self._buffer_names: set[str] = set()
-
-    def register_buffer(self, name: str, value: Tensor) -> None:
-        setattr(self, name, value)
-        self._buffer_names.add(name)
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -61,20 +56,20 @@ class Module:
             else:
                 yield name, value
 
-    def named_parameters(self, prefix: str = ""):
+    def _named_tensors(self, prefix: str = ""):
         for name, value in self._members():
             if isinstance(value, Module):
-                yield from value.named_parameters(f"{prefix}{name}.")
-            elif (isinstance(value, Tensor) and value.requires_grad
-                  and name not in self._buffer_names):
+                yield from value._named_tensors(f"{prefix}{name}.")
+            elif isinstance(value, Tensor):
                 yield prefix + name, value
 
-    def named_buffers(self, prefix: str = ""):
-        for name, value in self._members():
-            if isinstance(value, Module):
-                yield from value.named_buffers(f"{prefix}{name}.")
-            elif name in self._buffer_names:
-                yield prefix + name, value
+    def named_parameters(self):
+        """The tensors that train: those that require grad."""
+        return ((n, t) for n, t in self._named_tensors() if t.requires_grad)
+
+    def named_buffers(self):
+        """The tensors that do not train, such as BatchNorm's running stats."""
+        return ((n, t) for n, t in self._named_tensors() if not t.requires_grad)
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -123,7 +118,7 @@ class Conv2d(Module):
         super().__init__()
         if c1 % g or c2 % g:
             raise ValueError("channels must divide groups")
-        self.c1, self.c2, self.k, self.s, self.g = c1, c2, k, s, g
+        self.s, self.g = s, g
         self.p = autopad(k) if p is None else p
         self.weight = _he_weight(rng, c2, c1 // g, k)
         self.bias = Tensor(np.zeros(c2, np.float32), requires_grad=True) if bias else None
@@ -138,8 +133,8 @@ class BatchNorm2d(Module):
         self.c = c
         self.weight = Tensor(np.ones(c, np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(c, np.float32), requires_grad=True)
-        self.register_buffer("running_mean", Tensor(np.zeros(c, np.float32)))
-        self.register_buffer("running_var", Tensor(np.ones(c, np.float32)))
+        self.running_mean = Tensor(np.zeros(c, np.float32))
+        self.running_var = Tensor(np.ones(c, np.float32))
 
     def forward(self, x: Tensor, act: str) -> Tensor:
         """BN, then the activation `act` of ACT_PAIRS, in place in x's buffer, so
@@ -191,7 +186,6 @@ class LayerNorm(Module):
 class Linear(Module):
     def __init__(self, cin: int, cout: int, bias: bool = True, *, rng: np.random.Generator):
         super().__init__()
-        self.cin, self.cout = cin, cout
         w = rng.standard_normal((cin, cout)) * math.sqrt(1.0 / cin)
         self.weight = Tensor(w.astype(np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(cout, np.float32), requires_grad=True) if bias else None

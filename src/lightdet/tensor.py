@@ -808,13 +808,19 @@ KINK_RTOL = 5e-3  # one-sided slopes further apart than this, relative, mark a k
 def grad_check(fn: Callable[..., Tensor], inputs: Iterable[Tensor]):
     """Central finite differences vs autograd in float64.
 
-    fn maps the given leaf tensors to a scalar Tensor. Returns (max_rel_err, report);
-    report rows are (input_index, flat_index, analytic, numeric, rel_err, kink_flag).
+    fn maps the given tensors to a scalar Tensor. They are checked in place:
+    each is promoted to a float64 leaf (a float64 copy of its data, grad None,
+    requires_grad True) and keeps its analytic gradient in `.grad` afterwards,
+    so a module's own parameters can be passed in and fn may reach them
+    through the module. Returns (max_rel_err, report); report rows are
+    (input_index, flat_index, analytic, numeric, rel_err, kink_flag).
     Kink flag: one-sided forward/backward differences disagree, i.e. the sample sits
     at or near a non-differentiable point where central FD is unreliable; flagged
     samples are excluded from max_rel_err but stay in the report.
     """
-    leaves = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
+    leaves = list(inputs)
+    for t in leaves:
+        t.data, t.grad, t.requires_grad = t.data.astype(np.float64), None, True
     out = fn(*leaves)
     if out.size != 1:
         raise ValueError("grad_check needs a scalar function")

@@ -20,10 +20,8 @@ COMPOSITE_ACTS = {
 
 def cast_f64(module):
     """Promote a module's params and buffers so grad_check runs in float64."""
-    for p in module.parameters():
-        p.data = p.data.astype(np.float64)
-    for _, b in module.named_buffers():
-        b.data = b.data.astype(np.float64)
+    for _, t in module.named_state():
+        t.data = t.data.astype(np.float64)
     return module
 
 

@@ -61,6 +61,9 @@ class TestPrecedence:
         assert cfg.width == PROFILES["toy"]["width"]
         assert cfg.images == 64
 
+    def test_paper_profile_is_the_defaults(self):
+        assert _cfg(["train", "--profile", "paper"]) == _cfg(["train"])
+
     def test_file_overrides_profile(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("width = 0.5\n")
@@ -373,6 +376,29 @@ class TestTrain:
             assert main(argv + ["--data", str(root)]) == 1
             assert f"split 'val' of {root} has no labelled box" in capsys.readouterr().err
         assert not [f for f in os.listdir(root) if f.endswith((".ckpt", ".tmp"))]
+
+    def test_malformed_val_label_fails_before_training(self, tmp_path, capsys):
+        root = tmp_path / "ds"
+        assert main(["synth", "--data", str(root), "--images", "12", "--img", "64",
+                     "--seed", "5"]) == 0
+        stem = next(line.split("\t")[0] for line in (root / "split_5.txt").read_text().splitlines()
+                    if line.endswith("\tval"))
+        label = root / "labels" / f"{stem}.txt"
+        label.write_text("7 0.5 0.5 0.2 0.2\n")
+        assert main(["train", "--data", str(root)] + TRAIN_ARGS) == 1
+        assert f"{label}:1: class 7 outside [0, 2)" in capsys.readouterr().err
+        assert not [f for f in os.listdir(root) if f.endswith((".ckpt", ".tmp"))]
+
+    def test_manifest_without_val_selects_on_the_train_split(self, tmp_path, capsys):
+        root = tmp_path / "ds"
+        assert main(["synth", "--data", str(root), "--images", "12", "--img", "64",
+                     "--seed", "5"]) == 0
+        manifest = root / "split_5.txt"
+        manifest.write_text(manifest.read_text().replace("\tval\n", "\ttest\n"))
+        assert main(["train", "--data", str(root)] + TRAIN_ARGS) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^epoch +1 .*train_map50", out, re.M)
+        assert "(train_map50 " in out
 
 
 class TestEval:

@@ -49,7 +49,7 @@ class TestGAM:
         for c, hidden in [(2, 1), (8, 4), (16, 4), (64, 4)]:
             gam = GAM(c, rng=rng)
             assert gam.hidden == min(4, c // 2) == hidden
-            assert gam.fc1.cout == gam.sp2.c1 == hidden
+            assert gam.fc1.weight.shape[1] == gam.sp2.weight.shape[1] == hidden
         with pytest.raises(ValueError, match="at least 2 channels"):
             GAM(1, rng=rng)
 

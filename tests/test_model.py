@@ -24,7 +24,7 @@ from lightdet.model import (
     save_checkpoint,
     training_loss,
 )
-from lightdet.nn import ConvBnAct
+from lightdet.nn import BatchNorm2d, ConvBnAct
 from lightdet.tensor import Tensor, grad_check, no_grad
 
 from helpers import eval_block_reference, with_bn_stats
@@ -710,6 +710,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path, self._model())
+
+    @pytest.mark.parametrize("kind", ["baseline", "light"])
+    def test_buffers_are_the_batchnorm_running_stats(self, kind):
+        m = build_model(kind, nc=2, width=0.125, act="mish", img_size=64,
+                        rng=np.random.default_rng(0))
+        stats = [t for bn in m.modules() if isinstance(bn, BatchNorm2d)
+                 for t in (bn.running_mean, bn.running_var)]
+        buffers = [t for _, t in m.named_buffers()]
+        assert len(buffers) == len(stats) > 0
+        assert all(a is b for a, b in zip(buffers, stats))
 
     def test_tensor_names_are_attribute_paths(self):
         names = [n for n, _ in self._model().named_state()]

@@ -9,7 +9,7 @@ import pytest
 
 from lightdet import tensor as tensor_mod
 from lightdet.boxes import box_loss
-from lightdet.nn import BatchNorm2d
+from lightdet.nn import BatchNorm2d, Linear
 from lightdet.tensor import (
     ACT_PAIRS, Tensor, _accum, activate, batch_norm, concat, conv2d, count_flops, grad_check,
     max_pool2d, no_grad, toposort, upsample_nearest2x,
@@ -366,6 +366,23 @@ class TestGradCheck:
 
         err, _ = grad_check(f, [x])
         assert err > 1e-2
+
+    def test_promotes_and_keeps_the_given_tensors(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
+        err, _ = grad_check(lambda t: (t * t).sum(), [x])
+        assert err <= 1e-4
+        assert x.requires_grad and x.dtype == np.float64
+        assert np.allclose(x.grad, 2 * x.data)
+
+    def test_checks_a_module_parameter_where_it_lives(self, rng):
+        # fn reaches the weight only through the layer, never through its argument
+        lin = Linear(3, 2, rng=rng)
+        weight = lin.weight
+        x = Tensor(rng.standard_normal((4, 3)))
+        err, rep = grad_check(lambda t, _w: lin(t).tanh().sum(), [x, weight])
+        assert err <= 1e-4
+        assert lin.weight is weight and weight.grad.shape == (3, 2)
+        assert all(an != 0.0 for idx, _, an, _, _, _ in rep if idx == 1)
 
 
 def _bn_pair(rng, training):
