@@ -247,7 +247,7 @@ def _loss():
         # with the inputs is invisible to the analytic gradient by design,
         # so finite differences would disagree at the matched slots. The
         # differentiable machinery is identical in both modes.
-        return training_loss([p3, p4, p5], targets, det, 32, box_kind="siou",
+        return training_loss([p3, p4, p5], targets, det, box_kind="siou",
                              obj_target="one")[0]
 
     err, _ = grad_check(f, preds)

@@ -2,8 +2,8 @@
 
 Only modules that import nothing beyond the standard library load at module
 level (`errors` is one); numpy and the model code load lazily inside each
-command so that `--threads N` can pin the BLAS thread pools through
-environment variables before numpy first loads.
+command so that the `threads` setting (flag or config file) can pin the BLAS
+thread pools through environment variables before numpy first loads.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ ACT_KINDS = ("leakyrelu", "hswish", "mish")
 MODEL_KINDS = ("baseline", "light")
 SPLITS = ("train", "val", "test")
 COST_REF_SIZE = 640
+MAX_STRIDE = 32  # model.STRIDES' coarsest, restated here because cli loads no numpy
 LAST_CKPT = "last.ckpt"  # train's final weights, written beside the best checkpoint
 BENCH_WARMUP, BENCH_REPS = 3, 10  # untimed, then timed detect_images calls
 
@@ -74,8 +75,8 @@ class RunConfig:
             raise CliError("momentum must lie in [0, 1)")
         if self.seed < 0 or self.iters < 0 or self.threads < 0:
             raise CliError("seed, iters and threads cannot be negative")
-        if self.img % 32:
-            raise CliError("img must be a multiple of 32 (the coarsest stride)")
+        if self.img % MAX_STRIDE:
+            raise CliError(f"img must be a multiple of {MAX_STRIDE} (the coarsest stride)")
 
 
 # the desk-scale profile: small width, 64 images, settings sized so the
@@ -355,10 +356,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = make_parser().parse_args(argv)
-        if args.threads is not None and args.threads > 0:
+        cfg = build_config(args)  # loads no numpy
+        if cfg.threads > 0:
             for var in _THREAD_VARS:  # before numpy first loads
-                os.environ[var] = str(args.threads)
-        cfg = build_config(args)
+                os.environ[var] = str(cfg.threads)
         return COMMANDS[args.command](cfg)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,7 +23,7 @@ class GAM(Module):
         if c < 2:
             raise ValueError(f"GAM needs at least 2 channels, got {c}")
         hidden = min(4, c // 2)
-        self.c, self.hidden = c, hidden
+        self.c = c
         self.fc1 = Linear(c, hidden, rng=rng)
         self.fc2 = Linear(hidden, c, rng=rng)
         self.sp1 = ConvBnAct(c, hidden, GAM_KERNEL, act="relu", rng=rng)

@@ -76,7 +76,8 @@ class DetectorModel(Module):
 
     def __init__(self, nc: int, width: float, act: str, img_size: int, rng: np.random.Generator):
         super().__init__()
-        self.nc, self.width, self.act, self.img_size = nc, width, act, img_size
+        # what a checkpoint records of the model it came from
+        self.config = {"kind": self.kind, "nc": nc, "width": width, "act": act}
         c0, c1, c2, c3, c4 = (make_divisible(c * width) for c in (64, 128, 256, 512, 1024))
         self.stem = ConvBnAct(3, c0, 6, 2, p=2, act=act, rng=rng)
         self.down1 = ConvBnAct(c0, c1, 3, 2, act=act, rng=rng)
@@ -88,11 +89,6 @@ class DetectorModel(Module):
         self.down4 = ConvBnAct(c3, c4, 3, 2, act=act, rng=rng)
         self._build_top(c1, c2, c3, c4, act, rng)
         self.detect = Detect(nc, (c2, c3, c4), img_size, rng=rng)
-
-    @property
-    def config(self) -> dict:
-        """What a checkpoint records of the model it came from."""
-        return {"kind": self.kind, "nc": self.nc, "width": self.width, "act": self.act}
 
     @property
     def _rows(self) -> list[Row]:
@@ -259,7 +255,7 @@ def _pair_iou_np(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 
 def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect,
-                  img_size: int, box_kind: str, obj_target: str = "iou"):
+                  box_kind: str, obj_target: str = "iou"):
     """Scalar loss Tensor plus float components.
 
     Objectness is logit-space BCE against a dense target field: zero at
@@ -276,8 +272,7 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
     nc, no = detect.nc, detect.no
     grids = [(p.shape[2], p.shape[3]) for p in preds]
     # grid-unit anchors: the one copy that both the assignment and the box scale read
-    anchors = [detect.anchors[lvl].astype(np.float64) / (img_size / gh)
-               for lvl, (gh, _) in enumerate(grids)]
+    anchors = [a.astype(np.float64) / s for a, s in zip(detect.anchors, STRIDES)]
     assigned = assign_targets(targets, anchors, grids)
     zero = Tensor(np.zeros((), preds[0].dtype))
     lbox, lobj, lcls = zero, zero, zero
@@ -330,24 +325,23 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
 # ---- inference ----
 
 
-def decode_predictions(preds_np: list[np.ndarray], anchors_px: np.ndarray,
-                       img_size: int, nc: int) -> np.ndarray:
+def decode_predictions(preds_np: list[np.ndarray], anchors_px: np.ndarray) -> np.ndarray:
     """Raw level maps -> (N, total_anchors, 5+nc) rows of (cx, cy, w, h, obj, cls...).
 
-    Box coordinates come out in input pixels, objectness and class scores as
-    independent sigmoids.
+    Each map holds 3 anchors' rows along its channels, at the level's stride
+    in STRIDES. Box coordinates come out in input pixels, objectness and
+    class scores as independent sigmoids.
     """
     out = []
-    no = nc + 5
-    for lvl, p in enumerate(preds_np):
-        n, _, gh, gw = p.shape
-        stride = img_size / gh
+    for p, stride, anchors in zip(preds_np, STRIDES, anchors_px):
+        n, c, gh, gw = p.shape
+        no = c // 3
         pr = p.reshape(n, 3, no, gh, gw).transpose(0, 1, 3, 4, 2)
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-pr.astype(np.float64)))
         gy, gx = np.meshgrid(np.arange(gh), np.arange(gw), indexing="ij")
         xy = (sig[..., 0:2] * 2.0 - 0.5 + np.stack([gx, gy], axis=-1)) * stride
-        wh = (sig[..., 2:4] * 2.0) ** 2 * anchors_px[lvl][:, None, None, :]
+        wh = (sig[..., 2:4] * 2.0) ** 2 * anchors[:, None, None, :]
         out.append(np.concatenate([xy, wh, sig[..., 4:]], axis=-1).reshape(n, -1, no))
     return np.concatenate(out, axis=1)
 
@@ -391,7 +385,8 @@ def nms_indices(boxes_xyxy: np.ndarray, scores: np.ndarray, max_det: int) -> np.
 
 def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.25,
                   max_det: int = 300) -> list[list[Detection]]:
-    """Full inference: forward, decode, class-wise NMS; boxes in input pixels.
+    """Full inference: forward, decode, class-wise NMS; boxes in input pixels,
+    clipped to the input's extent.
 
     Detections are built from the kept rows as arrays: the center form of each
     kept box's clipped float64 corners, as Python scalars.
@@ -399,8 +394,8 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
     model.eval()
     with no_grad():
         raw = model(Tensor(images.astype(np.float32)))
-    dec = decode_predictions([p.numpy() for p in raw], model.detect.anchors,
-                             model.img_size, model.nc)
+    dec = decode_predictions([p.numpy() for p in raw], model.detect.anchors)
+    h, w = images.shape[2:]
     results: list[list[Detection]] = []
     for row in dec:
         cls_scores = row[:, 5:] * row[:, 4:5]
@@ -410,10 +405,10 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
         if not m.any():
             results.append([])
             continue
-        boxes = np.clip(corners_np(row[m, :4]), 0.0, float(model.img_size))
+        boxes = np.clip(corners_np(row[m, :4]), 0.0, np.array([w, h, w, h], np.float64))
         confs_m, cls_m = confs[m], cls_ids[m]
         # class-offset trick: boxes of different classes never suppress each other
-        shift = cls_m[:, None] * (model.img_size * 2.0)
+        shift = cls_m[:, None] * (max(h, w) * 2.0)
         keep = nms_indices(boxes + shift, confs_m, max_det=max_det)
         x1, y1, x2, y2 = boxes[keep].T
         fields = ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1, cls_m[keep], confs_m[keep])

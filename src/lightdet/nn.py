@@ -130,7 +130,6 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     def __init__(self, c: int):
         super().__init__()
-        self.c = c
         self.weight = Tensor(np.ones(c, np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(c, np.float32), requires_grad=True)
         self.running_mean = Tensor(np.zeros(c, np.float32))
@@ -169,7 +168,7 @@ class LayerNorm(Module):
 
     def __init__(self, d: int, affine: bool = True):
         super().__init__()
-        self.d, self.eps, self.affine = d, 1e-5, affine
+        self.eps, self.affine = 1e-5, affine
         if affine:
             self.weight = Tensor(np.ones(d, np.float32), requires_grad=True)
             self.bias = Tensor(np.zeros(d, np.float32), requires_grad=True)

@@ -809,10 +809,11 @@ def grad_check(fn: Callable[..., Tensor], inputs: Iterable[Tensor]):
     """Central finite differences vs autograd in float64.
 
     fn maps the given tensors to a scalar Tensor. They are checked in place:
-    each is promoted to a float64 leaf (a float64 copy of its data, grad None,
-    requires_grad True) and keeps its analytic gradient in `.grad` afterwards,
-    so a module's own parameters can be passed in and fn may reach them
-    through the module. Returns (max_rel_err, report); report rows are
+    each is promoted to a float64 leaf (a C-ordered float64 copy of its data,
+    so that perturbing its flat view reaches it; grad None, requires_grad
+    True) and keeps its analytic gradient in `.grad` afterwards, so a
+    module's own parameters can be passed in and fn may reach them through
+    the module. Returns (max_rel_err, report); report rows are
     (input_index, flat_index, analytic, numeric, rel_err, kink_flag).
     Kink flag: one-sided forward/backward differences disagree, i.e. the sample sits
     at or near a non-differentiable point where central FD is unreliable; flagged
@@ -820,7 +821,7 @@ def grad_check(fn: Callable[..., Tensor], inputs: Iterable[Tensor]):
     """
     leaves = list(inputs)
     for t in leaves:
-        t.data, t.grad, t.requires_grad = t.data.astype(np.float64), None, True
+        t.data, t.grad, t.requires_grad = t.data.astype(np.float64, order="C"), None, True
     out = fn(*leaves)
     if out.size != 1:
         raise ValueError("grad_check needs a scalar function")

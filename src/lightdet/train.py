@@ -111,8 +111,7 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
             for k in np.flatnonzero(flips):
                 imgs[k], tgts[k] = hflip(imgs[k], tgts[k])
         preds = model(Tensor(imgs))
-        total, parts = training_loss(preds, tgts, model.detect,
-                                     model.img_size, box_kind)
+        total, parts = training_loss(preds, tgts, model.detect, box_kind)
         if not math.isfinite(parts["total"]):
             raise FloatingPointError(
                 f"step {step}: loss is not finite (box {parts['box']:.4g}, "
@@ -147,7 +146,8 @@ def targets_to_gt(targets: list[np.ndarray], img_size: int):
 
 def evaluate_model(model: DetectorModel, images: np.ndarray,
                    targets: list[np.ndarray]) -> MetricReport:
-    """mAP@0.5 and P/R of the model on an in-memory split, at confidence 0.001."""
+    """mAP@0.5 and P/R of the model on an in-memory split, at confidence 0.001;
+    the labels are scaled to the images' own size."""
     dets = detect_images(model, images, conf_thr=0.001)
-    gts = targets_to_gt(targets, model.img_size)
-    return evaluate(dets, gts, model.nc)
+    gts = targets_to_gt(targets, images.shape[-1])
+    return evaluate(dets, gts, model.detect.nc)

@@ -38,7 +38,7 @@ def with_bn_stats(module, rng):
 def composite_bn(bn, x):
     """BatchNorm2d without its activation, built from generic ops; in training
     the running stats are updated as the layer does."""
-    c = bn.c
+    c = bn.weight.shape[0]
     if bn.training:
         mu = x.mean(axis=(0, 2, 3), keepdims=True)
         var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)

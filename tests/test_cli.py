@@ -13,8 +13,8 @@ from lightdet import checks, cli
 from lightdet import model as model_mod
 from lightdet.boxes import LOSS_KINDS
 from lightdet.cli import (
-    _THREAD_VARS, ACT_KINDS, BOX_KINDS, MODEL_KINDS, CliError, PROFILES, RunConfig,
-    build_config, main, make_parser, parse_config_text,
+    _THREAD_VARS, ACT_KINDS, BOX_KINDS, MAX_STRIDE, MODEL_KINDS, CliError, PROFILES,
+    RunConfig, build_config, main, make_parser, parse_config_text,
 )
 from lightdet.tensor import ACT_PAIRS, Tensor, grad_check, no_grad
 
@@ -109,6 +109,7 @@ def test_kind_lists_match_the_library_without_importing_numpy():
     # --threads has set the BLAS variables
     assert BOX_KINDS == LOSS_KINDS
     assert set(ACT_KINDS) <= set(ACT_PAIRS)
+    assert MAX_STRIDE == max(model_mod.STRIDES)
     for kind in MODEL_KINDS:
         m = model_mod.build_model(kind, nc=2, width=0.125, act="mish", img_size=64,
                                   rng=np.random.default_rng(0))
@@ -147,6 +148,15 @@ class TestThreads:
         for var in _THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         assert main(["cost", "--threads", "1"]) == 0
+        for var in _THREAD_VARS:
+            assert os.environ[var] == "1"
+
+    def test_sets_env_from_config_file(self, monkeypatch, tmp_path):
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 1\n")
+        assert main(["cost", "--config", str(cfg)]) == 0
         for var in _THREAD_VARS:
             assert os.environ[var] == "1"
 

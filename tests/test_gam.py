@@ -48,8 +48,7 @@ class TestGAM:
     def test_hidden_width_rule(self, rng):
         for c, hidden in [(2, 1), (8, 4), (16, 4), (64, 4)]:
             gam = GAM(c, rng=rng)
-            assert gam.hidden == min(4, c // 2) == hidden
-            assert gam.fc1.weight.shape[1] == gam.sp2.weight.shape[1] == hidden
+            assert gam.fc1.weight.shape[1] == gam.sp2.weight.shape[1] == min(4, c // 2) == hidden
         with pytest.raises(ValueError, match="at least 2 channels"):
             GAM(1, rng=rng)
 

@@ -79,7 +79,7 @@ def compute_pins(root: str) -> dict:
     for kind in ("baseline", "light"):
         model = with_bn_stats(_build(cfg, kind), np.random.default_rng(1))
         preds = model(Tensor(images[:cfg.batch]))
-        total, _ = training_loss(preds, targets[:cfg.batch], model.detect, cfg.img, cfg.box)
+        total, _ = training_loss(preds, targets[:cfg.batch], model.detect, cfg.box)
         total.backward()
         pins[f"grad.{kind}"] = _sha((n, p.grad) for n, p in model.named_parameters())
         model.eval()

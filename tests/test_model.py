@@ -11,6 +11,7 @@ from lightdet.metrics import Detection
 from lightdet.model import (
     ANCHOR_RATIO_THR,
     ANCHORS_BASE,
+    STRIDES,
     Baseline,
     Detect,
     Light,
@@ -126,10 +127,9 @@ def _tiny_detect(nc=2):
     return Detect(nc, (8, 8, 8), img_size=640, rng=np.random.default_rng(0))
 
 
-def _grid_anchors(detect, img_size, grids):
+def _grid_anchors(detect):
     """Each level's anchors in grid units, as `training_loss` passes them."""
-    return [detect.anchors[lvl].astype(np.float64) / (img_size / gh)
-            for lvl, (gh, _) in enumerate(grids)]
+    return [a.astype(np.float64) / s for a, s in zip(detect.anchors, STRIDES)]
 
 
 GRIDS_32 = [(4, 4), (2, 2), (1, 1)]
@@ -139,7 +139,7 @@ class TestAssign:
     def test_neighbor_cells(self):
         det = _tiny_detect()
         t = [np.array([[0, 0.4, 0.65, 0.3, 0.3]])]
-        levels = assign_targets(t, _grid_anchors(det, 32, GRIDS_32), GRIDS_32)
+        levels = assign_targets(t, _grid_anchors(det), GRIDS_32)
         b, a, gj, gi, tb, tc = levels[0]
         # gx=1.6 -> center cell 1 plus right neighbor 2; gy=2.6 -> cells 2 and 3
         cells = set(zip(gi.tolist(), gj.tolist()))
@@ -152,14 +152,14 @@ class TestAssign:
         # 12.8 grid units wide at level 0 vs anchors (1.25..4.125): all ratios > 4
         t = [np.array([[0, 0.5, 0.5, 0.9, 0.9]])]
         grids = [(32, 32), (16, 16), (8, 8)]
-        levels = assign_targets(t, _grid_anchors(det, 32 * 8, grids), grids)
+        levels = assign_targets(t, _grid_anchors(det), grids)
         assert levels[0][0].size == 0
         assert levels[2][0].size > 0  # coarse anchors accept the large box
 
     def test_edge_clamping(self):
         det = _tiny_detect()
         t = [np.array([[1, 1.0, 1.0, 0.3, 0.3]])]
-        levels = assign_targets(t, _grid_anchors(det, 32, GRIDS_32), GRIDS_32)
+        levels = assign_targets(t, _grid_anchors(det), GRIDS_32)
         for b, a, gj, gi, tb, tc in levels:
             assert np.all(gi < 4) and np.all(gj < 4)
             assert np.all(gi >= 0) and np.all(gj >= 0)
@@ -167,7 +167,7 @@ class TestAssign:
     def test_degenerate_box_skipped(self):
         det = _tiny_detect()
         t = [np.array([[0, 0.5, 0.5, 0.0, 0.2]])]
-        levels = assign_targets(t, _grid_anchors(det, 32, GRIDS_32), GRIDS_32)
+        levels = assign_targets(t, _grid_anchors(det), GRIDS_32)
         assert all(lv[0].size == 0 for lv in levels)
 
 
@@ -232,8 +232,8 @@ class TestAssignMatchesLoop:
 
     GRIDS = [(16, 16), (8, 8), (4, 4)]
 
-    def _check(self, targets, det, img, grids):
-        anchors = _grid_anchors(det, img, grids)
+    def _check(self, targets, det, grids):
+        anchors = _grid_anchors(det)
         want = _assign_targets_loop(targets, anchors, grids)
         got = assign_targets(targets, anchors, grids)
         assert len(got) == len(want)
@@ -248,15 +248,15 @@ class TestAssignMatchesLoop:
     @pytest.mark.filterwarnings("error")
     def test_random_batches(self):
         rng = np.random.default_rng(15)
-        shapes = [(128, [(16, 16), (8, 8), (4, 4)]), (64, [(8, 8), (4, 4), (2, 2)]),
-                  (256, [(32, 32), (16, 16), (8, 8)]), (96, [(12, 8), (6, 4), (3, 2)])]
+        shapes = [[(16, 16), (8, 8), (4, 4)], [(8, 8), (4, 4), (2, 2)],
+                  [(32, 32), (16, 16), (8, 8)], [(12, 8), (6, 4), (3, 2)]]
         dets = [Detect(2, (8, 8, 8), img_size=s, rng=np.random.default_rng(0))
                 for s in (64, 128, 640)]
         matched = 0
         for i in range(300):
-            img, grids = shapes[i % len(shapes)]
+            grids = shapes[i % len(shapes)]
             targets = _random_batch(rng, grids[0][1])
-            matched += self._check(targets, dets[i % len(dets)], img, grids)
+            matched += self._check(targets, dets[i % len(dets)], grids)
         assert matched > 1000  # the batches exercise assignment, not just skips
 
     @pytest.mark.filterwarnings("error")
@@ -273,7 +273,7 @@ class TestAssignMatchesLoop:
             "empty_image", "empty_batch"])
     def test_edge_cases(self, targets):
         det = Detect(2, (8, 8, 8), img_size=128, rng=np.random.default_rng(0))
-        self._check(targets, det, 128, self.GRIDS)
+        self._check(targets, det, self.GRIDS)
 
 
 def _mk_preds(rng, grids, no, scale=1.0):
@@ -288,7 +288,7 @@ class TestLoss:
         det = _tiny_detect()
         preds = _mk_preds(rng, self.GRIDS, det.no)
         targets = [np.array([[0, 0.4, 0.6, 0.3, 0.35], [1, 0.2, 0.2, 0.2, 0.2]])]
-        total, parts = training_loss(preds, targets, det, 32, box_kind="siou")
+        total, parts = training_loss(preds, targets, det, box_kind="siou")
         assert parts["matched"] > 0
         assert parts["box"] > 0 and parts["obj"] > 0 and parts["cls"] > 0
         assert abs(parts["total"] - float(total.numpy())) < 1e-9
@@ -296,7 +296,7 @@ class TestLoss:
     def test_no_targets_obj_only(self, rng):
         det = _tiny_detect()
         preds = _mk_preds(rng, self.GRIDS, det.no)
-        total, parts = training_loss(preds, [np.zeros((0, 5))], det, 32, box_kind="siou")
+        total, parts = training_loss(preds, [np.zeros((0, 5))], det, box_kind="siou")
         assert parts["matched"] == 0
         assert parts["box"] == 0.0 and parts["cls"] == 0.0 and parts["obj"] > 0
 
@@ -309,7 +309,7 @@ class TestLoss:
         def f(p3, p4, p5):
             # constant obj targets: the overlap-graded mode holds its target
             # fixed, which finite differences cannot represent
-            return training_loss([p3, p4, p5], targets, det, 32, box_kind=kind,
+            return training_loss([p3, p4, p5], targets, det, box_kind=kind,
                                  obj_target="one")[0]
 
         err, report = grad_check(f, preds)
@@ -319,7 +319,7 @@ class TestLoss:
         det = _tiny_detect()
         preds = _mk_preds(rng, self.GRIDS, det.no)
         targets = [np.array([[0, 0.4, 0.6, 0.3, 0.35]])]
-        total, _ = training_loss(preds, targets, det, 32, box_kind="siou")
+        total, _ = training_loss(preds, targets, det, box_kind="siou")
         total.backward()
         for p in preds:
             assert p.grad is not None and np.abs(p.grad).sum() > 0
@@ -327,10 +327,9 @@ class TestLoss:
     def test_perfect_predictions_near_zero(self):
         det = _tiny_detect()
         no = det.no
-        img = 32
         targets = [np.array([[1, 0.41, 0.62, 0.33, 0.37]])]
         grids = self.GRIDS
-        anchors = _grid_anchors(det, img, grids)
+        anchors = _grid_anchors(det)
         assigned = assign_targets(targets, anchors, grids)
         preds = []
         big = 25.0
@@ -349,7 +348,7 @@ class TestLoss:
                 raw[0, a[m], 4, gj[m], gi[m]] = big
                 raw[0, a[m], 5 + tc[m], gj[m], gi[m]] = big
             preds.append(Tensor(raw.reshape(1, 3 * no, gh, gw)))
-        total, parts = training_loss(preds, targets, det, img, box_kind="siou")
+        total, parts = training_loss(preds, targets, det, box_kind="siou")
         assert parts["matched"] > 0
         assert float(total.numpy()) <= 1e-3
 
@@ -358,8 +357,8 @@ class TestLoss:
         det = _tiny_detect()
         preds = _mk_preds(rng, self.GRIDS, det.no)
         row = [0, 0.4, 0.6, 0.3, 0.35]
-        _, single = training_loss(preds, [np.array([row])], det, 32, box_kind="siou")
-        _, doubled = training_loss(preds, [np.array([row, row])], det, 32, box_kind="siou")
+        _, single = training_loss(preds, [np.array([row])], det, box_kind="siou")
+        _, doubled = training_loss(preds, [np.array([row, row])], det, box_kind="siou")
         assert doubled["matched"] == 2 * single["matched"]
         assert doubled["obj"] == pytest.approx(single["obj"], rel=1e-12)
         assert doubled["box"] == pytest.approx(single["box"], rel=1e-12)
@@ -372,12 +371,12 @@ class TestLoss:
         for p in preds:
             p.data[:] = np.abs(p.data)
         targets = [np.array([[0, 0.4, 0.6, 0.3, 0.35]])]
-        _, graded = training_loss(preds, targets, det, 32, obj_target="iou", box_kind="siou")
-        _, const = training_loss(preds, targets, det, 32, obj_target="one", box_kind="siou")
+        _, graded = training_loss(preds, targets, det, obj_target="iou", box_kind="siou")
+        _, const = training_loss(preds, targets, det, obj_target="one", box_kind="siou")
         assert graded["obj"] >= const["obj"]
         assert graded["box"] == pytest.approx(const["box"], rel=1e-12)
         with pytest.raises(ValueError):
-            training_loss(preds, targets, det, 32, obj_target="dice", box_kind="siou")
+            training_loss(preds, targets, det, obj_target="dice", box_kind="siou")
 
 
 class TestPairIou:
@@ -400,7 +399,7 @@ class TestDecode:
         raw = [np.zeros((1, 3 * no, 4, 4)), np.zeros((1, 3 * no, 2, 2)),
                np.zeros((1, 3 * no, 1, 1))]
         anchors = ANCHORS_BASE * (32 / 640.0)
-        dec = decode_predictions(raw, anchors, 32, nc)
+        dec = decode_predictions(raw, anchors)
         assert dec.shape == (1, 3 * (16 + 4 + 1), no)
         # zero logit: sigmoid 0.5 -> box center sits mid-cell, wh equals the anchor
         first = dec[0, 0]
@@ -411,14 +410,14 @@ class TestDecode:
     def test_matches_training_parameterization(self, rng):
         det = _tiny_detect()
         no = det.no
-        img, grids = 32, [(4, 4), (2, 2), (1, 1)]
+        grids = [(4, 4), (2, 2), (1, 1)]
         raw = [rng.standard_normal((1, 3 * no, gh, gw)) for gh, gw in grids]
-        dec = decode_predictions(raw, det.anchors, img, det.nc)
+        dec = decode_predictions(raw, det.anchors)
         # recompute cell (a=1, gj=2, gi=3) on level 0 by hand
         a, gj, gi = 1, 2, 3
         v = raw[0].reshape(1, 3, no, 4, 4)[0, a, :, gj, gi]
         sig = 1 / (1 + np.exp(-v))
-        stride = img / 4
+        stride = STRIDES[0]
         cx = (sig[0] * 2 - 0.5 + gi) * stride
         cy = (sig[1] * 2 - 0.5 + gj) * stride
         w = (sig[2] * 2) ** 2 * det.anchors[0, a, 0]
@@ -429,10 +428,10 @@ class TestDecode:
         # write the exact inverse logits for a GT box into one cell, decode it back
         det = _tiny_detect()
         no = det.no
-        img, grids = 32, [(4, 4), (2, 2), (1, 1)]
+        grids = [(4, 4), (2, 2), (1, 1)]
         gt = np.array([13.0, 22.0, 9.0, 11.0])  # cx, cy, w, h in pixels
         lvl, a = 1, 0
-        stride = img / grids[lvl][0]
+        stride = STRIDES[lvl]
         anchor = det.anchors[lvl, a]
         gi = min(int(gt[0] / stride), grids[lvl][1] - 1)
         gj = min(int(gt[1] / stride), grids[lvl][0] - 1)
@@ -444,9 +443,26 @@ class TestDecode:
         view = raw[lvl].reshape(1, 3, no, *grids[lvl])
         for ch, s in enumerate((sx, sy, sw, sh)):
             view[0, a, ch, gj, gi] = math.log(s / (1 - s))
-        dec = decode_predictions(raw, det.anchors, img, det.nc)
+        dec = decode_predictions(raw, det.anchors)
         flat = 3 * 16 + a * 4 + gj * 2 + gi
         assert np.all(np.abs(dec[0, flat, :4] - gt) <= 1.0)
+
+    def test_boxes_in_the_input_pixels_at_another_size(self, monkeypatch):
+        # built at 64 px, fed 128 px: one confident zero-offset box at cell
+        # (gi, gj) of level 1 must come back centred at (g + 0.5) * stride in
+        # the 128 px frame, past the 64 px the model was built at
+        m = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(1))
+        lvl, a, gi, gj = 1, 0, 6, 3
+        maps = [np.full((1, 3, m.detect.no, 128 // s, 128 // s), -30.0) for s in STRIDES]
+        maps[lvl][0, a, :4, gj, gi] = 0.0
+        maps[lvl][0, a, 4:6, gj, gi] = 30.0
+        monkeypatch.setattr(m, "forward", lambda x: [
+            Tensor(p.reshape(1, -1, *p.shape[3:]).astype(np.float32)) for p in maps])
+        (det,) = detect_images(m, np.zeros((1, 3, 128, 128), np.float32))[0]
+        want = (gi + 0.5) * STRIDES[lvl], (gj + 0.5) * STRIDES[lvl]
+        assert (det.box.cx, det.box.cy) == pytest.approx(want, abs=1e-9)
+        assert det.box.cx > 64
+        assert (det.box.w, det.box.h) == pytest.approx(m.detect.anchors[lvl, a], rel=1e-6)
 
 
 def _corners(cxy, wh):
@@ -565,7 +581,7 @@ class TestNms:
         got = detect_images(m, x, conf_thr=0.001)
         with no_grad():
             raw = m(Tensor(x))
-        dec = decode_predictions([p.numpy() for p in raw], m.detect.anchors, 128, 2)
+        dec = decode_predictions([p.numpy() for p in raw], m.detect.anchors)
         for row, dets in zip(dec, got):
             scores = row[:, 5:] * row[:, 4:5]
             cls = scores.argmax(axis=1)

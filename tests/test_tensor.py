@@ -374,6 +374,13 @@ class TestGradCheck:
         assert x.requires_grad and x.dtype == np.float64
         assert np.allclose(x.grad, 2 * x.data)
 
+    def test_non_contiguous_input(self, rng):
+        # a transposed view: the perturbations must still reach the tensor
+        x = Tensor(rng.standard_normal((4, 3)).T)
+        err, rep = grad_check(lambda t: (t * t).sum(), [x])
+        assert err <= 1e-4
+        assert all(num != 0.0 for _, _, _, num, _, _ in rep)
+
     def test_checks_a_module_parameter_where_it_lives(self, rng):
         # fn reaches the weight only through the layer, never through its argument
         lin = Linear(3, 2, rng=rng)

@@ -6,6 +6,7 @@ import pytest
 from lightdet import train
 from lightdet.boxes import Box
 from lightdet.data import synth_scene
+from lightdet.metrics import Detection
 from lightdet.model import Light, training_loss
 from lightdet.tensor import Tensor
 from lightdet.train import (
@@ -150,8 +151,8 @@ class TestFit:
         m1.train(), m2.train()
         p1 = m1(Tensor(imgs))
         p2 = m2(Tensor(imgs))
-        _, a = training_loss(p1, targets, m1.detect, 32, box_kind="ciou")
-        _, b = training_loss(p2, targets, m2.detect, 32, box_kind="siou")
+        _, a = training_loss(p1, targets, m1.detect, box_kind="ciou")
+        _, b = training_loss(p2, targets, m2.detect, box_kind="siou")
         assert a["obj"] == b["obj"] and a["cls"] == b["cls"]
         assert a["box"] != b["box"]
 
@@ -243,3 +244,11 @@ class TestEvalGlue:
         imgs, targets = _toy_batch(4)
         rep = evaluate_model(model, imgs, targets)
         assert 0.0 <= rep.map50 < 0.2
+
+    def test_labels_scale_to_the_images_size(self, monkeypatch):
+        # a model built at 32 px scores 64 px images in their own frame
+        imgs, targets = _toy_batch(2, img=64)
+        gts = targets_to_gt(targets, 64)
+        monkeypatch.setattr(train, "detect_images", lambda model, images, conf_thr: [
+            [Detection(box, c, 1.0) for c, box in img] for img in gts])
+        assert evaluate_model(_toy_model(img=32), imgs, targets).map50 == 1.0
