@@ -22,10 +22,6 @@ class Box:
     w: float
     h: float
 
-    def corners(self) -> tuple[float, float, float, float]:
-        return (self.cx - self.w / 2, self.cy - self.h / 2,
-                self.cx + self.w / 2, self.cy + self.h / 2)
-
     def array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
@@ -69,21 +65,11 @@ def box_loss(kind: str, pred: Tensor, gt: Tensor) -> Tensor:
     dx, dy = gcx - pcx, gcy - pcy
     center_sq = dx * dx + dy * dy
 
-    if kind == "diou":
-        diag_sq = ew * ew + eh * eh + EPS
-        return 1.0 - (iou - center_sq / diag_sq)
-
     if kind == "ciou":
         diag_sq = ew * ew + eh * eh + EPS
         v = (4.0 / np.pi ** 2) * ((gw / (gh + EPS)).arctan() - (pw / (ph + EPS)).arctan()) ** 2
         alpha = v / ((1.0 - iou) + v + EPS)
         return 1.0 - (iou - center_sq / diag_sq - alpha * v)
-
-    if kind == "eiou":
-        diag_sq = ew * ew + eh * eh + EPS
-        return 1.0 - (iou - center_sq / diag_sq
-                      - (pw - gw) ** 2 / (ew * ew + EPS)
-                      - (ph - gh) ** 2 / (eh * eh + EPS))
 
     if kind == "siou":
         sigma = (center_sq + EPS).sqrt()
@@ -103,7 +89,7 @@ def box_loss(kind: str, pred: Tensor, gt: Tensor) -> Tensor:
     raise ValueError(f"unknown box loss kind {kind!r}")
 
 
-LOSS_KINDS = ("iou", "giou", "diou", "ciou", "eiou", "siou")
+LOSS_KINDS = ("iou", "giou", "ciou", "siou")
 
 
 # ---- numpy fast paths for matching / nms ----

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
-BOX_KINDS = ("iou", "giou", "diou", "ciou", "eiou", "siou")
-ACT_KINDS = ("leakyrelu", "hswish", "mish")
+BOX_KINDS = ("iou", "giou", "ciou", "siou")
+ACT_KINDS = ("mish", "silu")
 MODEL_KINDS = ("baseline", "light")
 SPLITS = ("train", "val", "test")
 COST_REF_SIZE = 640

@@ -255,19 +255,18 @@ def _pair_iou_np(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 
 def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect,
-                  box_kind: str, obj_target: str = "iou"):
+                  box_kind: str):
     """Scalar loss Tensor plus float components.
 
     Objectness is logit-space BCE against a dense target field: zero at
-    unassigned (anchor, cell) slots and, at assigned slots, either the
-    overlap of the currently predicted box with its target (`obj_target=
-    "iou"`, held constant w.r.t. the parameters) or plain 1 (`"one"`).
-    Grading assigned slots by achieved overlap lets the confidence head
-    rank good boxes above poor ones at inference; the value is detached so
-    the optimizer cannot shrink boxes to make the term cheaper. A slot
-    assigned more than once keeps the largest target. Class probabilities
-    use logit-space BCE per match, box the requested overlap loss. The parts
-    are weighted by LOSS_GAINS.
+    unassigned (anchor, cell) slots and, at assigned slots, the overlap of
+    the currently predicted box with its target, held constant w.r.t. the
+    parameters. Grading assigned slots by achieved overlap lets the
+    confidence head rank good boxes above poor ones at inference; the value
+    is detached so the optimizer cannot shrink boxes to make the term
+    cheaper. A slot assigned more than once keeps the largest target. Class
+    probabilities use logit-space BCE per match, box the requested overlap
+    loss. The parts are weighted by LOSS_GAINS.
     """
     nc, no = detect.nc, detect.no
     grids = [(p.shape[2], p.shape[3]) for p in preds]
@@ -295,16 +294,10 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
             # many boxes landed on it. Charging per match instead would
             # allow softplus(x) - 2x, which is unbounded below and gets
             # exploited immediately.
-            if obj_target == "iou":
-                tvals_all = _pair_iou_np(pbox.numpy(), tbox)
-            elif obj_target == "one":
-                tvals_all = np.ones(b.size)
-            else:
-                raise ValueError(f"unknown obj_target {obj_target!r}")
             lin = ((b * 3 + a) * gh + gj) * gw + gi
             uniq, inv = np.unique(lin, return_inverse=True)
             tvals = np.zeros(uniq.size)
-            np.maximum.at(tvals, inv, np.clip(tvals_all, 0.0, 1.0))
+            np.maximum.at(tvals, inv, np.clip(_pair_iou_np(pbox.numpy(), tbox), 0.0, 1.0))
             obj_sum = obj_sum - (pobj.reshape(-1)[uniq] * Tensor(tvals)).sum()
             onehot = np.zeros((b.size, nc), np.float64)
             onehot[np.arange(b.size), tcls] = 1.0

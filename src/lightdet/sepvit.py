@@ -27,7 +27,6 @@ def pick_window_size(h: int, w: int) -> int:
     for ws in range(min(WINDOW_TARGET, g), 0, -1):
         if g % ws == 0:
             return ws
-    return 1
 
 
 def window_partition(x: Tensor, ws: int) -> Tensor:

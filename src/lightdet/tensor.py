@@ -459,17 +459,15 @@ def _mish_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d
 
 
-def _hswish(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.multiply(x, np.clip(x + 3.0, 0.0, 6.0), out=out)
-    out *= 1.0 / 6.0
-    return out
+def _silu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.multiply(x, _sigmoid(x), out=out)
 
 
-def _hswish_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # the steps of backward through x * clamp(x + 3, 0, 6) * (1/6) as three nodes
-    a = x + 3.0
-    g = g * (1.0 / 6.0)
-    return g * np.clip(a, 0.0, 6.0) + g * x * ((a >= 0.0) & (a <= 6.0))
+def _silu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # the steps of backward through x * sigmoid(x) as two nodes: g * s reaches x
+    # through the product, (g * x) * s * (1 - s) through the sigmoid
+    s = _sigmoid(x)
+    return g * s + g * x * s * (1.0 - s)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -525,9 +523,7 @@ ACT_PAIRS = {name: _chunked(f, df) for name, (f, df) in {
     "mish": (_mish, _mish_grad),
     # max(x, 0), not max(x, 0 * x): 0 * inf is NaN
     "relu": (lambda x, out: np.maximum(x, 0, out=out), lambda x, g: g * (x > 0)),
-    "hswish": (_hswish, _hswish_grad),
-    "leakyrelu": (lambda x, out: np.maximum(x, 0.01 * x, out=out),
-                  lambda x, g: g * np.maximum(x > 0, 0.01, dtype=x.dtype)),
+    "silu": (_silu, _silu_grad),
     "gelu": (_gelu, _gelu_grad),
 }.items()}
 

@@ -133,13 +133,13 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
     return trace
 
 
-def targets_to_gt(targets: list[np.ndarray], img_size: int):
-    """Normalized label rows -> per-image (class, Box-in-pixels) lists."""
+def targets_to_gt(targets: list[np.ndarray], h: int, w: int):
+    """Normalized label rows -> per-image (class, Box-in-pixels) lists for
+    images h pixels high and w wide."""
     gts = []
     for t in targets:
         rows = np.asarray(t, dtype=np.float64).reshape(-1, 5)
-        gts.append([(int(r[0]), Box(r[1] * img_size, r[2] * img_size,
-                                    r[3] * img_size, r[4] * img_size))
+        gts.append([(int(r[0]), Box(r[1] * w, r[2] * h, r[3] * w, r[4] * h))
                     for r in rows])
     return gts
 
@@ -149,5 +149,5 @@ def evaluate_model(model: DetectorModel, images: np.ndarray,
     """mAP@0.5 and P/R of the model on an in-memory split, at confidence 0.001;
     the labels are scaled to the images' own size."""
     dets = detect_images(model, images, conf_thr=0.001)
-    gts = targets_to_gt(targets, images.shape[-1])
+    gts = targets_to_gt(targets, *images.shape[-2:])
     return evaluate(dets, gts, model.detect.nc)

@@ -12,8 +12,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 COMPOSITE_ACTS = {
     "mish": lambda t: t * t.softplus().tanh(),
     "relu": lambda t: t.maximum(0.0),
-    "hswish": lambda t: t * (t + 3.0).clamp(0.0, 6.0) * (1.0 / 6.0),
-    "leakyrelu": lambda t: t.maximum(t * 0.01),
+    "silu": lambda t: t * t.sigmoid(),
     "gelu": lambda t: (((t + t ** 3 * 0.044715) * _GELU_C).tanh() + 1.0) * t * 0.5,
 }
 

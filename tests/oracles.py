@@ -3,7 +3,7 @@ result by a different, slower route, so the two can be checked against each
 other."""
 import numpy as np
 
-from lightdet.boxes import Box
+from lightdet.boxes import Box, corners_np
 from lightdet.metrics import Detection, ap_from_points, match_image, sort_detections
 
 
@@ -15,8 +15,8 @@ def rasterized_iou(a: Box, b: Box, n: int = 4000, dense: bool = False) -> float:
     the default counts the same cells through the x/y center masks (identical
     result, no n^2 memory).
     """
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
+    ax1, ay1, ax2, ay2 = corners_np(a.array())
+    bx1, by1, bx2, by2 = corners_np(b.array())
     x0, x1 = min(ax1, bx1), max(ax2, bx2)
     y0, y1 = min(ay1, by1), max(ay2, by2)
     span = max(x1 - x0, y1 - y0, 1e-12)

@@ -141,11 +141,9 @@ class TestLossFamily:
         p, g = Tensor(preds), Tensor(gts)
         l_iou = box_loss("iou", p, g).numpy()
         l_giou = box_loss("giou", p, g).numpy()
-        l_diou = box_loss("diou", p, g).numpy()
         l_ciou = box_loss("ciou", p, g).numpy()
         assert (l_giou >= l_iou - 1e-9).all()
-        assert (l_diou >= l_iou - 1e-9).all()
-        assert (l_ciou >= l_diou - 1e-9).all()
+        assert (l_ciou >= l_iou - 1e-9).all()
 
     def test_batched_equals_per_pair(self, rng):
         preds = np.stack([random_box(rng).array() for _ in range(8)])

@@ -176,8 +176,8 @@ class TestParser:
 
     def test_choices(self):
         flags = _flags(make_parser())
-        assert tuple(flags["box"].choices) == ("iou", "giou", "diou", "ciou", "eiou", "siou")
-        assert tuple(flags["act"].choices) == ("leakyrelu", "hswish", "mish")
+        assert tuple(flags["box"].choices) == ("iou", "giou", "ciou", "siou")
+        assert tuple(flags["act"].choices) == ("mish", "silu")
         assert tuple(flags["model"].choices) == ("baseline", "light")
         assert tuple(flags["split"].choices) == ("train", "val", "test")
         assert list(flags["profile"].choices) == ["paper", "toy"]
@@ -447,10 +447,28 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
         # same tensors and shapes, other activation: only the config differs
         code = main(["eval", "--data", tiny_dataset, "--img", "64",
-                     "--width", "0.125", "--seed", "5", "--act", "hswish",
+                     "--width", "0.125", "--seed", "5", "--act", "silu",
                      "--weights", ckpt])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_yolov5_arm_round_trips_and_names_both_configs(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the baseline graph trained as YOLOv5 trains it: SiLU and CIoU
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)  # --threads sets them
+        root, ckpt = str(tmp_path / "ds"), str(tmp_path / "best.ckpt")
+        assert main(["synth", "--data", root, "--images", "12", "--img", "64"]) == 0
+        arm = ["--model", "baseline", "--width", "0.125", "--img", "64", "--threads", "1"]
+        assert main(["train", "--data", root, "--weights", ckpt, "--act", "silu",
+                     "--box", "ciou", "--iters", "2"] + arm) == 0
+        last = str(tmp_path / "last.ckpt")
+        assert main(["eval", "--data", root, "--weights", last, "--act", "silu"] + arm) == 0
+        capsys.readouterr()
+        assert main(["eval", "--data", root, "--weights", last, "--act", "mish"] + arm) == 1
+        err = capsys.readouterr().err
+        for act in ("silu", "mish"):
+            assert f"{{'kind': 'baseline', 'nc': 2, 'width': 0.125, 'act': '{act}'}}" in err
 
 
 class TestBench:
@@ -544,11 +562,11 @@ class TestGradcheckCmd:
                 "conv_output_side",
                 "depthwise_conv", "max_pool_sppf", "max_pool_strided",
                 "layernorm",
-                "mish", "mish_wide", "hswish", "leakyrelu", "gelu", "window_attention",
+                "mish", "mish_wide", "relu", "silu", "gelu", "window_attention",
                 "cross_window_attention", "sepvit_block", "c3", "dss_conv", "dss_c3",
                 "gam", "gam_bottleneck", "training_loss"}
-        need |= {f"box_{k}" for k in ("iou", "giou", "diou", "ciou", "eiou", "siou")}
-        need |= {f"bn_act_{a}" for a in ("mish", "relu", "hswish", "leakyrelu", "gelu")}
+        need |= {f"box_{k}" for k in ("iou", "giou", "ciou", "siou")}
+        need |= {f"bn_act_{a}" for a in ("mish", "relu", "silu", "gelu")}
         assert need <= set(checks.CHECKS)
 
     def test_injected_wrong_gradient_fails(self, monkeypatch, capsys):

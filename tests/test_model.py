@@ -11,6 +11,8 @@ from lightdet.metrics import Detection
 from lightdet.model import (
     ANCHOR_RATIO_THR,
     ANCHORS_BASE,
+    LOSS_GAINS,
+    OBJ_BALANCE,
     STRIDES,
     Baseline,
     Detect,
@@ -306,11 +308,14 @@ class TestLoss:
         preds = _mk_preds(rng, self.GRIDS, det.no, scale=0.5)
         targets = [np.array([[0, 0.41, 0.62, 0.31, 0.33], [1, 0.22, 0.18, 0.2, 0.24]])]
 
+        # every objectness logit at 0: the obj target (the achieved IoU) moves
+        # with the box logits but is held fixed in the analytic gradient by
+        # design; multiplied by a zero logit, finite differences cannot see it
+        for p in preds:
+            p.data.reshape(1, 3, det.no, -1)[:, :, 4] = 0.0
+
         def f(p3, p4, p5):
-            # constant obj targets: the overlap-graded mode holds its target
-            # fixed, which finite differences cannot represent
-            return training_loss([p3, p4, p5], targets, det, box_kind=kind,
-                                 obj_target="one")[0]
+            return training_loss([p3, p4, p5], targets, det, box_kind=kind)[0]
 
         err, report = grad_check(f, preds)
         assert err <= 1e-4, f"{kind}: max rel err {err:.2e}"
@@ -363,20 +368,32 @@ class TestLoss:
         assert doubled["obj"] == pytest.approx(single["obj"], rel=1e-12)
         assert doubled["box"] == pytest.approx(single["box"], rel=1e-12)
 
-    def test_obj_target_modes_ordered(self, rng):
-        # overlap-graded targets are <= 1, so with positive matched logits
-        # the graded loss cannot sit below the constant-target loss
+    def test_obj_is_bce_against_the_largest_achieved_iou(self, rng):
         det = _tiny_detect()
-        preds = _mk_preds(rng, self.GRIDS, det.no, scale=0.3)
-        for p in preds:
-            p.data[:] = np.abs(p.data)
-        targets = [np.array([[0, 0.4, 0.6, 0.3, 0.35]])]
-        _, graded = training_loss(preds, targets, det, obj_target="iou", box_kind="siou")
-        _, const = training_loss(preds, targets, det, obj_target="one", box_kind="siou")
-        assert graded["obj"] >= const["obj"]
-        assert graded["box"] == pytest.approx(const["box"], rel=1e-12)
-        with pytest.raises(ValueError):
-            training_loss(preds, targets, det, obj_target="dice", box_kind="siou")
+        preds = _mk_preds(rng, self.GRIDS, det.no)
+        targets = [np.array([[0, 0.4, 0.6, 0.3, 0.35], [1, 0.45, 0.55, 0.2, 0.3],
+                             [0, 0.5, 0.45, 0.9, 0.8]])]
+        _, parts = training_loss(preds, targets, det, box_kind="siou")
+        anchors = _grid_anchors(det)
+        want, shared = 0.0, 0
+        levels = assign_targets(targets, anchors, self.GRIDS)
+        for lvl, (p, (b, a, gj, gi, tbox, _)) in enumerate(zip(preds, levels)):
+            n, _, gh, gw = p.shape
+            pr = p.numpy().reshape(n, 3, det.no, gh, gw)
+            pm = pr[b, a, :, gj, gi]  # (M, no)
+            sig = 1.0 / (1.0 + np.exp(-pm[:, :4]))
+            pwh = (sig[:, 2:] * 2.0) ** 2 * anchors[lvl][a]
+            pbox = np.concatenate([sig[:, :2] * 2.0 - 0.5, pwh], axis=1)
+            best = {}
+            for slot, iou in zip(zip(b, a, gj, gi), np.clip(_pair_iou_np(pbox, tbox), 0.0, 1.0)):
+                best[slot] = max(best.get(slot, 0.0), iou)
+            shared += b.size - len(best)
+            obj = pr[:, :, 4]
+            term = np.logaddexp(0.0, obj).sum() - sum(obj[bi, ai, j, i] * t
+                                                      for (bi, ai, j, i), t in best.items())
+            want += term * OBJ_BALANCE[lvl] / obj.size
+        assert shared  # some slot has two boxes, so the largest IoU is tested
+        assert parts["obj"] == pytest.approx(want * LOSS_GAINS["obj"], rel=1e-12)
 
 
 class TestPairIou:
@@ -570,7 +587,7 @@ class TestNms:
             for d in img_dets:
                 assert 0 <= d.class_id < 2
                 assert 0 < d.confidence <= 1
-                x1, y1, x2, y2 = d.box.corners()
+                x1, y1, x2, y2 = corners_np(d.box.array())
                 assert -1e-6 <= x1 and x2 <= 64 + 1e-6
                 assert -1e-6 <= y1 and y2 <= 64 + 1e-6
 
@@ -604,7 +621,7 @@ class TestNms:
 
 
 class TestConvBnActEpilogue:
-    @pytest.mark.parametrize("act", ["mish", "hswish", "leakyrelu"])
+    @pytest.mark.parametrize("act", ["mish", "silu"])
     @pytest.mark.parametrize("kind", ["baseline", "light"])
     def test_eval_blocks_equal_the_composite_bit_for_bit(self, kind, act):
         rng = np.random.default_rng(3)
@@ -755,12 +772,12 @@ class TestCheckpoint:
         assert got == frozen
 
     def test_activation_mismatch(self, tmp_path):
-        # mish and hswish models have the same tensors and shapes; only the
+        # mish and silu models have the same tensors and shapes; only the
         # config header tells them apart
         path = str(tmp_path / "w.bin")
         save_checkpoint(path, self._model())
-        with pytest.raises(CheckpointError, match="'mish'.*'hswish'"):
-            load_checkpoint(path, self._model(act="hswish"))
+        with pytest.raises(CheckpointError, match="'mish'.*'silu'"):
+            load_checkpoint(path, self._model(act="silu"))
 
     def test_unreadable_config_header(self, tmp_path):
         path = str(tmp_path / "w.bin")
@@ -810,6 +827,6 @@ class TestCheckpoint:
                 msgs.add(str(e))
         save_checkpoint(path, self._model())
         with pytest.raises(CheckpointError) as exc:
-            load_checkpoint(path, self._model(act="hswish"))
+            load_checkpoint(path, self._model(act="silu"))
         msgs.add(str(exc.value))
         assert len(msgs) == 4

@@ -138,13 +138,6 @@ class TestActivationForms:
         assert same_bits(grad, g * want * (1.0 - want))
 
     @pytest.mark.parametrize("dt", [np.float32, np.float64])
-    def test_leaky_relu_bit_identical_to_where_form(self, rng, dt):
-        x, g = self._inputs(rng, dt)
-        got, grad = self._run(lambda t: activate(t, "leakyrelu"), x, g)
-        assert same_bits(got, np.where(x > 0, x, 0.01 * x))
-        assert same_bits(grad, g * np.where(x > 0, 1.0, 0.01).astype(dt))
-
-    @pytest.mark.parametrize("dt", [np.float32, np.float64])
     def test_relu(self, rng, dt):
         x, g = self._inputs(rng, dt)
         got, grad = self._run(lambda t: activate(t, "relu"), x, g)
@@ -237,7 +230,7 @@ class TestBackward:
             y = batch_norm(y, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4)), "relu")[0]
             y = upsample_nearest2x(max_pool2d(activate(y, "mish"), 2, 2, padding=1))
             y = concat([y.sigmoid(), y.softplus(), y.tanh(), activate(y, "gelu"),
-                        activate(y, "leakyrelu")], axis=1)
+                        activate(y, "silu")], axis=1)
             y = (y.exp() - y) ** 2 / (y.abs() + 1.0)
             z = y.reshape(2, -1).swapaxes(0, 1)[:5].softmax(axis=0)
             loss = (z @ Tensor(np.ones((2, 3)), requires_grad=True)).mean()
@@ -320,7 +313,7 @@ class TestGradCheck:
 
         def f(t):
             return (t.abs().sqrt() + t.arcsin().sin() + t.arctan() + activate(t, "gelu")
-                    + t.softplus() + activate(t, "leakyrelu")).sum()
+                    + t.softplus() + activate(t, "silu")).sum()
 
         err, rep = grad_check(f, [x])
         assert err <= 1e-4

@@ -234,7 +234,7 @@ class TestFit:
 
 class TestEvalGlue:
     def test_targets_to_gt_pixels(self):
-        gts = targets_to_gt([np.array([[1, 0.5, 0.25, 0.2, 0.1]])], 64)
+        gts = targets_to_gt([np.array([[1, 0.5, 0.25, 0.2, 0.1]])], 64, 64)
         (cls, box), = gts[0]
         assert cls == 1
         assert (box.cx, box.cy, box.w, box.h) == (32.0, 16.0, 12.8, 6.4)
@@ -248,7 +248,15 @@ class TestEvalGlue:
     def test_labels_scale_to_the_images_size(self, monkeypatch):
         # a model built at 32 px scores 64 px images in their own frame
         imgs, targets = _toy_batch(2, img=64)
-        gts = targets_to_gt(targets, 64)
+        gts = targets_to_gt(targets, 64, 64)
         monkeypatch.setattr(train, "detect_images", lambda model, images, conf_thr: [
             [Detection(box, c, 1.0) for c, box in img] for img in gts])
         assert evaluate_model(_toy_model(img=32), imgs, targets).map50 == 1.0
+
+    def test_labels_scale_by_height_and_width(self, monkeypatch):
+        # a 64 px high, 128 px wide image: x and widths scale by 128, y and heights by 64
+        imgs = np.zeros((1, 3, 64, 128), np.float32)
+        targets = [np.array([[0, 0.5, 0.5, 0.25, 0.25]])]
+        monkeypatch.setattr(train, "detect_images", lambda model, images, conf_thr: [
+            [Detection(Box(64.0, 32.0, 32.0, 16.0), 0, 1.0)]])
+        assert evaluate_model(_toy_model(), imgs, targets).map50 == 1.0
