@@ -22,9 +22,6 @@ class Box:
     w: float
     h: float
 
-    def array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
 
 def _split(b: Tensor):
     return b[..., 0], b[..., 1], b[..., 2], b[..., 3]

@@ -168,12 +168,16 @@ def _check_has_boxes(cfg: RunConfig, tag: str, targets) -> None:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    from .data import ensure_split, synth_generate
+    from .data import MIN_SPLIT, split_dataset, synth_generate, write_split
 
     if not cfg.data:
         raise CliError("synth needs --data DIR to write into")
+    if cfg.images < MIN_SPLIT:
+        raise CliError(f"synth needs --images {MIN_SPLIT} or more to split, got {cfg.images}")
+    # the manifest lists what this run wrote, whatever the directory held before
     stems = synth_generate(cfg.images, cfg.seed, cfg.data, size=cfg.img)
-    pairs = ensure_split(cfg.data, cfg.seed)
+    pairs = split_dataset(stems, cfg.seed)
+    write_split(cfg.data, cfg.seed, pairs)
     tags = [t for _, t in pairs]
     print(f"wrote {len(stems)} images to {cfg.data} "
           f"(train {tags.count('train')}, val {tags.count('val')}, "
@@ -257,8 +261,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     _load_weights(cfg, model)
     rep = evaluate_model(model, images, targets)
     for cls in sorted(rep.ap_per_class):
-        n_gt = rep.per_class_counts.get(cls, 0)
-        print(f"class {cls}  ap50 {rep.ap_per_class[cls]:.4f}  gt {n_gt}")
+        print(f"class {cls}  ap50 {rep.ap_per_class[cls]:.4f}  gt {rep.per_class_counts[cls]}")
     print(f"precision {rep.precision:.4f}  recall {rep.recall:.4f}  "
           f"map50 {rep.map50:.4f}")
     return 0

@@ -14,6 +14,7 @@ from .errors import ValidationError
 
 PAD_GRAY = 114
 SPLIT_TAGS = ("train", "val", "test")
+MIN_SPLIT = 10  # the fewest samples an 8:1:1 split takes
 
 
 # ---- PPM (P6, 8-bit) ----
@@ -121,8 +122,8 @@ def parse_labels(path: str, nc: int) -> np.ndarray:
 
 def split_dataset(stems: list[str], seed: int) -> list[tuple[str, str]]:
     """Seeded shuffle, then an 8:1:1 partition in shuffle order."""
-    if len(stems) < 10:
-        raise ValidationError(f"need at least 10 samples to split, got {len(stems)}")
+    if len(stems) < MIN_SPLIT:
+        raise ValidationError(f"need at least {MIN_SPLIT} samples to split, got {len(stems)}")
     order = list(stems)
     np.random.default_rng(seed).shuffle(order)
     n = len(order)

@@ -4,11 +4,11 @@ Matching is class-aware and greedy in confidence order (ties broken by detection
 index): each detection takes the unmatched ground truth of its class with the
 highest IoU at or above the threshold, ties broken by ground-truth index. AP
 integrates the all-points precision envelope over recall. Classes that have no
-ground truth anywhere are reported as skipped, not averaged.
+ground truth anywhere get no AP and stay out of the mean.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,10 @@ class Detection:
 @dataclass
 class MetricReport:
     map50: float
-    ap_per_class: dict[int, float]
-    skipped_classes: list[int]
+    ap_per_class: dict[int, float]  # the classes with ground truth
     precision: float
     recall: float
-    per_class_counts: dict[int, int] = field(default_factory=dict)
+    per_class_counts: dict[int, int]  # ground-truth boxes of every class
 
 
 def _corners(boxes: list[Box]) -> np.ndarray:
@@ -60,10 +59,6 @@ def match_image(dets: list[Detection], gts: list[tuple[int, Box]]) -> list[bool]
     return flags
 
 
-def sort_detections(dets: list[Detection]) -> list[Detection]:
-    return [d for _, d in sorted(enumerate(dets), key=lambda t: (-t[1].confidence, t[0]))]
-
-
 def ap_from_points(recall: np.ndarray, precision: np.ndarray) -> float:
     """All-points interpolation: integrate the right-max precision envelope."""
     mrec = np.concatenate([[0.0], recall, [1.0]])
@@ -73,29 +68,11 @@ def ap_from_points(recall: np.ndarray, precision: np.ndarray) -> float:
     return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
 
 
-def ap_for_class(dets_per_image: list[list[Detection]],
-                 gts_per_image: list[list[tuple[int, Box]]],
-                 class_id: int):
-    """(ap, confidences, tp_flags, n_gt); ap is None when the class has no GT."""
-    n_gt = sum(1 for gts in gts_per_image for cls, _ in gts if cls == class_id)
-    confs: list[float] = []
-    flags: list[bool] = []
-    for dets, gts in zip(dets_per_image, gts_per_image):
-        cls_dets = sort_detections([d for d in dets if d.class_id == class_id])
-        cls_gts = [g for g in gts if g[0] == class_id]
-        for det, flag in zip(cls_dets, match_image(cls_dets, cls_gts)):
-            confs.append(det.confidence)
-            flags.append(flag)
-    if n_gt == 0:
-        return None, np.array(confs), np.array(flags, dtype=bool), 0
-    order = np.lexsort((np.arange(len(confs)), -np.asarray(confs, dtype=np.float64)))
-    tp = np.asarray(flags, dtype=np.float64)[order]
+def _pr_curve(tp: np.ndarray, n_gt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recall and precision after each detection of a ranked hit/miss array."""
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(1.0 - tp)
-    recall = cum_tp / n_gt
-    precision = cum_tp / (cum_tp + cum_fp)
-    ap = ap_from_points(recall, precision)
-    return ap, np.asarray(confs, dtype=np.float64)[order], tp.astype(bool), n_gt
+    return cum_tp / n_gt, cum_tp / (cum_tp + cum_fp)
 
 
 def evaluate(dets_per_image: list[list[Detection]],
@@ -103,39 +80,34 @@ def evaluate(dets_per_image: list[list[Detection]],
              num_classes: int) -> MetricReport:
     if not any(gts for gts in gts_per_image):
         raise ValueError("evaluation needs at least one ground-truth box")
-    aps: dict[int, float] = {}
-    skipped: list[int] = []
-    counts: dict[int, int] = {}
-    pooled_conf: list[np.ndarray] = []
-    pooled_tp: list[np.ndarray] = []
-    total_gt = 0
-    for cls in range(num_classes):
-        ap, confs, tps, n_gt = ap_for_class(dets_per_image, gts_per_image, cls)
-        counts[cls] = n_gt
-        if ap is None:
-            skipped.append(cls)
-            continue
-        aps[cls] = ap
-        pooled_conf.append(confs)
-        pooled_tp.append(tps)
-        total_gt += n_gt
+    classes: list[int] = []
+    confs: list[float] = []
+    hits: list[bool] = []
+    for dets, gts in zip(dets_per_image, gts_per_image):
+        conf = np.array([d.confidence for d in dets], dtype=np.float64)
+        ranked = [dets[i] for i in np.lexsort((np.arange(len(dets)), -conf))]
+        classes += [d.class_id for d in ranked]
+        confs += [d.confidence for d in ranked]
+        hits += match_image(ranked, gts)
+    n_gt = np.bincount([cls for gts in gts_per_image for cls, _ in gts], minlength=num_classes)
+    counts = {cls: int(n_gt[cls]) for cls in range(num_classes)}
 
+    # one order serves both curves: confidence descending, then class, then
+    # image-major position; a class mask of it is that class's AP order
+    cls_arr = np.array(classes, dtype=np.int64)
+    conf = np.array(confs, dtype=np.float64)
+    order = np.lexsort((np.arange(conf.size), cls_arr, -conf))
+    cls_arr, tp = cls_arr[order], np.array(hits, dtype=np.float64)[order]
+    aps = {cls: ap_from_points(*_pr_curve(tp[cls_arr == cls], n))
+           for cls, n in counts.items() if n}
     map50 = float(np.mean(list(aps.values()))) if aps else 0.0
 
     # headline precision/recall: the confidence cut that maximizes F1 on the
-    # pooled curve across the evaluated classes
-    conf = np.concatenate(pooled_conf) if pooled_conf else np.array([])
-    tp = np.concatenate(pooled_tp) if pooled_tp else np.array([], dtype=bool)
-    if conf.size == 0:
-        return MetricReport(map50, aps, skipped, 0.0, 0.0, counts)
-    order = np.argsort(-conf, kind="stable")
-    tp_sorted = tp[order].astype(np.float64)
-    cum_tp = np.cumsum(tp_sorted)
-    cum_fp = np.cumsum(1.0 - tp_sorted)
-    precision = cum_tp / (cum_tp + cum_fp)
-    recall = cum_tp / total_gt
+    # pooled curve across the classes with ground truth
+    scored = np.isin(cls_arr, list(aps))
+    if not scored.any():
+        return MetricReport(map50, aps, 0.0, 0.0, counts)
+    recall, precision = _pr_curve(tp[scored], sum(counts.values()))
     f1 = 2 * precision * recall / np.maximum(precision + recall, 1e-12)
     best = int(np.argmax(f1))
-    return MetricReport(map50, aps, skipped, float(precision[best]),
-                        float(recall[best]), counts)
-
+    return MetricReport(map50, aps, float(precision[best]), float(recall[best]), counts)

@@ -237,11 +237,6 @@ OBJ_BALANCE = (4.0, 1.0, 0.4)
 LOSS_GAINS = {"box": 0.05, "obj": 1.0, "cls": 0.5}
 
 
-def _bce_sum(logits: Tensor, target) -> Tensor:
-    # sum over all entries of softplus(x) - x*t, the logit-space BCE
-    return (logits.softplus() - logits * target).sum()
-
-
 def _pair_iou_np(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Row-wise IoU of center-form box arrays; plain numpy, no gradient."""
     pa = corners_np(pred.astype(np.float64))
@@ -301,7 +296,8 @@ def training_loss(preds: list[Tensor], targets: list[np.ndarray], detect: Detect
             obj_sum = obj_sum - (pobj.reshape(-1)[uniq] * Tensor(tvals)).sum()
             onehot = np.zeros((b.size, nc), np.float64)
             onehot[np.arange(b.size), tcls] = 1.0
-            lcls = lcls + _bce_sum(pm[:, 5:], Tensor(onehot)) * (1.0 / (b.size * nc))
+            pcls = pm[:, 5:]  # logit-space BCE: softplus(x) - x*t, summed
+            lcls = lcls + (pcls.softplus() - pcls * Tensor(onehot)).sum() * (1.0 / (b.size * nc))
         lobj = lobj + obj_sum * (OBJ_BALANCE[lvl] / pobj.size)
     total = (lbox * LOSS_GAINS["box"] + lobj * LOSS_GAINS["obj"]
              + lcls * LOSS_GAINS["cls"])

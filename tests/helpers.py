@@ -17,6 +17,11 @@ COMPOSITE_ACTS = {
 }
 
 
+def box_array(box) -> np.ndarray:
+    """A Box's fields (cx, cy, w, h) as a float64 array."""
+    return np.array([box.cx, box.cy, box.w, box.h], dtype=np.float64)
+
+
 def cast_f64(module):
     """Promote a module's params and buffers so grad_check runs in float64."""
     for _, t in module.named_state():

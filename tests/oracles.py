@@ -4,7 +4,9 @@ other."""
 import numpy as np
 
 from lightdet.boxes import Box, corners_np
-from lightdet.metrics import Detection, ap_from_points, match_image, sort_detections
+from lightdet.metrics import Detection, MetricReport, ap_from_points, match_image
+
+from helpers import box_array
 
 
 def rasterized_iou(a: Box, b: Box, n: int = 4000, dense: bool = False) -> float:
@@ -15,8 +17,8 @@ def rasterized_iou(a: Box, b: Box, n: int = 4000, dense: bool = False) -> float:
     the default counts the same cells through the x/y center masks (identical
     result, no n^2 memory).
     """
-    ax1, ay1, ax2, ay2 = corners_np(a.array())
-    bx1, by1, bx2, by2 = corners_np(b.array())
+    ax1, ay1, ax2, ay2 = corners_np(box_array(a))
+    bx1, by1, bx2, by2 = corners_np(box_array(b))
     x0, x1 = min(ax1, bx1), max(ax2, bx2)
     y0, y1 = min(ay1, by1), max(ay2, by2)
     span = max(x1 - x0, y1 - y0, 1e-12)
@@ -60,8 +62,8 @@ def oracle_ap_sweep(dets_per_image: list[list[Detection]],
     for thr in all_confs:
         tp_total, det_total = 0, 0
         for dets, gts in zip(dets_per_image, gts_per_image):
-            keep = sort_detections([d for d in dets
-                                    if d.class_id == class_id and d.confidence >= thr])
+            keep = sorted((d for d in dets if d.class_id == class_id and d.confidence >= thr),
+                          key=lambda d: -d.confidence)  # stable: index order on ties
             cls_gts = [g for g in gts if g[0] == class_id]
             flags = match_image(keep, cls_gts)
             tp_total += sum(flags)
@@ -73,6 +75,74 @@ def oracle_ap_sweep(dets_per_image: list[list[Detection]],
     if not recalls:
         return 0.0
     return ap_from_points(np.asarray(recalls), np.asarray(precisions))
+
+
+def sort_detections(dets: list[Detection]) -> list[Detection]:
+    return [d for _, d in sorted(enumerate(dets), key=lambda t: (-t[1].confidence, t[0]))]
+
+
+def ap_for_class(dets_per_image: list[list[Detection]],
+                 gts_per_image: list[list[tuple[int, Box]]],
+                 class_id: int):
+    """(ap, confidences, tp_flags, n_gt) of one class, matched image by image
+    on that class alone; ap is None when the class has no GT."""
+    n_gt = sum(1 for gts in gts_per_image for cls, _ in gts if cls == class_id)
+    confs: list[float] = []
+    flags: list[bool] = []
+    for dets, gts in zip(dets_per_image, gts_per_image):
+        cls_dets = sort_detections([d for d in dets if d.class_id == class_id])
+        cls_gts = [g for g in gts if g[0] == class_id]
+        for det, flag in zip(cls_dets, match_image(cls_dets, cls_gts)):
+            confs.append(det.confidence)
+            flags.append(flag)
+    if n_gt == 0:
+        return None, np.array(confs), np.array(flags, dtype=bool), 0
+    order = np.lexsort((np.arange(len(confs)), -np.asarray(confs, dtype=np.float64)))
+    tp = np.asarray(flags, dtype=np.float64)[order]
+    cum_tp = np.cumsum(tp)
+    cum_fp = np.cumsum(1.0 - tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / (cum_tp + cum_fp)
+    ap = ap_from_points(recall, precision)
+    return ap, np.asarray(confs, dtype=np.float64)[order], tp.astype(bool), n_gt
+
+
+def evaluate_per_class(dets_per_image: list[list[Detection]],
+                       gts_per_image: list[list[tuple[int, Box]]],
+                       num_classes: int) -> MetricReport:
+    """`metrics.evaluate` class by class: each class's curve from ap_for_class,
+    then the class-major concatenation stable-sorted by confidence for the F1 cut."""
+    if not any(gts for gts in gts_per_image):
+        raise ValueError("evaluation needs at least one ground-truth box")
+    aps: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    pooled_conf: list[np.ndarray] = []
+    pooled_tp: list[np.ndarray] = []
+    total_gt = 0
+    for cls in range(num_classes):
+        ap, confs, tps, n_gt = ap_for_class(dets_per_image, gts_per_image, cls)
+        counts[cls] = n_gt
+        if ap is None:
+            continue
+        aps[cls] = ap
+        pooled_conf.append(confs)
+        pooled_tp.append(tps)
+        total_gt += n_gt
+
+    map50 = float(np.mean(list(aps.values()))) if aps else 0.0
+    conf = np.concatenate(pooled_conf) if pooled_conf else np.array([])
+    tp = np.concatenate(pooled_tp) if pooled_tp else np.array([], dtype=bool)
+    if conf.size == 0:
+        return MetricReport(map50, aps, 0.0, 0.0, counts)
+    order = np.argsort(-conf, kind="stable")
+    tp_sorted = tp[order].astype(np.float64)
+    cum_tp = np.cumsum(tp_sorted)
+    cum_fp = np.cumsum(1.0 - tp_sorted)
+    precision = cum_tp / (cum_tp + cum_fp)
+    recall = cum_tp / total_gt
+    f1 = 2 * precision * recall / np.maximum(precision + recall, 1e-12)
+    best = int(np.argmax(f1))
+    return MetricReport(map50, aps, float(precision[best]), float(recall[best]), counts)
 
 
 def labels_from_canvas(labels: np.ndarray, rec: dict) -> np.ndarray:

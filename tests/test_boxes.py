@@ -6,12 +6,13 @@ import pytest
 from lightdet.boxes import EPS, Box, LOSS_KINDS, box_loss, corners_np, iou_matrix
 from lightdet.tensor import Tensor, grad_check
 
+from helpers import box_array
 from oracles import rasterized_iou
 
 
 def box_loss_of(kind: str, a: Box, b: Box) -> Tensor:
     """`box_loss` of one pair of boxes."""
-    return box_loss(kind, Tensor(a.array()), Tensor(b.array()))
+    return box_loss(kind, Tensor(box_array(a)), Tensor(box_array(b)))
 
 
 def iou(a, b) -> float:
@@ -36,8 +37,8 @@ class TestIoU:
     def test_matrix_agrees_with_tensor_path(self, rng):
         boxes_a = [random_box(rng) for _ in range(6)]
         boxes_b = [random_box(rng) for _ in range(4)]
-        ca = corners_np(np.stack([b.array() for b in boxes_a]))
-        cb = corners_np(np.stack([b.array() for b in boxes_b]))
+        ca = corners_np(np.stack([box_array(b) for b in boxes_a]))
+        cb = corners_np(np.stack([box_array(b) for b in boxes_b]))
         mat = iou_matrix(ca, cb)
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
@@ -136,8 +137,8 @@ class TestLossFamily:
                 assert box_loss_of(kind, b, b).item() <= 1e-6, kind
 
     def test_family_orderings(self, rng, rng1):
-        preds = np.stack([random_box(rng).array() for _ in range(10000)])
-        gts = np.stack([random_box(rng1).array() for _ in range(10000)])
+        preds = np.stack([box_array(random_box(rng)) for _ in range(10000)])
+        gts = np.stack([box_array(random_box(rng1)) for _ in range(10000)])
         p, g = Tensor(preds), Tensor(gts)
         l_iou = box_loss("iou", p, g).numpy()
         l_giou = box_loss("giou", p, g).numpy()
@@ -146,8 +147,8 @@ class TestLossFamily:
         assert (l_ciou >= l_iou - 1e-9).all()
 
     def test_batched_equals_per_pair(self, rng):
-        preds = np.stack([random_box(rng).array() for _ in range(8)])
-        gts = np.stack([random_box(rng).array() for _ in range(8)])
+        preds = np.stack([box_array(random_box(rng)) for _ in range(8)])
+        gts = np.stack([box_array(random_box(rng)) for _ in range(8)])
         for kind in LOSS_KINDS:
             batched = box_loss(kind, Tensor(preds), Tensor(gts)).numpy()
             single = [box_loss(kind, Tensor(preds[i]), Tensor(gts[i])).item() for i in range(8)]
@@ -167,8 +168,8 @@ class TestLossFamily:
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_gradcheck(self, kind, rng):
-        pred = Tensor(np.stack([random_box(rng).array() for _ in range(4)]))
-        gt = Tensor(np.stack([random_box(rng).array() for _ in range(4)]))
+        pred = Tensor(np.stack([box_array(random_box(rng)) for _ in range(4)]))
+        gt = Tensor(np.stack([box_array(random_box(rng)) for _ in range(4)]))
 
         def f(p):
             return box_loss(kind, p, gt).sum()

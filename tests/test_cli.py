@@ -279,6 +279,21 @@ class TestSynth:
     def test_needs_data_flag(self):
         assert main(["synth"]) == 1
 
+    def test_rewrite_splits_every_image_it_wrote(self, tmp_path, capsys):
+        root = str(tmp_path / "ds")
+        for n in (12, 30):
+            assert main(["synth", "--data", root, "--images", str(n), "--img", "64"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("(train 24, val 3, test 3)")
+        with open(os.path.join(root, "split_0.txt")) as fh:
+            stems = sorted(line.split("\t")[0] for line in fh)
+        assert stems == [f"synth_{i:05d}" for i in range(30)]
+
+    def test_too_few_images_fail_before_writing(self, tmp_path, capsys):
+        root = tmp_path / "ds"
+        assert main(["synth", "--data", str(root), "--images", "9", "--img", "64"]) == 1
+        assert not root.exists()
+        assert "--images 10 or more" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def fit_dataset(tmp_path_factory):

@@ -5,10 +5,10 @@ import pytest
 
 from lightdet import metrics
 from lightdet.boxes import Box, corners_np, iou_matrix
-from lightdet.metrics import (
-    Detection, ap_for_class, ap_from_points, evaluate, match_image, sort_detections,
-)
-from oracles import oracle_ap_sweep
+from lightdet.metrics import Detection, ap_from_points, evaluate, match_image
+
+from helpers import box_array
+from oracles import evaluate_per_class, oracle_ap_sweep, sort_detections
 
 
 def det(cx, cy, w, h, cls=0, conf=0.5):
@@ -84,8 +84,8 @@ class TestMatching:
         monkeypatch.setattr(metrics, "MATCH_IOU", thr)
 
         def loop_oracle(dets, gts):  # the greedy rule, one (det, gt) pair at a time
-            ious = iou_matrix(corners_np(np.stack([d.box.array() for d in dets])),
-                              corners_np(np.stack([g.array() for _, g in gts])))
+            ious = iou_matrix(corners_np(np.stack([box_array(d.box) for d in dets])),
+                              corners_np(np.stack([box_array(g) for _, g in gts])))
             taken, flags = [False] * len(gts), []
             for i, d in enumerate(dets):
                 best_j, best_iou = -1, 0.0
@@ -109,8 +109,17 @@ class TestMatching:
         assert checked >= 50
 
     def test_sort_is_stable_on_equal_conf(self):
-        a, b = det(0.1, 0.1, 0.1, 0.1, conf=0.5), det(0.2, 0.2, 0.1, 0.1, conf=0.5)
-        assert sort_detections([a, b]) == [a, b]
+        # equal confidences rank in index order: the miss first gives AP 0.5,
+        # the hit first would give 1.0
+        gts = [[(0, Box(0.2, 0.2, 0.1, 0.1))]]
+        miss, hit = det(0.8, 0.8, 0.1, 0.1, conf=0.5), det(0.2, 0.2, 0.1, 0.1, conf=0.5)
+        assert evaluate([[miss, hit]], gts, 1).ap_per_class == {0: 0.5}
+        assert evaluate([[hit, miss]], gts, 1).ap_per_class == {0: 1.0}
+
+
+def class_ap(dets_all, gts_all, cls):
+    """AP of one class as `evaluate` reports it over two classes."""
+    return evaluate(dets_all, gts_all, 2).ap_per_class[cls]
 
 
 class TestAP:
@@ -122,35 +131,31 @@ class TestAP:
             det(0.5, 0.1, 0.05, 0.05, conf=0.8),
             det(0.7, 0.7, 0.2, 0.2, conf=0.7),
         ]]
-        ap, *_ = ap_for_class(dets, gts, 0)
-        assert ap == pytest.approx(0.833333, abs=1e-4)
+        assert class_ap(dets, gts, 0) == pytest.approx(0.833333, abs=1e-4)
 
     def test_perfect_detections_give_ap_one(self):
         gts = [[(0, Box(0.3, 0.3, 0.2, 0.2)), (0, Box(0.7, 0.7, 0.2, 0.2))]]
         dets = [[det(0.3, 0.3, 0.2, 0.2, conf=0.9), det(0.7, 0.7, 0.2, 0.2, conf=0.8)]]
-        ap, *_ = ap_for_class(dets, gts, 0)
-        assert ap == pytest.approx(1.0, abs=1e-9)
+        assert class_ap(dets, gts, 0) == pytest.approx(1.0, abs=1e-9)
 
     def test_no_dets_on_present_class_is_zero(self):
         gts = [[(0, Box(0.5, 0.5, 0.2, 0.2))]]
-        ap, *_ = ap_for_class([[]], gts, 0)
-        assert ap == 0.0
+        assert class_ap([[]], gts, 0) == 0.0
 
     def test_absent_class_is_skipped(self):
         gts = [[(0, Box(0.5, 0.5, 0.2, 0.2))]]
-        ap, *_ = ap_for_class([[]], gts, 1)
-        assert ap is None
+        rep = evaluate([[det(0.5, 0.5, 0.2, 0.2, cls=1)]], gts, 2)
+        assert list(rep.ap_per_class) == [0] and rep.per_class_counts == {0: 1, 1: 0}
 
     def test_confidence_rescaling_invariance(self, rng):
         dets_all, gts_all = random_instance(rng)
-        base, *_ = ap_for_class(dets_all, gts_all, 0)
         scaled = [[Detection(d.box, d.class_id, d.confidence * 3.0) for d in dets]
                   for dets in dets_all]
-        got, *_ = ap_for_class(scaled, gts_all, 0)
-        if base is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(base, abs=1e-12)
+        base = evaluate(dets_all, gts_all, 2).ap_per_class
+        got = evaluate(scaled, gts_all, 2).ap_per_class
+        assert got.keys() == base.keys()
+        for cls in base:
+            assert got[cls] == pytest.approx(base[cls], abs=1e-12)
 
     def test_envelope_integration_hand_case(self):
         rec = np.array([0.5, 0.5, 1.0])
@@ -162,13 +167,17 @@ class TestAP:
         checked = 0
         for _ in range(50):
             dets_all, gts_all = random_instance(rng)
-            for cls in (0, 1):
-                want = oracle_ap_sweep(dets_all, gts_all, cls)
-                got, *_ = ap_for_class(dets_all, gts_all, cls)
+            wants = [oracle_ap_sweep(dets_all, gts_all, cls) for cls in (0, 1)]
+            if wants == [None, None]:  # no gt at all: nothing to score
+                with pytest.raises(ValueError):
+                    evaluate(dets_all, gts_all, 2)
+                continue
+            aps = evaluate(dets_all, gts_all, 2).ap_per_class
+            for cls, want in enumerate(wants):
                 if want is None:
-                    assert got is None
+                    assert cls not in aps
                 else:
-                    assert got == pytest.approx(want, abs=1e-12)
+                    assert aps[cls] == pytest.approx(want, abs=1e-12)
                     checked += 1
         assert checked >= 40  # the sweep must actually exercise real instances
 
@@ -186,7 +195,7 @@ class TestEvaluate:
         assert 0.0 <= rep.recall <= 1.0
         for cls, ap in rep.ap_per_class.items():
             assert 0.0 <= ap <= 1.0
-            assert cls not in rep.skipped_classes
+            assert rep.per_class_counts[cls] > 0
 
     def test_map_is_mean_over_scored_classes(self):
         gts = [[(0, Box(0.3, 0.3, 0.2, 0.2)), (1, Box(0.7, 0.7, 0.2, 0.2))]]
@@ -198,6 +207,28 @@ class TestEvaluate:
         gts = [[(0, Box(0.3, 0.3, 0.2, 0.2))]]
         dets = [[det(0.3, 0.3, 0.2, 0.2, cls=0, conf=0.9)]]
         rep = evaluate(dets, gts, num_classes=2)
-        assert rep.skipped_classes == [1]
+        assert list(rep.ap_per_class) == [0]
         assert rep.map50 == pytest.approx(1.0, abs=1e-9)
 
+
+    def test_equals_per_class_reference(self):
+        # half the instances quantize confidences to quarters, so that equal
+        # confidences meet across classes and images and the tie order shows
+        rng = np.random.default_rng(11)
+        compared = tied = 0
+        for _ in range(300):
+            num_classes = int(rng.integers(1, 5))
+            dets_all, gts_all = random_instance(rng, int(rng.integers(1, 6)), num_classes)
+            if rng.random() < 0.5:
+                dets_all = [[Detection(d.box, d.class_id, float(np.ceil(d.confidence * 4) / 4))
+                             for d in dets] for dets in dets_all]
+            if not any(gts_all):
+                with pytest.raises(ValueError):
+                    evaluate(dets_all, gts_all, num_classes)
+                continue
+            assert evaluate(dets_all, gts_all, num_classes) \
+                == evaluate_per_class(dets_all, gts_all, num_classes)
+            compared += 1
+            confs = [d.confidence for dets in dets_all for d in dets]
+            tied += len(set(confs)) < len(confs)
+        assert compared >= 200 and tied >= 100

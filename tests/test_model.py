@@ -30,7 +30,7 @@ from lightdet.model import (
 from lightdet.nn import BatchNorm2d, ConvBnAct
 from lightdet.tensor import Tensor, grad_check, no_grad
 
-from helpers import eval_block_reference, with_bn_stats
+from helpers import box_array, eval_block_reference, with_bn_stats
 
 # frozen from the implemented cost model at nc=2, 640px reference input
 BASELINE_PARAMS = 1_766_623
@@ -587,7 +587,7 @@ class TestNms:
             for d in img_dets:
                 assert 0 <= d.class_id < 2
                 assert 0 < d.confidence <= 1
-                x1, y1, x2, y2 = corners_np(d.box.array())
+                x1, y1, x2, y2 = corners_np(box_array(d.box))
                 assert -1e-6 <= x1 and x2 <= 64 + 1e-6
                 assert -1e-6 <= y1 and y2 <= 64 + 1e-6
 
