@@ -117,8 +117,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ih -= np.maximum(a[:, None, 1], b[None, :, 1])
     inter = np.maximum(iw, 0, out=iw)
     inter *= np.maximum(ih, 0, out=ih)
-    area_a = np.clip(a[:, 2] - a[:, 0], 0, None) * np.clip(a[:, 3] - a[:, 1], 0, None)
-    area_b = np.clip(b[:, 2] - b[:, 0], 0, None) * np.clip(b[:, 3] - b[:, 1], 0, None)
+    area_a = np.maximum(a[:, 2] - a[:, 0], 0) * np.maximum(a[:, 3] - a[:, 1], 0)
+    area_b = np.maximum(b[:, 2] - b[:, 0], 0) * np.maximum(b[:, 3] - b[:, 1], 0)
     union = area_a[:, None] + area_b[None, :]
     union -= inter
     union += EPS

@@ -3,7 +3,8 @@ result by a different, slower route, so the two can be checked against each
 other."""
 import numpy as np
 
-from lightdet.boxes import Box, corners_np
+from lightdet import model
+from lightdet.boxes import Box, corners_np, iou_matrix
 from lightdet.metrics import Detection, MetricReport, ap_from_points, match_image
 
 from helpers import box_array
@@ -154,3 +155,34 @@ def labels_from_canvas(labels: np.ndarray, rec: dict) -> np.ndarray:
     out[:, 3] = out[:, 3] * t / rec["new_w"]
     out[:, 4] = out[:, 4] * t / rec["new_h"]
     return out
+
+
+def shifted_box_nms(boxes_xyxy: np.ndarray, scores: np.ndarray, classes: np.ndarray,
+                    max_det: int, shift: float) -> np.ndarray:
+    """Greedy NMS over all classes at once, kept apart by moving each class's
+    boxes `classes * shift` along both axes, so that boxes of different classes
+    never overlap; `shift` must exceed the boxes' extent.
+
+    The sorted candidates go in fixed blocks of model._NMS_BLOCK: one IoU matrix
+    against every box kept so far, then a greedy pass over each candidate of the
+    block's own IoU matrix.
+    """
+    boxes_xyxy = boxes_xyxy + classes[:, None] * shift
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    keep: list[int] = []
+    for start in range(0, order.size, model._NMS_BLOCK):
+        if len(keep) >= max_det:
+            break
+        cand = order[start:start + model._NMS_BLOCK]
+        if keep:
+            clear = iou_matrix(boxes_xyxy[cand], boxes_xyxy[keep]) <= model.NMS_IOU
+            cand = cand[clear.all(axis=1)]
+        clear = iou_matrix(boxes_xyxy[cand], boxes_xyxy[cand]) <= model.NMS_IOU
+        alive = np.ones(cand.size, dtype=bool)
+        for r in range(cand.size):
+            if alive[r]:
+                keep.append(cand[r])
+                if len(keep) == max_det:
+                    break
+                alive &= clear[r]
+    return np.asarray(keep, dtype=np.int64)

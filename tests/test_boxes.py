@@ -109,6 +109,7 @@ class TestIoUMatrixInPlace:
                 got = iou_matrix(a, b)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want, equal_nan=True)
+            assert got.tobytes() == want.tobytes()  # signed zeros and NaN bits too
             # the masks NMS (<= 0.45) and matching (>= 0.5, > 0) take from it
             for thr in (0.45, 0.5):
                 assert np.array_equal(got <= thr, want <= thr)

@@ -31,6 +31,7 @@ from lightdet.nn import BatchNorm2d, ConvBnAct
 from lightdet.tensor import Tensor, grad_check, no_grad
 
 from helpers import box_array, eval_block_reference, with_bn_stats
+from oracles import shifted_box_nms
 
 # frozen from the implemented cost model at nc=2, 640px reference input
 BASELINE_PARAMS = 1_766_623
@@ -494,66 +495,94 @@ def _clustered(rng, n, centres=12):
 
 
 def _nms_case(case, rng):
-    """(boxes, scores, iou_thr, max_det) for one named NMS oracle case."""
+    """(boxes, scores, classes, iou_thr, max_det) for one named NMS oracle case."""
     if case == "random":
         n = 200
         boxes = _corners(rng.uniform(20, 80, size=(n, 2)), rng.uniform(5, 30, size=(n, 2)))
-        return boxes, rng.uniform(0.01, 1.0, size=n), 0.5, n
+        return boxes, rng.uniform(0.01, 1.0, size=n), np.zeros(n, np.int64), 0.5, n
+    if case == "high_keep_rate":
+        # 1,000 boxes on a grid, none overlapping: every candidate survives, so
+        # the blocks after the first are sized to about what max_det still needs
+        n = 1000
+        cxy = np.stack(np.divmod(rng.permutation(n), 40), axis=1) * 10.0
+        boxes = _corners(cxy, rng.uniform(4, 9, size=(n, 2)))
+        return boxes, rng.uniform(0, 1, size=n), rng.integers(0, 2, size=n), 0.45, 300
     n = 700
-    if case == "class_offset":
-        # what detect_images feeds NMS: boxes clipped to the image, shifted per class
-        img = 200
-        boxes = np.clip(_clustered(rng, n), 0.0, float(img))
-        cls = rng.integers(0, 3, size=n)
-        return boxes + cls[:, None] * (img * 2.0), rng.uniform(0, 1, size=n), 0.45, n
-    boxes = _clustered(rng, n)
     scores = rng.uniform(0, 1, size=n)
+    if case.startswith("three_classes"):
+        # what detect_images feeds NMS: boxes clipped to the image, three classes
+        boxes = np.clip(_clustered(rng, n), 0.0, 200.0)
+        max_det = 150 if case == "three_classes_max_det_mid_block" else n
+        return boxes, scores, rng.integers(0, 3, size=n), 0.45, max_det
+    boxes = _clustered(rng, n)
+    one_class = np.zeros(n, np.int64)
     if case == "clusters":
-        return boxes, scores, 0.45, n
+        return boxes, scores, one_class, 0.45, n
     if case == "tied_scores":
-        return boxes, np.round(scores, 1), 0.45, n
+        return boxes, np.round(scores, 1), one_class, 0.45, n
     if case == "max_det_mid_block":
-        return boxes, scores, 0.45, 150
+        return boxes, scores, one_class, 0.45, 150
     if case == "zero_area":
         flat = rng.random(n) < 0.15
         boxes[flat, 2] = boxes[flat, 0]  # zero width
         boxes[flat[::-1], 3] = boxes[flat[::-1], 1]  # zero height, some both
         boxes[1::50] = boxes[0::50]  # exact duplicates, zero-area ones among them
-        return boxes, scores, 0.45, n
+        return boxes, scores, one_class, 0.45, n
     raise ValueError(case)
+
+
+NMS_CASES = ["random", "clusters", "tied_scores", "max_det_mid_block", "zero_area",
+             "three_classes", "three_classes_max_det_mid_block", "high_keep_rate"]
+
+
+def _toy_candidates():
+    """An untrained toy Light, two inputs, and per image what detect_images
+    feeds NMS at conf 0.001: (boxes clipped to the input, confidences, classes)."""
+    m = Light(nc=2, width=0.125, act="mish", img_size=128, rng=np.random.default_rng(1))
+    x = np.random.default_rng(0).standard_normal((2, 3, 128, 128)).astype(np.float32)
+    m.eval()
+    with no_grad():
+        raw = m(Tensor(x))
+    cands = []
+    for row in decode_predictions([p.numpy() for p in raw], m.detect.anchors):
+        scores = row[:, 5:] * row[:, 4:5]
+        cls = scores.argmax(axis=1)
+        conf = scores[np.arange(len(row)), cls]
+        sel = conf >= 0.001
+        cands.append((np.clip(corners_np(row[sel, :4]), 0.0, 128.0), conf[sel], cls[sel]))
+    return m, x, cands
 
 
 class TestNms:
     def test_overlap_suppressed(self):
         boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11], [50, 50, 60, 60.0]])
         scores = np.array([0.9, 0.8, 0.7])
-        keep = nms_indices(boxes, scores, 300)
+        keep = nms_indices(boxes, scores, np.zeros(3, np.int64), 300)
         assert keep.tolist() == [0, 2]
 
     def test_low_overlap_kept(self):
         boxes = np.array([[0, 0, 10, 10], [8, 8, 18, 18.0]])
-        keep = nms_indices(boxes, np.array([0.9, 0.8]), 300)
+        keep = nms_indices(boxes, np.array([0.9, 0.8]), np.zeros(2, np.int64), 300)
         assert keep.tolist() == [0, 1]
 
     def test_max_det(self):
         boxes = np.array([[i * 20.0, 0, i * 20 + 10, 10] for i in range(5)])
-        keep = nms_indices(boxes, np.linspace(1, 0.5, 5), 3)
+        keep = nms_indices(boxes, np.linspace(1, 0.5, 5), np.zeros(5, np.int64), 3)
         assert len(keep) == 3
 
     def test_score_tie_stable(self):
         boxes = np.array([[0, 0, 10, 10], [100, 0, 110, 10.0]])
-        keep = nms_indices(boxes, np.array([0.5, 0.5]), 300)
+        keep = nms_indices(boxes, np.array([0.5, 0.5]), np.zeros(2, np.int64), 300)
         assert keep.tolist() == [0, 1]
 
     def test_empty_input(self):
-        keep = nms_indices(np.zeros((0, 4)), np.zeros(0), 300)
+        keep = nms_indices(np.zeros((0, 4)), np.zeros(0), np.zeros(0, np.int64), 300)
         assert keep.shape == (0,) and keep.dtype == np.int64
 
-    @pytest.mark.parametrize("case", ["random", "clusters", "tied_scores",
-                                      "max_det_mid_block", "zero_area", "class_offset"])
+    @pytest.mark.parametrize("case", NMS_CASES)
     def test_matches_bruteforce_suppression(self, rng, monkeypatch, case):
         # independent scalar-loop oracle; the 700-box cases span several NMS blocks
-        boxes, scores, thr, max_det = _nms_case(case, rng)
+        boxes, scores, classes, thr, max_det = _nms_case(case, rng)
         monkeypatch.setattr(model_mod, "NMS_IOU", thr)
         n = len(scores)
 
@@ -568,13 +597,43 @@ class TestNms:
         for i in sorted(range(n), key=lambda i: (-scores[i], i)):
             if len(expect) == max_det:
                 break
-            if all(iou(boxes[i], boxes[j]) <= thr for j in expect):
+            if all(classes[i] != classes[j] or iou(boxes[i], boxes[j]) <= thr
+                   for j in expect):
                 expect.append(i)
-        got = nms_indices(boxes, scores, max_det)
+        got = nms_indices(boxes, scores, classes, max_det)
         assert got.dtype == np.int64
         assert got.tolist() == expect
         if max_det < n:
             assert len(got) == max_det  # the cap, not the candidates, ended the pass
+
+    @pytest.mark.parametrize("case", NMS_CASES)
+    def test_equals_the_shifted_box_reference(self, rng, monkeypatch, case):
+        boxes, scores, classes, thr, max_det = _nms_case(case, rng)
+        monkeypatch.setattr(model_mod, "NMS_IOU", thr)
+        want = shifted_box_nms(boxes, scores, classes, max_det, 2.0 * np.abs(boxes).max())
+        assert nms_indices(boxes, scores, classes, max_det).tolist() == want.tolist()
+
+    def test_toy_detector_equals_the_shifted_box_reference(self):
+        # untrained, at conf 0.001: every image fills max_det with both classes
+        for boxes, conf, cls in _toy_candidates()[2]:
+            keep = nms_indices(boxes, conf, cls, 300)
+            assert len(keep) == 300 and set(cls[keep].tolist()) == {0, 1}
+            assert keep.tolist() == shifted_box_nms(boxes, conf, cls, 300, 256.0).tolist()
+
+    def test_nan_box_suppresses_only_later_boxes_of_its_class(self):
+        # 300 boxes on a grid, none overlapping, classes alternating, scores
+        # falling with the index; the blocks split the NaN box's class
+        n = 300
+        cxy = np.stack(np.divmod(np.arange(n), 20), axis=1) * 10.0
+        boxes = _corners(cxy, np.full((n, 2), 8.0))
+        classes, scores = np.arange(n) % 2, np.linspace(1.0, 0.1, n)
+        boxes[[0, 101, 201]] = np.nan
+        keep = nms_indices(boxes, scores, classes, n)
+        # the first box of class 0 is kept and drops the rest of class 0; a NaN
+        # box ranked after a kept box of its class is dropped and drops nothing
+        assert keep.tolist() == [0] + [i for i in range(1, n, 2) if i not in (101, 201)]
+        # the shifted boxes are NaN too, so there the first box dropped every class
+        assert shifted_box_nms(boxes, scores, classes, n, 400.0).tolist() == [0]
 
     def test_detect_images_runs(self):
         m = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(1))
@@ -593,20 +652,10 @@ class TestNms:
 
     def test_detections_equal_per_box_construction(self):
         # untrained, at conf 0.001: every image fills max_det
-        m = Light(nc=2, width=0.125, act="mish", img_size=128, rng=np.random.default_rng(1))
-        x = np.random.default_rng(0).standard_normal((2, 3, 128, 128)).astype(np.float32)
+        m, x, cands = _toy_candidates()
         got = detect_images(m, x, conf_thr=0.001)
-        with no_grad():
-            raw = m(Tensor(x))
-        dec = decode_predictions([p.numpy() for p in raw], m.detect.anchors)
-        for row, dets in zip(dec, got):
-            scores = row[:, 5:] * row[:, 4:5]
-            cls = scores.argmax(axis=1)
-            conf = scores[np.arange(len(row)), cls]
-            sel = conf >= 0.001
-            boxes = np.clip(corners_np(row[sel, :4]), 0.0, 128.0)
-            cls, conf = cls[sel], conf[sel]
-            keep = nms_indices(boxes + cls[:, None] * 256.0, conf, 300)
+        for (boxes, conf, cls), dets in zip(cands, got):
+            keep = nms_indices(boxes, conf, cls, 300)
             want = []
             for i in keep:  # the center form, one kept box at a time, in float64
                 x1, y1, x2, y2 = boxes[i]

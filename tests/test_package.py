@@ -12,8 +12,9 @@ from helpers import defaulted_params
 # needs a new defaulted parameter raises this number and names the caller.
 MAX_DEFAULTED_PARAMS = 41
 # Lines of src/lightdet/*.py, as `wc -l` counts them. A change that raises
-# this number names why: a measured gain or a closed bug.
-MAX_SRC_LINES = 3246
+# this number names why: a measured gain or a closed bug. 3246 -> 3258: class-split
+# NMS, eval_toy op_ms_norm -14%.
+MAX_SRC_LINES = 3258
 # Parameter names of the run settings whose one default is RunConfig's (cli.py)
 RUN_SETTINGS = {"act", "box_kind", "nc", "width", "img_size", "batch", "lr", "momentum",
                 "seed", "rng"}
