@@ -228,13 +228,22 @@ def hflip(img_chw: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # ---- synthetic scenes ----
 
 
+def _window(size: int, cx: float, cy: float, hx: float, hy: float):
+    """(rows, cols) slices of every pixel with |x - cx| < hx and |y - cy| < hy,
+    widened by a pixel each way against rounding and clamped to the frame."""
+    return (slice(max(0, int(cy - hy)), min(size, int(cy + hy) + 2)),
+            slice(max(0, int(cx - hx)), min(size, int(cx + hx) + 2)))
+
+
 def _render_flame(rng: np.random.Generator, size: int):
-    """Warm radial gradient with a gently flickering rim. Returns (mask, color)."""
+    """Warm radial gradient with a gently flickering rim, drawn on the window
+    that can hold it: the rim never exceeds 1.08. Returns (window, mask, color)."""
     rx = rng.uniform(0.07, 0.13) * size
     ry = rx * rng.uniform(1.1, 1.5)
     cx = rng.uniform(rx * 1.3, size - rx * 1.3)
     cy = rng.uniform(ry * 1.3, size - ry * 1.3)
-    yy, xx = np.mgrid[0:size, 0:size]
+    win = _window(size, cx, cy, 1.08 * rx, 1.08 * ry)
+    yy, xx = np.mgrid[win]
     dx, dy = (xx - cx) / rx, (yy - cy) / ry
     theta = np.arctan2(dy, dx)
     p1, p2 = rng.uniform(0, 2 * np.pi, 2)
@@ -245,20 +254,21 @@ def _render_flame(rng: np.random.Generator, size: int):
     core = np.array([255.0, 225.0, 120.0])
     edge = np.array([205.0, 45.0, 10.0])
     color = core * (1 - t) + edge * t
-    return mask, color
+    return win, mask, color
 
 
 def _render_smoke(rng: np.random.Generator, size: int):
-    """Gray translucent ellipse. Returns (mask, gray, alpha)."""
+    """Gray translucent ellipse on its window. Returns (window, mask, gray, alpha)."""
     rx = rng.uniform(0.09, 0.16) * size
     ry = rx * rng.uniform(0.6, 0.9)
     cx = rng.uniform(rx * 1.2, size - rx * 1.2)
     cy = rng.uniform(ry * 1.2, size - ry * 1.2)
-    yy, xx = np.mgrid[0:size, 0:size]
+    win = _window(size, cx, cy, rx, ry)
+    yy, xx = np.mgrid[win]
     mask = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 < 1.0
     gray = rng.uniform(150, 205)
     alpha = rng.uniform(0.6, 0.85)
-    return mask, gray, alpha
+    return win, mask, gray, alpha
 
 
 def _background(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -270,10 +280,10 @@ def _background(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.clip(img, 0, 255)
 
 
-def _mask_bbox_label(mask: np.ndarray, cls: int, size: int) -> np.ndarray:
+def _mask_bbox_label(win: tuple, mask: np.ndarray, cls: int, size: int) -> np.ndarray:
     ys, xs = np.nonzero(mask)
-    x1, x2 = xs.min(), xs.max()
-    y1, y2 = ys.min(), ys.max()
+    x1, x2 = xs.min() + win[1].start, xs.max() + win[1].start
+    y1, y2 = ys.min() + win[0].start, ys.max() + win[0].start
     w, h = x2 - x1 + 1, y2 - y1 + 1
     return np.array([cls, (x1 + x2 + 1) / 2 / size, (y1 + y2 + 1) / 2 / size,
                      w / size, h / size], dtype=np.float64)
@@ -287,13 +297,14 @@ def synth_scene(rng: np.random.Generator, size: int):
     for _ in range(int(rng.integers(1, 4))):
         cls = int(rng.integers(0, 2))
         if cls == 0:
-            mask, color = _render_flame(rng, size)
-            img[mask] = color[mask]
+            win, mask, color = _render_flame(rng, size)
+            img[win][mask] = color[mask]
         else:
-            mask, gray, alpha = _render_smoke(rng, size)
-            img[mask] = alpha * gray + (1 - alpha) * img[mask]
+            win, mask, gray, alpha = _render_smoke(rng, size)
+            patch = img[win]
+            patch[mask] = alpha * gray + (1 - alpha) * patch[mask]
         if mask.any():
-            labels.append(_mask_bbox_label(mask, cls, size))
+            labels.append(_mask_bbox_label(win, mask, cls, size))
     return img.astype(np.uint8), np.asarray(labels, np.float64).reshape(-1, 5)
 
 
@@ -319,8 +330,8 @@ def synth_generate(n: int, seed: int, out_dir: str, size: int) -> list[str]:
 # ---- loading ----
 
 
-def load_sample(root: str, stem: str, nc: int, img_size: int):
-    """One (image (3,S,S) float32 RGB in [0, 1], labels (n,5)) pair at S = img_size."""
+def _decode(root: str, stem: str, nc: int, img_size: int):
+    """One (image (S,S,3) uint8 RGB, labels (n,5)) pair, letterboxed to S = img_size."""
     img = read_ppm(os.path.join(root, "images", stem + ".ppm"))
     lbl_path = os.path.join(root, "labels", stem + ".txt")
     labels = parse_labels(lbl_path, nc) if os.path.exists(lbl_path) \
@@ -328,21 +339,29 @@ def load_sample(root: str, stem: str, nc: int, img_size: int):
     if img.shape[:2] != (img_size, img_size):
         img, rec = letterbox(img, img_size)
         labels = labels_to_canvas(labels, rec)
-    chw = img.transpose(2, 0, 1).astype(np.float32) / 255.0
-    return chw, labels
+    return img, labels
+
+
+def load_sample(root: str, stem: str, nc: int, img_size: int):
+    """One (image (3,S,S) float32 RGB in [0, 1], labels (n,5)) pair at S = img_size."""
+    img, labels = _decode(root, stem, nc, img_size)
+    return img.transpose(2, 0, 1).astype(np.float32) / 255.0, labels
 
 
 def load_split(root: str, seed: int, tag: str, nc: int, img_size: int):
-    """All samples of one split -> (images (N,3,S,S) float32, targets, stems)."""
+    """All samples of one split -> (images (N,3,S,S) float32, targets, stems).
+    Each image is cast straight into its slot of one buffer, then scaled in place."""
     if tag not in SPLIT_TAGS:
         raise ValidationError(f"unknown split tag {tag!r}")
     pairs = ensure_split(root, seed)
     stems = [s for s, t in pairs if t == tag]
     if not stems:
         raise ValidationError(f"split {tag!r} of {root} is empty")
-    images, targets = [], []
-    for stem in stems:
-        chw, labels = load_sample(root, stem, nc, img_size)
-        images.append(chw)
+    images = np.empty((len(stems), 3, img_size, img_size), np.float32)
+    targets = []
+    for slot, stem in zip(images, stems):
+        img, labels = _decode(root, stem, nc, img_size)
+        slot[...] = img.transpose(2, 0, 1)
+        slot /= 255.0
         targets.append(labels)
-    return np.stack(images), targets, stems
+    return images, targets, stems

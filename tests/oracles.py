@@ -5,6 +5,7 @@ import numpy as np
 
 from lightdet import model
 from lightdet.boxes import Box, corners_np, iou_matrix
+from lightdet.data import _background
 from lightdet.metrics import Detection, MetricReport, ap_from_points, match_image
 
 from helpers import box_array
@@ -186,3 +187,56 @@ def shifted_box_nms(boxes_xyxy: np.ndarray, scores: np.ndarray, classes: np.ndar
                     break
                 alive &= clear[r]
     return np.asarray(keep, dtype=np.int64)
+
+
+def render_flame(rng: np.random.Generator, size: int):
+    """data._render_flame over the whole frame. Returns (mask, color)."""
+    rx = rng.uniform(0.07, 0.13) * size
+    ry = rx * rng.uniform(1.1, 1.5)
+    cx = rng.uniform(rx * 1.3, size - rx * 1.3)
+    cy = rng.uniform(ry * 1.3, size - ry * 1.3)
+    yy, xx = np.mgrid[0:size, 0:size]
+    dx, dy = (xx - cx) / rx, (yy - cy) / ry
+    theta = np.arctan2(dy, dx)
+    p1, p2 = rng.uniform(0, 2 * np.pi, 2)
+    rim = 1.0 + 0.05 * np.sin(3 * theta + p1) + 0.03 * np.sin(7 * theta + p2)
+    d = np.sqrt(dx * dx + dy * dy) / rim
+    mask = d < 1.0
+    t = np.clip(d, 0, 1)[..., None]
+    core = np.array([255.0, 225.0, 120.0])
+    edge = np.array([205.0, 45.0, 10.0])
+    color = core * (1 - t) + edge * t
+    return mask, color
+
+
+def render_smoke(rng: np.random.Generator, size: int):
+    """data._render_smoke over the whole frame. Returns (mask, gray, alpha)."""
+    rx = rng.uniform(0.09, 0.16) * size
+    ry = rx * rng.uniform(0.6, 0.9)
+    cx = rng.uniform(rx * 1.2, size - rx * 1.2)
+    cy = rng.uniform(ry * 1.2, size - ry * 1.2)
+    yy, xx = np.mgrid[0:size, 0:size]
+    mask = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 < 1.0
+    gray = rng.uniform(150, 205)
+    alpha = rng.uniform(0.6, 0.85)
+    return mask, gray, alpha
+
+
+def synth_scene(rng: np.random.Generator, size: int):
+    """data.synth_scene with every blob evaluated over the whole frame."""
+    img = _background(rng, size)
+    labels = []
+    for _ in range(int(rng.integers(1, 4))):
+        cls = int(rng.integers(0, 2))
+        if cls == 0:
+            mask, color = render_flame(rng, size)
+            img[mask] = color[mask]
+        else:
+            mask, gray, alpha = render_smoke(rng, size)
+            img[mask] = alpha * gray + (1 - alpha) * img[mask]
+        if mask.any():
+            ys, xs = np.nonzero(mask)
+            x1, x2, y1, y2 = xs.min(), xs.max(), ys.min(), ys.max()
+            labels.append([cls, (x1 + x2 + 1) / 2 / size, (y1 + y2 + 1) / 2 / size,
+                           (x2 - x1 + 1) / size, (y2 - y1 + 1) / size])
+    return img.astype(np.uint8), np.asarray(labels, np.float64).reshape(-1, 5)

@@ -3,6 +3,7 @@ import pytest
 
 from lightdet.data import (
     PAD_GRAY,
+    _background,
     ensure_split,
     hflip,
     labels_to_canvas,
@@ -22,6 +23,7 @@ from lightdet.data import (
 )
 from lightdet.errors import ValidationError
 
+import oracles
 from oracles import labels_from_canvas
 
 
@@ -273,10 +275,9 @@ class TestSynth:
             n_obj = int(rng2.integers(1, 4))
             for _ in range(n_obj):
                 cls = int(rng2.integers(0, 2))
-                if cls == 0:
-                    mask, _ = _render_flame(rng2, size)
-                else:
-                    mask, _, _ = _render_smoke(rng2, size)
+                win, blob = (_render_flame if cls == 0 else _render_smoke)(rng2, size)[:2]
+                mask = np.zeros((size, size), bool)  # the window's mask in the full frame
+                mask[win] = blob
                 if not mask.any():
                     continue
                 _, cx, cy, w, h = labels[k]
@@ -295,11 +296,41 @@ class TestSynth:
         rng = np.random.default_rng([55, 0])
         from lightdet.data import _render_flame, _render_smoke
         size = 64
-        mask, color = _render_flame(rng, size)
-        inside = color[mask]
+        win, blob, color = _render_flame(rng, size)
+        mask = np.zeros((size, size), bool)  # the window's mask in the full frame
+        mask[win] = blob
+        inside = color[mask[win]]
         assert (inside[:, 0] > inside[:, 2]).all()  # red dominates blue
-        mask2, gray, alpha = _render_smoke(rng, size)
+        _, mask2, gray, alpha = _render_smoke(rng, size)
         assert 0 < alpha < 1 and 100 < gray < 250
+
+    @pytest.mark.parametrize("size", [16, 32, 64, 96, 128, 448])
+    def test_windowed_scene_equals_full_frame_oracle(self, size):
+        # synth_scene renders each blob on its window only; the full-frame oracle
+        # must give the same image and label bytes, and no pixel of its blob
+        # mask may fall outside that window (the rim stays within 1.08)
+        from lightdet.data import _render_flame, _render_smoke
+        seeds, n = ((0, 7), 10) if size == 448 else ((0, 7, 31), 20)
+        for seed in seeds:
+            for i in range(n):
+                img, labels = synth_scene(np.random.default_rng([seed, i]), size)
+                ref_img, ref_labels = oracles.synth_scene(np.random.default_rng([seed, i]), size)
+                assert img.tobytes() == ref_img.tobytes(), (seed, i)
+                assert labels.tobytes() == ref_labels.tobytes(), (seed, i)
+                blobs = _replay(np.random.default_rng([seed, i]), size,
+                                _render_flame, _render_smoke)
+                ref_blobs = _replay(np.random.default_rng([seed, i]), size,
+                                    oracles.render_flame, oracles.render_smoke)
+                for (win, mask, *_), (full, *_) in zip(blobs, ref_blobs, strict=True):
+                    assert np.array_equal(full[win], mask), (seed, i)
+                    assert full.sum() == mask.sum(), f"blob pixels outside window {win}"
+
+
+def _replay(rng, size, render_flame, render_smoke):
+    """synth_scene's draws, yielding each blob's renderer output in turn."""
+    _background(rng, size)
+    for _ in range(int(rng.integers(1, 4))):
+        yield (render_flame if int(rng.integers(0, 2)) == 0 else render_smoke)(rng, size)
 
 
 class TestLoad:
@@ -319,6 +350,16 @@ class TestLoad:
         assert imgs.shape[1:] == (3, 64, 64)
         for t in targets:
             assert np.all(t[:, 1:] >= 0) and np.all(t[:, 1:] <= 1)
+
+    @pytest.mark.parametrize("img_size", [32, 48])  # as drawn, letterboxed
+    def test_load_split_equals_stacked_samples(self, tmp_path, img_size):
+        root = str(tmp_path)
+        synth_generate(12, 3, root, size=32)
+        imgs, targets, stems = load_split(root, 3, "train", 2, img_size=img_size)
+        samples = [load_sample(root, stem, 2, img_size) for stem in stems]
+        assert imgs.tobytes() == np.stack([chw for chw, _ in samples]).tobytes()
+        for t, (_, labels) in zip(targets, samples, strict=True):
+            assert t.tobytes() == labels.tobytes()
 
     def test_empty_split_rejected(self, tmp_path):
         root = str(tmp_path)
