@@ -6,21 +6,11 @@ differentiable; subgradients at ties follow numpy's maximum/minimum convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Tensor
 
 EPS = 1e-9
-
-
-@dataclass(slots=True)
-class Box:
-    cx: float
-    cy: float
-    w: float
-    h: float
 
 
 def _split(b: Tensor):

@@ -342,12 +342,6 @@ def _decode(root: str, stem: str, nc: int, img_size: int):
     return img, labels
 
 
-def load_sample(root: str, stem: str, nc: int, img_size: int):
-    """One (image (3,S,S) float32 RGB in [0, 1], labels (n,5)) pair at S = img_size."""
-    img, labels = _decode(root, stem, nc, img_size)
-    return img.transpose(2, 0, 1).astype(np.float32) / 255.0, labels
-
-
 def load_split(root: str, seed: int, tag: str, nc: int, img_size: int):
     """All samples of one split -> (images (N,3,S,S) float32, targets, stems).
     Each image is cast straight into its slot of one buffer, then scaled in place."""

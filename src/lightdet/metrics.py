@@ -1,10 +1,12 @@
 """Detection quality metrics: greedy matching, PR curves and AP.
 
-Matching is class-aware and greedy in confidence order (ties broken by detection
-index): each detection takes the unmatched ground truth of its class with the
-highest IoU at or above the threshold, ties broken by ground-truth index. AP
-integrates the all-points precision envelope over recall. Classes that have no
-ground truth anywhere get no AP and stay out of the mean.
+An image's detections are rows of (cx, cy, w, h, confidence, class) and its
+ground truth rows of (class, cx, cy, w, h), boxes in pixels. Matching is
+class-aware and greedy in confidence order (ties broken by detection index):
+each detection takes the unmatched ground truth of its class with the highest
+IoU at or above the threshold, ties broken by ground-truth index. AP integrates
+the all-points precision envelope over recall. Classes that have no ground
+truth anywhere get no AP and stay out of the mean.
 """
 from __future__ import annotations
 
@@ -12,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, corners_np, iou_matrix
+from .boxes import corners_np, iou_matrix
 
 MATCH_IOU = 0.5  # a detection matches a ground truth at this IoU or above (mAP@0.5)
-
-
-@dataclass(slots=True)
-class Detection:
-    box: Box
-    class_id: int
-    confidence: float
 
 
 @dataclass
@@ -33,24 +28,21 @@ class MetricReport:
     per_class_counts: dict[int, int]  # ground-truth boxes of every class
 
 
-def _corners(boxes: list[Box]) -> np.ndarray:
-    return corners_np(np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64))
-
-
-def match_image(dets: list[Detection], gts: list[tuple[int, Box]]) -> list[bool]:
-    """True/False per detection, in the given order after confidence sorting.
+def match_image(det_xyxy: np.ndarray, det_cls: np.ndarray,
+                gt_xyxy: np.ndarray, gt_cls: np.ndarray) -> np.ndarray:
+    """True/False per detection, from corner-form boxes and class ids.
 
     Detections must already be sorted by descending confidence; this matcher
     only applies the greedy rule.
     """
-    if not dets or not gts:
-        return [False] * len(dets)
-    ious = iou_matrix(_corners([d.box for d in dets]), _corners([g[1] for g in gts]))
+    flags = np.zeros(len(det_xyxy), dtype=bool)  # a detection with no candidate stays False
+    if not len(det_xyxy) or not len(gt_xyxy):
+        return flags
+    ious = iou_matrix(det_xyxy, gt_xyxy)
     # the IoU of each same-class gt at or above the threshold, -1 elsewhere;
     # IoU 0 never matches, even at threshold 0
-    same = np.array([d.class_id for d in dets])[:, None] == np.array([g[0] for g in gts])
+    same = det_cls[:, None] == gt_cls
     cand = np.where(same & (ious >= MATCH_IOU) & (ious > 0), ious, -1.0)
-    flags = [False] * len(dets)  # a detection with no candidate stays False
     for i in np.flatnonzero(cand.max(axis=1) > 0):
         j = int(np.argmax(cand[i]))  # the earliest gt on equal IoU
         if cand[i, j] > 0:
@@ -75,29 +67,28 @@ def _pr_curve(tp: np.ndarray, n_gt: int) -> tuple[np.ndarray, np.ndarray]:
     return cum_tp / n_gt, cum_tp / (cum_tp + cum_fp)
 
 
-def evaluate(dets_per_image: list[list[Detection]],
-             gts_per_image: list[list[tuple[int, Box]]],
-             num_classes: int) -> MetricReport:
-    if not any(gts for gts in gts_per_image):
+def evaluate(dets_per_image: list, gts_per_image: list, num_classes: int) -> MetricReport:
+    """Scores per-image detection rows against per-image ground-truth rows; the
+    two lists must have one entry per image each."""
+    if not any(len(gts) for gts in gts_per_image):
         raise ValueError("evaluation needs at least one ground-truth box")
-    classes: list[int] = []
-    confs: list[float] = []
-    hits: list[bool] = []
-    for dets, gts in zip(dets_per_image, gts_per_image):
-        conf = np.array([d.confidence for d in dets], dtype=np.float64)
-        ranked = [dets[i] for i in np.lexsort((np.arange(len(dets)), -conf))]
-        classes += [d.class_id for d in ranked]
-        confs += [d.confidence for d in ranked]
-        hits += match_image(ranked, gts)
-    n_gt = np.bincount([cls for gts in gts_per_image for cls, _ in gts], minlength=num_classes)
+    ranked, hits, gt_cls = [], [], []
+    for dets, gts in zip(dets_per_image, gts_per_image, strict=True):
+        d = np.asarray(dets, np.float64).reshape(-1, 6)
+        g = np.asarray(gts, np.float64).reshape(-1, 5)
+        d = d[np.lexsort((np.arange(len(d)), -d[:, 4]))]
+        ranked.append(d)
+        hits.append(match_image(corners_np(d[:, :4]), d[:, 5], corners_np(g[:, 1:]), g[:, 0]))
+        gt_cls.append(g[:, 0])
+    n_gt = np.bincount(np.concatenate(gt_cls).astype(np.int64), minlength=num_classes)
     counts = {cls: int(n_gt[cls]) for cls in range(num_classes)}
+    ranked = np.concatenate(ranked)
 
     # one order serves both curves: confidence descending, then class, then
     # image-major position; a class mask of it is that class's AP order
-    cls_arr = np.array(classes, dtype=np.int64)
-    conf = np.array(confs, dtype=np.float64)
+    conf, cls_arr = ranked[:, 4], ranked[:, 5]
     order = np.lexsort((np.arange(conf.size), cls_arr, -conf))
-    cls_arr, tp = cls_arr[order], np.array(hits, dtype=np.float64)[order]
+    cls_arr, tp = cls_arr[order], np.concatenate(hits).astype(np.float64)[order]
     aps = {cls: ap_from_points(*_pr_curve(tp[cls_arr == cls], n))
            for cls, n in counts.items() if n}
     map50 = float(np.mean(list(aps.values()))) if aps else 0.0

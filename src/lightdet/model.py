@@ -15,10 +15,9 @@ from collections import namedtuple
 import numpy as np
 
 from .bifpn import LightBiFpn
-from .boxes import Box, box_loss, corners_np, iou_matrix
+from .boxes import box_loss, corners_np, iou_matrix
 from .errors import CheckpointError
 from .gam import GAM
-from .metrics import Detection
 from .nn import C3, Concat, ConvBnAct, Conv2d, Module, SPPF, Upsample2x, make_divisible
 from .sepvit import SepViTBlock
 from .tensor import Tensor, concat, count_flops, no_grad
@@ -387,34 +386,31 @@ def nms_indices(boxes_xyxy: np.ndarray, scores: np.ndarray, classes: np.ndarray,
 
 
 def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.25,
-                  max_det: int = 300) -> list[list[Detection]]:
+                  max_det: int = 300) -> list[list[list[float]]]:
     """Full inference: forward, decode, class-wise NMS; boxes in input pixels,
     clipped to the input's extent.
 
-    Detections are built from the kept rows as arrays: the center form of each
-    kept box's clipped float64 corners, as Python scalars.
+    Per image, one row of (cx, cy, w, h, confidence, class) per kept box, in
+    kept order, as Python floats: the center form of the box's clipped float64
+    corners. Plain lists, so two results compare with `==` to a bool.
     """
     model.eval()
     with no_grad():
         raw = model(Tensor(images.astype(np.float32)))
     dec = decode_predictions([p.numpy() for p in raw], model.detect.anchors)
     h, w = images.shape[2:]
-    results: list[list[Detection]] = []
+    results: list[list[list[float]]] = []
     for row in dec:
         cls_scores = row[:, 5:] * row[:, 4:5]
         cls_ids = cls_scores.argmax(axis=1)
         confs = cls_scores[np.arange(len(row)), cls_ids]
         m = confs >= conf_thr
-        if not m.any():
-            results.append([])
-            continue
         boxes = np.clip(corners_np(row[m, :4]), 0.0, np.array([w, h, w, h], np.float64))
         confs_m, cls_m = confs[m], cls_ids[m]
         keep = nms_indices(boxes, confs_m, cls_m, max_det=max_det)
-        x1, y1, x2, y2 = boxes[keep].T
-        fields = ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1, cls_m[keep], confs_m[keep])
-        results.append([Detection(Box(cx, cy, w, h), c, conf) for cx, cy, w, h, c, conf
-                        in zip(*(f.tolist() for f in fields))])
+        lo, hi = boxes[keep, :2], boxes[keep, 2:]
+        results.append(np.column_stack([(lo + hi) / 2, hi - lo, confs_m[keep], cls_m[keep]])
+                       .tolist())
     return results
 
 

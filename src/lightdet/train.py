@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 
-from .boxes import Box
 from .data import hflip
 from .metrics import MetricReport, evaluate
 from .model import DetectorModel, detect_images, training_loss
@@ -133,15 +132,10 @@ def fit(model: DetectorModel, images: np.ndarray, targets: list[np.ndarray],
     return trace
 
 
-def targets_to_gt(targets: list[np.ndarray], h: int, w: int):
-    """Normalized label rows -> per-image (class, Box-in-pixels) lists for
-    images h pixels high and w wide."""
-    gts = []
-    for t in targets:
-        rows = np.asarray(t, dtype=np.float64).reshape(-1, 5)
-        gts.append([(int(r[0]), Box(r[1] * w, r[2] * h, r[3] * w, r[4] * h))
-                    for r in rows])
-    return gts
+def targets_to_gt(targets: list[np.ndarray], h: int, w: int) -> list[np.ndarray]:
+    """Normalized label rows -> per-image (n, 5) rows of (class, cx, cy, w, h)
+    in the pixels of images h high and w wide."""
+    return [np.asarray(t, np.float64).reshape(-1, 5) * [1, w, h, w, h] for t in targets]
 
 
 def evaluate_model(model: DetectorModel, images: np.ndarray,

@@ -3,6 +3,8 @@ import pathlib
 
 import numpy as np
 
+from lightdet.boxes import corners_np
+from lightdet.metrics import match_image
 from lightdet.nn import BatchNorm2d
 from lightdet.tensor import BN_EPS, BN_MOMENTUM, Tensor, activate, count_flops, no_grad
 
@@ -17,9 +19,13 @@ COMPOSITE_ACTS = {
 }
 
 
-def box_array(box) -> np.ndarray:
-    """A Box's fields (cx, cy, w, h) as a float64 array."""
-    return np.array([box.cx, box.cy, box.w, box.h], dtype=np.float64)
+def match_rows(dets, gts) -> list[bool]:
+    """`metrics.match_image` on one image's detection rows (cx, cy, w, h,
+    confidence, class), already in rank order, and ground-truth rows
+    (class, cx, cy, w, h)."""
+    d = np.asarray(dets, np.float64).reshape(-1, 6)
+    g = np.asarray(gts, np.float64).reshape(-1, 5)
+    return match_image(corners_np(d[:, :4]), d[:, 5], corners_np(g[:, 1:]), g[:, 0]).tolist()
 
 
 def cast_f64(module):

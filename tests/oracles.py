@@ -1,26 +1,31 @@
 """Reference implementations that only tests use: each recomputes a library
 result by a different, slower route, so the two can be checked against each
-other."""
+other.
+
+Detections are rows of (cx, cy, w, h, confidence, class) and ground truth rows
+of (class, cx, cy, w, h), as `metrics.evaluate` takes them."""
+import os
+
 import numpy as np
 
-from lightdet import model
-from lightdet.boxes import Box, corners_np, iou_matrix
+from lightdet import data, model
+from lightdet.boxes import corners_np, iou_matrix
 from lightdet.data import _background
-from lightdet.metrics import Detection, MetricReport, ap_from_points, match_image
+from lightdet.metrics import MetricReport, ap_from_points
 
-from helpers import box_array
+from helpers import match_rows
 
 
-def rasterized_iou(a: Box, b: Box, n: int = 4000, dense: bool = False) -> float:
-    """IoU by counting grid-cell centers inside each box.
+def rasterized_iou(a, b, n: int = 4000, dense: bool = False) -> float:
+    """IoU by counting grid-cell centers inside each box; a and b are (cx, cy, w, h).
 
     An n-cell grid spans the pair's joint bounding frame. A cell belongs to a box
     when its center does. dense=True materializes the full 2D occupancy grids;
     the default counts the same cells through the x/y center masks (identical
     result, no n^2 memory).
     """
-    ax1, ay1, ax2, ay2 = corners_np(box_array(a))
-    bx1, by1, bx2, by2 = corners_np(box_array(b))
+    ax1, ay1, ax2, ay2 = corners_np(np.asarray(a, np.float64))
+    bx1, by1, bx2, by2 = corners_np(np.asarray(b, np.float64))
     x0, x1 = min(ax1, bx1), max(ax2, bx2)
     y0, y1 = min(ay1, by1), max(ay2, by2)
     span = max(x1 - x0, y1 - y0, 1e-12)
@@ -47,27 +52,25 @@ def rasterized_iou(a: Box, b: Box, n: int = 4000, dense: bool = False) -> float:
     return cells_i / cells_u if cells_u else 0.0
 
 
-def oracle_ap_sweep(dets_per_image: list[list[Detection]],
-                    gts_per_image: list[list[tuple[int, Box]]],
-                    class_id: int):
+def oracle_ap_sweep(dets_per_image: list, gts_per_image: list, class_id: int):
     """Brute-force reference: re-match the whole dataset at every confidence cut.
 
     Never reuses the incremental bookkeeping; each threshold starts from nothing.
     Returns None when the class has no ground truth.
     """
-    n_gt = sum(1 for gts in gts_per_image for cls, _ in gts if cls == class_id)
+    n_gt = sum(1 for gts in gts_per_image for g in gts if g[0] == class_id)
     if n_gt == 0:
         return None
-    all_confs = sorted({d.confidence for dets in dets_per_image for d in dets
-                        if d.class_id == class_id}, reverse=True)
+    all_confs = sorted({d[4] for dets in dets_per_image for d in dets if d[5] == class_id},
+                       reverse=True)
     recalls, precisions = [], []
     for thr in all_confs:
         tp_total, det_total = 0, 0
         for dets, gts in zip(dets_per_image, gts_per_image):
-            keep = sorted((d for d in dets if d.class_id == class_id and d.confidence >= thr),
-                          key=lambda d: -d.confidence)  # stable: index order on ties
+            keep = sorted((d for d in dets if d[5] == class_id and d[4] >= thr),
+                          key=lambda d: -d[4])  # stable: index order on ties
             cls_gts = [g for g in gts if g[0] == class_id]
-            flags = match_image(keep, cls_gts)
+            flags = match_rows(keep, cls_gts)
             tp_total += sum(flags)
             det_total += len(flags)
         if det_total == 0:
@@ -79,23 +82,21 @@ def oracle_ap_sweep(dets_per_image: list[list[Detection]],
     return ap_from_points(np.asarray(recalls), np.asarray(precisions))
 
 
-def sort_detections(dets: list[Detection]) -> list[Detection]:
-    return [d for _, d in sorted(enumerate(dets), key=lambda t: (-t[1].confidence, t[0]))]
+def sort_detections(dets: list) -> list:
+    return [d for _, d in sorted(enumerate(dets), key=lambda t: (-t[1][4], t[0]))]
 
 
-def ap_for_class(dets_per_image: list[list[Detection]],
-                 gts_per_image: list[list[tuple[int, Box]]],
-                 class_id: int):
+def ap_for_class(dets_per_image: list, gts_per_image: list, class_id: int):
     """(ap, confidences, tp_flags, n_gt) of one class, matched image by image
     on that class alone; ap is None when the class has no GT."""
-    n_gt = sum(1 for gts in gts_per_image for cls, _ in gts if cls == class_id)
+    n_gt = sum(1 for gts in gts_per_image for g in gts if g[0] == class_id)
     confs: list[float] = []
     flags: list[bool] = []
     for dets, gts in zip(dets_per_image, gts_per_image):
-        cls_dets = sort_detections([d for d in dets if d.class_id == class_id])
+        cls_dets = sort_detections([d for d in dets if d[5] == class_id])
         cls_gts = [g for g in gts if g[0] == class_id]
-        for det, flag in zip(cls_dets, match_image(cls_dets, cls_gts)):
-            confs.append(det.confidence)
+        for det, flag in zip(cls_dets, match_rows(cls_dets, cls_gts)):
+            confs.append(det[4])
             flags.append(flag)
     if n_gt == 0:
         return None, np.array(confs), np.array(flags, dtype=bool), 0
@@ -109,8 +110,7 @@ def ap_for_class(dets_per_image: list[list[Detection]],
     return ap, np.asarray(confs, dtype=np.float64)[order], tp.astype(bool), n_gt
 
 
-def evaluate_per_class(dets_per_image: list[list[Detection]],
-                       gts_per_image: list[list[tuple[int, Box]]],
+def evaluate_per_class(dets_per_image: list, gts_per_image: list,
                        num_classes: int) -> MetricReport:
     """`metrics.evaluate` class by class: each class's curve from ap_for_class,
     then the class-major concatenation stable-sorted by confidence for the F1 cut."""
@@ -145,6 +145,20 @@ def evaluate_per_class(dets_per_image: list[list[Detection]],
     f1 = 2 * precision * recall / np.maximum(precision + recall, 1e-12)
     best = int(np.argmax(f1))
     return MetricReport(map50, aps, float(precision[best]), float(recall[best]), counts)
+
+
+def load_sample(root: str, stem: str, nc: int, img_size: int):
+    """One sample as `data.load_split` decodes it, read on its own: (image
+    (3,S,S) float32 RGB in [0, 1], labels (n,5)) at S = img_size. An image
+    already S x S keeps its pixels and labels; any other is letterboxed."""
+    img = data.read_ppm(os.path.join(root, "images", stem + ".ppm"))
+    lbl_path = os.path.join(root, "labels", stem + ".txt")
+    labels = data.parse_labels(lbl_path, nc) if os.path.exists(lbl_path) \
+        else np.zeros((0, 5), np.float64)
+    if img.shape[:2] != (img_size, img_size):
+        img, rec = data.letterbox(img, img_size)
+        labels = data.labels_to_canvas(labels, rec)
+    return img.transpose(2, 0, 1).astype(np.float32) / 255.0, labels
 
 
 def labels_from_canvas(labels: np.ndarray, rec: dict) -> np.ndarray:

@@ -16,16 +16,16 @@ import numpy as np
 import pytest
 
 from lightdet import checks
-from lightdet.boxes import LOSS_KINDS, Box, box_loss, iou_matrix, corners_np
+from lightdet.boxes import LOSS_KINDS, box_loss, iou_matrix, corners_np
 from lightdet.cli import main
 from lightdet.errors import CheckpointError
 from lightdet.gam import GAM
-from lightdet.metrics import Detection, evaluate
+from lightdet.metrics import evaluate
 from lightdet.model import Baseline, Light, load_checkpoint, save_checkpoint
 from lightdet.sepvit import SepViTBlock, window_merge, window_partition
 from lightdet.tensor import Tensor, conv2d, no_grad
 
-from helpers import box_array, softmax_outputs
+from helpers import softmax_outputs
 from oracles import oracle_ap_sweep, rasterized_iou
 
 # frozen budget figures: reported totals for the two graphs at the 640
@@ -98,13 +98,12 @@ def test_05_overlap_oracle():
     rng = np.random.default_rng(10)
 
     def rand_box():
-        return Box(*rng.uniform(0.25, 0.75, 2), *rng.uniform(0.1, 0.5, 2))
+        return np.concatenate([rng.uniform(0.25, 0.75, 2), rng.uniform(0.1, 0.5, 2)])
 
     worst = 0.0
     for _ in range(1000):
         a, b = rand_box(), rand_box()
-        analytic = float(iou_matrix(corners_np(box_array(a)[None]),
-                                    corners_np(box_array(b)[None]))[0, 0])
+        analytic = float(iou_matrix(corners_np(a[None]), corners_np(b[None]))[0, 0])
         worst = max(worst, abs(analytic - rasterized_iou(a, b, n=1000)))
 
     same = Tensor(np.array([[0.4, 0.5, 0.3, 0.2]]))
@@ -187,9 +186,9 @@ def test_08_gate_bound():
 
 def test_09_ap_oracle():
     def det(cx, cy, w, h, conf):
-        return Detection(Box(cx, cy, w, h), 0, conf)
+        return [cx, cy, w, h, conf, 0]
 
-    gts = [[(0, Box(0.3, 0.3, 0.2, 0.2)), (0, Box(0.7, 0.7, 0.2, 0.2))]]
+    gts = [[(0, 0.3, 0.3, 0.2, 0.2), (0, 0.7, 0.7, 0.2, 0.2)]]
     dets = [[det(0.3, 0.3, 0.2, 0.2, 0.9), det(0.5, 0.1, 0.05, 0.05, 0.8),
              det(0.7, 0.7, 0.2, 0.2, 0.7)]]
     ap = evaluate(dets, gts, 1).ap_per_class[0]
@@ -223,20 +222,17 @@ def _random_instance(rng, n_images=3, num_classes=2):
         gts = []
         for _ in range(rng.integers(0, 4)):
             cls = int(rng.integers(0, num_classes))
-            gts.append((cls, Box(*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.1, 0.3, 2))))
+            gts.append((cls, *rng.uniform(0.3, 0.7, 2), *rng.uniform(0.1, 0.3, 2)))
         dets = []
-        for cls, gb in gts:
+        for cls, cx, cy, w, h in gts:
             if rng.random() < 0.8:
                 j = rng.normal(0, 0.05, 4)
-                dets.append(Detection(Box(gb.cx + j[0], gb.cy + j[1],
-                                          abs(gb.w + j[2]) + 1e-3,
-                                          abs(gb.h + j[3]) + 1e-3),
-                                      cls, float(rng.random())))
+                dets.append([cx + j[0], cy + j[1], abs(w + j[2]) + 1e-3, abs(h + j[3]) + 1e-3,
+                             float(rng.random()), cls])
         for _ in range(rng.integers(0, 3)):
             cls = int(rng.integers(0, num_classes))
-            dets.append(Detection(Box(*rng.uniform(0.1, 0.9, 2),
-                                      *rng.uniform(0.05, 0.2, 2)),
-                                  cls, float(rng.random())))
+            dets.append([*rng.uniform(0.1, 0.9, 2), *rng.uniform(0.05, 0.2, 2),
+                         float(rng.random()), cls])
         dets_all.append(dets)
         gts_all.append(gts)
     return dets_all, gts_all

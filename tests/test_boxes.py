@@ -3,16 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from lightdet.boxes import EPS, Box, LOSS_KINDS, box_loss, corners_np, iou_matrix
+from lightdet.boxes import EPS, LOSS_KINDS, box_loss, corners_np, iou_matrix
 from lightdet.tensor import Tensor, grad_check
 
-from helpers import box_array
 from oracles import rasterized_iou
 
 
-def box_loss_of(kind: str, a: Box, b: Box) -> Tensor:
-    """`box_loss` of one pair of boxes."""
-    return box_loss(kind, Tensor(box_array(a)), Tensor(box_array(b)))
+def box_loss_of(kind: str, a, b) -> Tensor:
+    """`box_loss` of one pair of (cx, cy, w, h) boxes."""
+    return box_loss(kind, Tensor(np.asarray(a, np.float64)), Tensor(np.asarray(b, np.float64)))
 
 
 def iou(a, b) -> float:
@@ -23,22 +22,22 @@ def iou(a, b) -> float:
 def random_box(rng, lo=0.15, hi=0.6):
     cx, cy = rng.uniform(0.25, 0.75, 2)
     w, h = rng.uniform(lo, hi, 2)
-    return Box(float(cx), float(cy), float(w), float(h))
+    return np.array([cx, cy, w, h])
 
 
 class TestIoU:
     def test_hand_cases(self):
-        a = Box(1, 1, 2, 2)
+        a = (1, 1, 2, 2)
         assert iou(a, a) == pytest.approx(1.0, abs=1e-7)
-        assert iou(a, Box(5, 5, 2, 2)) == 0.0
-        third = iou(a, Box(2, 1, 2, 2))
+        assert iou(a, (5, 5, 2, 2)) == 0.0
+        third = iou(a, (2, 1, 2, 2))
         assert third == pytest.approx(1 / 3, abs=1e-7)
 
     def test_matrix_agrees_with_tensor_path(self, rng):
         boxes_a = [random_box(rng) for _ in range(6)]
         boxes_b = [random_box(rng) for _ in range(4)]
-        ca = corners_np(np.stack([box_array(b) for b in boxes_a]))
-        cb = corners_np(np.stack([box_array(b) for b in boxes_b]))
+        ca = corners_np(np.stack(boxes_a))
+        cb = corners_np(np.stack(boxes_b))
         mat = iou_matrix(ca, cb)
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
@@ -138,8 +137,8 @@ class TestLossFamily:
                 assert box_loss_of(kind, b, b).item() <= 1e-6, kind
 
     def test_family_orderings(self, rng, rng1):
-        preds = np.stack([box_array(random_box(rng)) for _ in range(10000)])
-        gts = np.stack([box_array(random_box(rng1)) for _ in range(10000)])
+        preds = np.stack([random_box(rng) for _ in range(10000)])
+        gts = np.stack([random_box(rng1) for _ in range(10000)])
         p, g = Tensor(preds), Tensor(gts)
         l_iou = box_loss("iou", p, g).numpy()
         l_giou = box_loss("giou", p, g).numpy()
@@ -148,8 +147,8 @@ class TestLossFamily:
         assert (l_ciou >= l_iou - 1e-9).all()
 
     def test_batched_equals_per_pair(self, rng):
-        preds = np.stack([box_array(random_box(rng)) for _ in range(8)])
-        gts = np.stack([box_array(random_box(rng)) for _ in range(8)])
+        preds = np.stack([random_box(rng) for _ in range(8)])
+        gts = np.stack([random_box(rng) for _ in range(8)])
         for kind in LOSS_KINDS:
             batched = box_loss(kind, Tensor(preds), Tensor(gts)).numpy()
             single = [box_loss(kind, Tensor(preds[i]), Tensor(gts[i])).item() for i in range(8)]
@@ -160,17 +159,16 @@ class TestLossFamily:
         p, g = random_box(rng), random_box(rng)
         base = box_loss_of(kind, p, g).item()
         k, tx, ty = 7.3, 3.0, -2.0
-        scaled = box_loss_of(kind, Box(p.cx * k, p.cy * k, p.w * k, p.h * k),
-                             Box(g.cx * k, g.cy * k, g.w * k, g.h * k)).item()
-        shifted = box_loss_of(kind, Box(p.cx + tx, p.cy + ty, p.w, p.h),
-                              Box(g.cx + tx, g.cy + ty, g.w, g.h)).item()
+        scaled = box_loss_of(kind, p * k, g * k).item()
+        shift = np.array([tx, ty, 0.0, 0.0])
+        shifted = box_loss_of(kind, p + shift, g + shift).item()
         assert scaled == pytest.approx(base, abs=1e-6)
         assert shifted == pytest.approx(base, abs=1e-6)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_gradcheck(self, kind, rng):
-        pred = Tensor(np.stack([box_array(random_box(rng)) for _ in range(4)]))
-        gt = Tensor(np.stack([box_array(random_box(rng)) for _ in range(4)]))
+        pred = Tensor(np.stack([random_box(rng) for _ in range(4)]))
+        gt = Tensor(np.stack([random_box(rng) for _ in range(4)]))
 
         def f(p):
             return box_loss(kind, p, gt).sum()
@@ -191,12 +189,12 @@ class TestLossFamily:
         assert np.abs(grad_of("giou")).max() > 0.0  # the enclosing term is not
 
     def test_degenerate_boxes_stay_finite(self):
-        flat = Box(0.5, 0.5, 0.0, 0.3)
-        other = Box(0.5, 0.5, 0.2, 0.2)
+        flat = (0.5, 0.5, 0.0, 0.3)
+        other = (0.5, 0.5, 0.2, 0.2)
         for kind in LOSS_KINDS:
             val = box_loss_of(kind, flat, other).item()
             assert np.isfinite(val), kind
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            box_loss_of("xiou", Box(0, 0, 1, 1), Box(0, 0, 1, 1))
+            box_loss_of("xiou", (0, 0, 1, 1), (0, 0, 1, 1))

@@ -8,7 +8,6 @@ from lightdet.data import (
     hflip,
     labels_to_canvas,
     letterbox,
-    load_sample,
     load_split,
     parse_labels,
     read_ppm,
@@ -24,7 +23,7 @@ from lightdet.data import (
 from lightdet.errors import ValidationError
 
 import oracles
-from oracles import labels_from_canvas
+from oracles import labels_from_canvas, load_sample
 
 
 class TestPpm:

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lightdet import model as model_mod
-from lightdet.boxes import Box, corners_np, iou_matrix
+from lightdet.boxes import corners_np, iou_matrix
 from lightdet.errors import CheckpointError
-from lightdet.metrics import Detection
 from lightdet.model import (
     ANCHOR_RATIO_THR,
     ANCHORS_BASE,
@@ -30,7 +29,7 @@ from lightdet.model import (
 from lightdet.nn import BatchNorm2d, ConvBnAct
 from lightdet.tensor import Tensor, grad_check, no_grad
 
-from helpers import box_array, eval_block_reference, with_bn_stats
+from helpers import eval_block_reference, with_bn_stats
 from oracles import shifted_box_nms
 
 # frozen from the implemented cost model at nc=2, 640px reference input
@@ -476,11 +475,11 @@ class TestDecode:
         maps[lvl][0, a, 4:6, gj, gi] = 30.0
         monkeypatch.setattr(m, "forward", lambda x: [
             Tensor(p.reshape(1, -1, *p.shape[3:]).astype(np.float32)) for p in maps])
-        (det,) = detect_images(m, np.zeros((1, 3, 128, 128), np.float32))[0]
+        ((cx, cy, w, h, _, _),) = detect_images(m, np.zeros((1, 3, 128, 128), np.float32))[0]
         want = (gi + 0.5) * STRIDES[lvl], (gj + 0.5) * STRIDES[lvl]
-        assert (det.box.cx, det.box.cy) == pytest.approx(want, abs=1e-9)
-        assert det.box.cx > 64
-        assert (det.box.w, det.box.h) == pytest.approx(m.detect.anchors[lvl, a], rel=1e-6)
+        assert (cx, cy) == pytest.approx(want, abs=1e-9)
+        assert cx > 64
+        assert (w, h) == pytest.approx(m.detect.anchors[lvl, a], rel=1e-6)
 
 
 def _corners(cxy, wh):
@@ -641,12 +640,12 @@ class TestNms:
         dets = detect_images(m, x, conf_thr=0.001)
         assert len(dets) == 2
         for img_dets in dets:
-            confs = [d.confidence for d in img_dets]
+            confs = [d[4] for d in img_dets]
             assert confs == sorted(confs, reverse=True)
-            for d in img_dets:
-                assert 0 <= d.class_id < 2
-                assert 0 < d.confidence <= 1
-                x1, y1, x2, y2 = corners_np(box_array(d.box))
+            for *box, conf, cls in img_dets:
+                assert 0 <= cls < 2
+                assert 0 < conf <= 1
+                x1, y1, x2, y2 = corners_np(np.array(box))
                 assert -1e-6 <= x1 and x2 <= 64 + 1e-6
                 assert -1e-6 <= y1 and y2 <= 64 + 1e-6
 
@@ -659,14 +658,12 @@ class TestNms:
             want = []
             for i in keep:  # the center form, one kept box at a time, in float64
                 x1, y1, x2, y2 = boxes[i]
-                box = Box((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
-                want.append(Detection(box, int(cls[i]), float(conf[i])))
+                want.append([float((x1 + x2) / 2), float((y1 + y2) / 2), float(x2 - x1),
+                             float(y2 - y1), float(conf[i]), float(cls[i])])
             assert len(dets) == 300 and dets == want
             for d, w in zip(dets, want):
-                fields = (d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence)
-                assert all(type(v) is float for v in fields) and type(d.class_id) is int
-                assert (np.array(fields).tobytes() == np.array(
-                    (w.box.cx, w.box.cy, w.box.w, w.box.h, w.confidence)).tobytes())
+                assert all(type(v) is float for v in d)
+                assert np.array(d).tobytes() == np.array(w).tobytes()
 
 
 class TestConvBnActEpilogue:

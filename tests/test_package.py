@@ -2,8 +2,10 @@ import inspect
 import os
 import pathlib
 
+import numpy as np
+
 import lightdet
-from lightdet.model import detect_images
+from lightdet.model import Light, detect_images
 from lightdet.train import fit
 
 from helpers import defaulted_params
@@ -14,8 +16,9 @@ MAX_DEFAULTED_PARAMS = 41
 # Lines of src/lightdet/*.py, as `wc -l` counts them. A change that raises
 # this number names why: a measured gain or a closed bug. 3246 -> 3258: class-split
 # NMS, eval_toy op_ms_norm -14%. 3258 -> 3277: synth blobs rendered on their own
-# windows and a split decoded into one buffer, detect_448 setup_s -34%.
-MAX_SRC_LINES = 3277
+# windows and a split decoded into one buffer, detect_448 setup_s -34%. 3277 -> 3242:
+# detections travel as plain rows, Box and Detection gone.
+MAX_SRC_LINES = 3242
 # Parameter names of the run settings whose one default is RunConfig's (cli.py)
 RUN_SETTINGS = {"act", "box_kind", "nc", "width", "img_size", "batch", "lr", "momentum",
                 "seed", "rng"}
@@ -45,3 +48,16 @@ def test_defaults_the_benchmark_reads():
     # without augment, so both defaults are part of what the benchmark measures
     assert inspect.signature(detect_images).parameters["max_det"].default == 300
     assert inspect.signature(fit).parameters["augment"].default is False
+
+
+def test_detections_compare_as_plain_rows():
+    # perfbench/workloads.py checks `dets == ref` on detect_images' output, so
+    # it must be nested lists of Python floats: an ndarray's `==` gives no bool
+    m = Light(nc=2, width=0.125, act="mish", img_size=64, rng=np.random.default_rng(1))
+    x = np.random.default_rng(0).standard_normal((2, 3, 64, 64)).astype(np.float32)
+    a, b = detect_images(m, x, conf_thr=0.001), detect_images(m, x, conf_thr=0.001)
+    assert (a == b) is True
+    rows = [row for img in a for row in img]
+    assert type(a) is list and all(type(img) is list for img in a) and rows
+    assert all(type(row) is list and len(row) == 6 for row in rows)
+    assert all(type(v) is float for row in rows for v in row)

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from lightdet import train
-from lightdet.boxes import Box
 from lightdet.data import synth_scene
-from lightdet.metrics import Detection
 from lightdet.model import Light, training_loss
 from lightdet.tensor import Tensor
 from lightdet.train import (
@@ -235,9 +233,8 @@ class TestFit:
 class TestEvalGlue:
     def test_targets_to_gt_pixels(self):
         gts = targets_to_gt([np.array([[1, 0.5, 0.25, 0.2, 0.1]])], 64, 64)
-        (cls, box), = gts[0]
-        assert cls == 1
-        assert (box.cx, box.cy, box.w, box.h) == (32.0, 16.0, 12.8, 6.4)
+        assert gts[0].dtype == np.float64
+        assert gts[0].tolist() == [[1.0, 32.0, 16.0, 12.8, 6.4]]
 
     def test_untrained_model_scores_poorly(self):
         model = _toy_model()
@@ -250,7 +247,7 @@ class TestEvalGlue:
         imgs, targets = _toy_batch(2, img=64)
         gts = targets_to_gt(targets, 64, 64)
         monkeypatch.setattr(train, "detect_images", lambda model, images, conf_thr: [
-            [Detection(box, c, 1.0) for c, box in img] for img in gts])
+            [[*g[1:], 1.0, g[0]] for g in img] for img in gts])
         assert evaluate_model(_toy_model(img=32), imgs, targets).map50 == 1.0
 
     def test_labels_scale_by_height_and_width(self, monkeypatch):
@@ -258,5 +255,5 @@ class TestEvalGlue:
         imgs = np.zeros((1, 3, 64, 128), np.float32)
         targets = [np.array([[0, 0.5, 0.5, 0.25, 0.25]])]
         monkeypatch.setattr(train, "detect_images", lambda model, images, conf_thr: [
-            [Detection(Box(64.0, 32.0, 32.0, 16.0), 0, 1.0)]])
+            [[64.0, 32.0, 32.0, 16.0, 1.0, 0.0]]])
         assert evaluate_model(_toy_model(), imgs, targets).map50 == 1.0
