@@ -598,7 +598,7 @@ def _pad2d(xd: np.ndarray, p: int, value: float = 0.0) -> np.ndarray:
     return out
 
 
-COLS_BLOCK = 1 << 17  # im2col values per matmul under no_grad(): 512 KB of float32
+COLS_BLOCK = 1 << 17  # im2col values per block of rows (no_grad) or of images: 512 KB of float32
 
 
 def _tap_slices(kh: int, kw: int, ho: int, wo: int, stride: int) -> list[tuple]:
@@ -634,15 +634,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     - otherwise im2col: gather the k*k taps into columns, W @ cols. A depthwise
       conv (groups == Cin == Cout) lands here as one (1, k*k) @ (k*k, Ho*Wo)
       matmul per channel. The columns are one copy of a strided view of the
-      padded input, freed after the matmul. Under no_grad() they are gathered
-      and multiplied a few output rows at a time (COLS_BLOCK values), so that
-      each block stays in cache; with gradients the matmul stays whole, since
-      a smaller one may take other BLAS kernels and other bits. Backward keeps
-      only x.data: the weight gradient gathers one image's columns at a time
-      and sums the images in order; the input gradient takes W^T @ g over a
-      wide (Ho, W2) grid, so that each tap's share is one contiguous slice of
-      a phase of x's zero-padded s*s phase grid, and adds them there in tap
-      order.
+      padded input, gathered and multiplied a block (COLS_BLOCK values) at a
+      time. Under no_grad() a block is a few output rows of every image, so it
+      stays in cache. With gradients it is as many whole images as fit, at
+      least one: the batched matmul makes one BLAS call per image and group
+      anyway, so each call keeps its shape and its bits. Backward keeps only
+      x.data and runs the same image blocks: the weight gradient gathers the
+      columns again and adds the images' gradients in order; the input
+      gradient takes W^T @ g over a wide (Ho, W2) grid, so that each tap's
+      share is one contiguous slice of a phase of x's zero-padded s*s phase
+      grid, and adds them there in tap order.
     The padded input is never a graph node: the gradient goes straight to x.
     """
     n, c, h, wd = x.shape
@@ -679,18 +680,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             out_data += y[:, :, t][taps[t]]
         out_data = out_data.reshape(n, cout, ho, wo)
     else:
-        def windows(xp, rows):  # (n, c, kh, kw, rows, wo): tap (i, j) of output o reads s*o + (i, j)
+        def windows(xp, rows):  # (m, c, kh, kw, rows, wo): tap (i, j) of output o reads s*o + (i, j)
             sh, sw = xp.strides[2:]
-            return np.lib.stride_tricks.as_strided(
-                xp, (n, c, kh, kw, rows, wo), xp.strides[:2] + (sh, sw, s * sh, s * sw), writeable=False)
+            return np.lib.stride_tricks.as_strided(xp, xp.shape[:2] + (kh, kw, rows, wo),
+                                                   xp.strides[:2] + (sh, sw, s * sh, s * sw), writeable=False)
 
         wg = w.data.reshape(groups, og, cpg * kk)
-        step = ho if _grad_enabled else max(1, COLS_BLOCK // (n * c * kk * wo))
+        nb = max(1, COLS_BLOCK // (c * kk * npix))  # whole images per block with gradients
+        images = [slice(i, min(i + nb, n)) for i in range(0, n, nb)]
+        step = max(1, COLS_BLOCK // (n * c * kk * wo))
+        blocks = ([(i, 0, ho) for i in images] if _grad_enabled else
+                  [(slice(None), r, min(step, ho - r)) for r in range(0, ho, step)])
         out_data = np.empty((n, groups, og, npix), np.result_type(wg, xd))
-        for r in range(0, ho, step):
-            rows = min(step, ho - r)
-            block = windows(xd[:, :, s * r:], rows).reshape(n, groups, cpg * kk, rows * wo)
-            np.matmul(wg, block, out=out_data[..., r * wo:(r + rows) * wo])
+        for i, r, rows in blocks:
+            block = windows(xd[i, :, s * r:], rows).reshape(-1, groups, cpg * kk, rows * wo)
+            np.matmul(wg, block, out=out_data[i, ..., r * wo:(r + rows) * wo])
         out_data = out_data.reshape(n, cout, ho, wo)
     if b is not None:
         out_data += b.data.reshape(1, cout, 1, 1)
@@ -720,34 +724,37 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                 g = grad.reshape(n, groups, og, npix)
                 if need_w:
                     gt = g.swapaxes(-1, -2)  # cols @ g^T: up to 2x faster than g @ cols^T
-                    if mode == "pointwise":
-                        gw = np.matmul(cols, gt)
-                    else:  # one image's columns at a time, from the input the graph holds
-                        win = windows(_pad2d(x.data, padding), ho)
-                        gw = np.stack([np.matmul(win[i].reshape(groups, cpg * kk, npix), gt[i])
-                                       for i in range(n)])
-                    # per image, then summed over the batch in order
-                    _accum(w, gw.sum(axis=0).swapaxes(-1, -2).reshape(w.data.shape))
+                    if mode == "pointwise":  # per image, then summed over the batch in order
+                        gw = np.matmul(cols, gt).sum(axis=0)
+                    else:  # the columns again, one block of images at a time, added in order
+                        gw = None
+                        for im in images:
+                            block = windows(_pad2d(x.data[im], padding), ho)
+                            for p in np.matmul(block.reshape(-1, groups, cpg * kk, npix), gt[im]):
+                                gw = p if gw is None else np.add(gw, p, out=gw)
+                    _accum(w, gw.swapaxes(-1, -2).reshape(w.data.shape))
                 if need_x and mode == "pointwise":
                     gxp = np.empty((n, c, hp, wp), dt)  # fresh, so _accum keeps it uncopied
                     np.matmul(wg.swapaxes(-1, -2), g, out=gxp.reshape(n, groups, cpg, npix))
                 elif need_x:
                     # g over a wide (ho, w2) grid, zero in its w2 - wo spare columns
                     h2, w2 = ho + (kh - 1) // s, wo + (kw - 1) // s
-                    gwide = np.zeros((n, groups, og, ho * w2), dt)
-                    gwide.reshape(n, cout, ho, w2)[..., :wo] = grad
-                    # one output per group (depthwise): each entry is a single product
-                    gcols = (wg.reshape(groups, cpg * kk, 1) * gwide if og == 1
-                             else np.matmul(wg.swapaxes(-1, -2), gwide)).reshape(n, c, kk, ho * w2)
-                    # one spare row: the last tap's wide slice runs past row h2
-                    ggrid = np.zeros((n, c, s, s, h2 + 1, w2), dt)
-                    flat = ggrid.reshape(n, c, s, s, -1)
-                    for t, (i, j) in enumerate(np.ndindex(kh, kw)):
-                        o = i // s * w2 + j // s
-                        flat[:, :, i % s, j % s, o:o + ho * w2] += gcols[:, :, t]
                     gx = np.zeros_like(x.data)
-                    for xs, gs in _phase_slices(h, wd, padding, s, h2, w2):
-                        gx[xs] = ggrid[gs]
+                    for im in images:
+                        m = im.stop - im.start
+                        gwide = np.zeros((m, groups, og, ho * w2), dt)
+                        gwide.reshape(m, cout, ho, w2)[..., :wo] = grad[im]
+                        # one output per group (depthwise): each entry is a single product
+                        gcols = (wg.reshape(groups, cpg * kk, 1) * gwide if og == 1
+                                 else np.matmul(wg.swapaxes(-1, -2), gwide)).reshape(m, c, kk, ho * w2)
+                        # one spare row: the last tap's wide slice runs past row h2
+                        ggrid = np.zeros((m, c, s, s, h2 + 1, w2), dt)
+                        flat = ggrid.reshape(m, c, s, s, -1)
+                        for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+                            o = i // s * w2 + j // s
+                            flat[:, :, i % s, j % s, o:o + ho * w2] += gcols[:, :, t]
+                        for xs, gs in _phase_slices(h, wd, padding, s, h2, w2):
+                            gx[im][xs] = ggrid[gs]
                     _accum(x, gx)
             if gxp is not None:
                 _accum(x, gxp[:, :, padding:hp - padding, padding:wp - padding] if padding else gxp)

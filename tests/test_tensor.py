@@ -822,9 +822,9 @@ class TestConvPaths:
 
     @pytest.mark.parametrize("name", sorted(k for k in CONV_CASES if not _output_side(k)))
     def test_float32_bits_match_matmul_over_oracle_columns(self, name):
-        # the contraction order a trained checkpoint depends on: one matmul over
-        # the columns, per-image weight gradients summed in image order, and the
-        # column gradients added back tap by tap
+        # the contraction order a trained checkpoint depends on: one matmul per
+        # image and group over the columns, per-image weight gradients summed in
+        # image order, and the column gradients added back tap by tap
         x, w, b, kw = self._case(name, np.float32)
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
         y = conv2d(xt, wt, bt, **kw)
@@ -847,6 +847,33 @@ class TestConvPaths:
         assert same_bits(y.numpy(), want)
         assert same_bits(wt.grad, gw.reshape(w.shape))
         assert same_bits(xt.grad, gx)
+
+    @pytest.mark.parametrize("images", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(k for k, v in CONV_CASES.items() if v[0] > 1
+                                            and not _output_side(k) and (v[3], v[4]) != (1, 1)))
+    def test_float32_bits_hold_in_blocks_of_whole_images(self, name, images, monkeypatch):
+        # with gradients, im2col runs blocks of `images` whole images, the last
+        # one short where they do not divide; the bits are the single matmul's
+        n, c, _, k, s, p, _, (h, w) = CONV_CASES[name]
+        npix = ((h + 2 * p - k) // s + 1) * ((w + 2 * p - k) // s + 1)
+        monkeypatch.setattr(tensor_mod, "COLS_BLOCK", images * c * k * k * npix)
+        self.test_float32_bits_match_matmul_over_oracle_columns(name)
+
+    def test_training_stem_never_holds_the_whole_batch_of_columns(self):
+        # the toy stem, forward and backward: whole-batch columns are 28.3 MB
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((16, 3, 128, 128)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 3, 6, 6)).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal((16, 8, 64, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y = conv2d(x, w, stride=2, padding=2)
+            y._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = y.data.nbytes + x.grad.nbytes + w.grad.nbytes  # input and g predate the trace
+        assert peak - held < 16 * 3 * 36 * 64 * 64 * 4 / 4
 
     @pytest.mark.parametrize("shape, cout, k, s, p", [
         ((4, 16, 32, 32), 16, 3, 1, 1),
