@@ -417,7 +417,7 @@ def detect_images(model: DetectorModel, images: np.ndarray, conf_thr: float = 0.
 # ---- checkpoints ----
 
 MAGIC = b"LYV5"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 
 
 def save_checkpoint(path: str, model: DetectorModel) -> None:

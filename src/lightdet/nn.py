@@ -218,29 +218,16 @@ class ConvBnAct(Module):
         return self.bn(self.conv(x), self.act)
 
 
-def channel_shuffle(x: Tensor) -> Tensor:
-    """Interleave the two channel halves; a pure permutation, hence exactly invertible."""
-    n, c, h, w = x.shape
-    if c % 2:
-        raise ValueError(f"channel_shuffle: {c} channels do not split into two groups")
-    y = x.reshape(n, 2, c // 2, h, w)
-    y = y.transpose(0, 2, 1, 3, 4)
-    return y.reshape(n, c, h, w)
-
-
 class DSSConv(Module):
-    """Depthwise 3x3 then pointwise 1x1 (each BN+act, both at width c), finished
-    by a 2-group shuffle."""
+    """Depthwise 3x3 then pointwise 1x1, each BN+act, both at width c."""
 
     def __init__(self, c: int, s: int = 1, *, act: str, rng: np.random.Generator):
         super().__init__()
-        if c % 2:
-            raise ValueError("channels must be even for the channel shuffle")
         self.dw = ConvBnAct(c, c, 3, s, g=c, act=act, rng=rng)
         self.pw = ConvBnAct(c, c, 1, act=act, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return channel_shuffle(self.pw(self.dw(x)))
+        return self.pw(self.dw(x))
 
 
 # ---- structural blocks shared by both models ----

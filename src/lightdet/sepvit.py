@@ -63,7 +63,7 @@ class SepViTBlock(Module):
         self.norm_token = LayerNorm(d, affine=False)
         self.norm2 = LayerNorm(d)
         self.fc1 = Linear(d, 4 * d, rng=rng)
-        self.fc2 = Linear(4 * d, d, rng=rng)
+        self.fc2 = Linear(4 * d, d, bias=False, rng=rng)
         # learned summary token, one per window at run time, starts silent
         self.window_token = Tensor(np.zeros((1, 1, 1, d), np.float32), requires_grad=True)
 

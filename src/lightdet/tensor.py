@@ -637,13 +637,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
       padded input, gathered and multiplied a block (COLS_BLOCK values) at a
       time. Under no_grad() a block is a few output rows of every image, so it
       stays in cache. With gradients it is as many whole images as fit, at
-      least one: the batched matmul makes one BLAS call per image and group
-      anyway, so each call keeps its shape and its bits. Backward keeps only
-      x.data and runs the same image blocks: the weight gradient gathers the
-      columns again and adds the images' gradients in order; the input
-      gradient takes W^T @ g over a wide (Ho, W2) grid, so that each tap's
-      share is one contiguous slice of a phase of x's zero-padded s*s phase
-      grid, and adds them there in tap order.
+      least one, padded on their own: the batched matmul makes one BLAS call
+      per image and group anyway, so each call keeps its shape and its bits.
+      Backward keeps only x.data and runs the same image blocks: the weight
+      gradient gathers the columns again and adds the images' gradients in
+      order; the input gradient takes W^T @ g over a wide (Ho, W2) grid, so
+      that each tap's share is one contiguous slice of a phase of x's
+      zero-padded s*s phase grid, and adds them there in tap order.
     The padded input is never a graph node: the gradient goes straight to x.
     """
     n, c, h, wd = x.shape
@@ -660,11 +660,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     if _flops is not None:
         _flops.total += 2 * w.data.size * ho * wo * n
 
-    xd, s = _pad2d(x.data, padding), stride
+    xd, s = x.data, stride
     dt = xd.dtype
     og, kk, npix = cout // groups, kh * kw, ho * wo
     mode = ("pointwise" if kh == kw == 1 and s == 1 else
             "output_side" if cout * hp * wp < c * npix else "im2col")
+    per_block = mode == "im2col" and _grad_enabled  # then each image block is padded on its own
+    if not per_block:
+        xd = _pad2d(xd, padding)
     if mode == "pointwise":
         wg = w.data.reshape(groups, og, cpg)
         cols = xd.reshape(n, groups, cpg, npix)
@@ -680,21 +683,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             out_data += y[:, :, t][taps[t]]
         out_data = out_data.reshape(n, cout, ho, wo)
     else:
-        def windows(xp, rows):  # (m, c, kh, kw, rows, wo): tap (i, j) of output o reads s*o + (i, j)
-            sh, sw = xp.strides[2:]
-            return np.lib.stride_tricks.as_strided(xp, xp.shape[:2] + (kh, kw, rows, wo),
-                                                   xp.strides[:2] + (sh, sw, s * sh, s * sw), writeable=False)
+        def columns(i, r, rows):  # (m, G, cpg*kk, rows*wo) of images i from output row r on
+            xp = (_pad2d(xd[i], padding) if per_block else xd[i])[:, :, s * r:]
+            sh, sw = xp.strides[2:]  # tap (i, j) of output o reads s*o + (i, j)
+            return np.lib.stride_tricks.as_strided(
+                xp, xp.shape[:2] + (kh, kw, rows, wo), xp.strides[:2] + (sh, sw, s * sh, s * sw),
+                writeable=False).reshape(-1, groups, cpg * kk, rows * wo)
 
         wg = w.data.reshape(groups, og, cpg * kk)
         nb = max(1, COLS_BLOCK // (c * kk * npix))  # whole images per block with gradients
         images = [slice(i, min(i + nb, n)) for i in range(0, n, nb)]
         step = max(1, COLS_BLOCK // (n * c * kk * wo))
-        blocks = ([(i, 0, ho) for i in images] if _grad_enabled else
+        blocks = ([(i, 0, ho) for i in images] if per_block else
                   [(slice(None), r, min(step, ho - r)) for r in range(0, ho, step)])
         out_data = np.empty((n, groups, og, npix), np.result_type(wg, xd))
         for i, r, rows in blocks:
-            block = windows(xd[i, :, s * r:], rows).reshape(-1, groups, cpg * kk, rows * wo)
-            np.matmul(wg, block, out=out_data[i, ..., r * wo:(r + rows) * wo])
+            np.matmul(wg, columns(i, r, rows), out=out_data[i, ..., r * wo:(r + rows) * wo])
         out_data = out_data.reshape(n, cout, ho, wo)
     if b is not None:
         out_data += b.data.reshape(1, cout, 1, 1)
@@ -729,8 +733,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                     else:  # the columns again, one block of images at a time, added in order
                         gw = None
                         for im in images:
-                            block = windows(_pad2d(x.data[im], padding), ho)
-                            for p in np.matmul(block.reshape(-1, groups, cpg * kk, npix), gt[im]):
+                            for p in np.matmul(columns(im, 0, ho), gt[im]):
                                 gw = p if gw is None else np.add(gw, p, out=gw)
                     _accum(w, gw.swapaxes(-1, -2).reshape(w.data.shape))
                 if need_x and mode == "pointwise":

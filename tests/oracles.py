@@ -254,3 +254,12 @@ def synth_scene(rng: np.random.Generator, size: int):
             labels.append([cls, (x1 + x2 + 1) / 2 / size, (y1 + y2 + 1) / 2 / size,
                            (x2 - x1 + 1) / size, (y2 - y1 + 1) / size])
     return img.astype(np.uint8), np.asarray(labels, np.float64).reshape(-1, 5)
+
+
+def channel_shuffle(x):
+    """Interleave the two channel halves of an NCHW Tensor, as ShuffleNet does
+    between grouped convs: output channel 2k + g is input channel g*C/2 + k.
+    The light neck's DSSConv once ended in this after an ungrouped 1x1 conv,
+    where it only relabels that conv's output rows."""
+    n, c, h, w = x.shape
+    return x.reshape(n, 2, c // 2, h, w).transpose(0, 2, 1, 3, 4).reshape(n, c, h, w)

@@ -1,12 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
 from lightdet.bifpn import LightBiFpn
 from lightdet.gam import GAM
 from lightdet.nn import Bottleneck, C3, DSSConv
-from lightdet.tensor import Tensor, grad_check
+from lightdet.tensor import Tensor, grad_check, no_grad
 
-from helpers import cast_f64
+from helpers import cast_f64, with_bn_stats
+from oracles import channel_shuffle
 
 
 class TestDSSConv:
@@ -19,10 +22,6 @@ class TestDSSConv:
         m = DSSConv(16, act="mish", rng=rng)
         assert m.param_count() == (16 * 9 + 32) + (16 * 16 + 32)
 
-    def test_odd_output_rejected(self, rng):
-        with pytest.raises(ValueError):
-            DSSConv(15, act="mish", rng=rng)
-
     def test_depthwise_stage_touches_channels_independently(self, rng):
         # before the pointwise mix, channel c of dw depends only on channel c of x
         m = DSSConv(4, act="mish", rng=rng)
@@ -33,6 +32,32 @@ class TestDSSConv:
         yb = m.dw(Tensor(b)).numpy()
         assert np.array_equal(ya[0, :3], yb[0, :3])
         assert not np.allclose(ya[0, 3], yb[0, 3])
+
+    @pytest.mark.parametrize("c", [16, 32, 64, 128])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_a_trailing_shuffle_only_relabels_pw(self, c, s):
+        # a channel_shuffle after the ungrouped pw conv, as DSSConv once ended,
+        # is pw with its output rows and their BN's tensors permuted: the same
+        # bits, forward and back
+        rng = np.random.default_rng(c + s)
+        old = with_bn_stats(DSSConv(c, s, act="mish", rng=rng), rng)
+        new = copy.deepcopy(old)
+        perm = np.arange(c).reshape(2, c // 2).T.reshape(-1)  # row 2k + g is g*c/2 + k
+        bn = new.pw.bn
+        for t in (new.pw.conv.weight, bn.weight, bn.bias, bn.running_mean, bn.running_var):
+            t.data = t.data[perm].copy()
+        x = rng.standard_normal((2, c, 8, 8)).astype(np.float32)
+        g = Tensor(rng.standard_normal((2, c, 8 // s, 8 // s)).astype(np.float32))
+        y_old, y_new = channel_shuffle(old.pw(old.dw(Tensor(x)))), new(Tensor(x))
+        assert np.array_equal(y_old.numpy(), y_new.numpy())
+        (y_old * g).sum().backward()
+        (y_new * g).sum().backward()
+        assert np.array_equal(old.pw.conv.weight.grad[perm], new.pw.conv.weight.grad)
+        assert np.array_equal(old.pw.bn.running_var.numpy()[perm], bn.running_var.numpy())
+        old.eval(), new.eval()
+        with no_grad():
+            y_old, y_new = channel_shuffle(old.pw(old.dw(Tensor(x)))), new(Tensor(x))
+        assert np.array_equal(y_old.numpy(), y_new.numpy())
 
     def test_gradcheck(self, rng):
         m = cast_f64(DSSConv(4, act="mish", rng=rng))
@@ -46,7 +71,7 @@ class TestDSSConv:
 
 
 class TestDSSC3:
-    """The light neck's depthwise-separable shuffle C3: `C3(separable=True)`."""
+    """The light neck's depthwise-separable C3: `C3(separable=True)`."""
 
     def test_bottleneck_residual_rule(self, rng):
         for shortcut in (True, False):

@@ -35,7 +35,7 @@ from oracles import shifted_box_nms
 # frozen from the implemented cost model at nc=2, 640px reference input
 BASELINE_PARAMS = 1_766_623
 BASELINE_FLOPS = 4_132_659_200
-LIGHT_PARAMS = 1_287_591
+LIGHT_PARAMS = 1_287_463
 LIGHT_FLOPS = 3_371_501_568
 
 
@@ -777,10 +777,12 @@ class TestCheckpoint:
         fresh = Light(nc=2, width=0.125, act="mish", img_size=256, rng=np.random.default_rng(2))
         assert np.array_equal(m.detect.anchors, fresh.detect.anchors)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_is_refused(self, tmp_path, version):
         # version 1 carried the 'layers.N.anchors' record; neither 1 nor 2 has
-        # the config header, and both name tensors 'layers.N....'
+        # the config header, and both name tensors 'layers.N....'; version 3's
+        # light DSSConvs ended in a channel shuffle, so its pw rows are in
+        # another order and would load as another function
         path = str(tmp_path / "w.bin")
         save_checkpoint(path, self._model())
         data = bytearray(open(path, "rb").read())
@@ -806,7 +808,7 @@ class TestCheckpoint:
         assert not any("layers." in n for n in names)
 
     def test_state_layout_matches_frozen_table(self):
-        # format 3 stores tensors by name in named_state order: a renamed or
+        # format 4 stores tensors by name in named_state order: a renamed or
         # reordered tensor would make existing checkpoints fail to load
         path = os.path.join(os.path.dirname(__file__), "data", "state_layout_toy.tsv")
         with open(path, encoding="utf-8") as fh:

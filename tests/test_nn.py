@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lightdet.nn import (
-    BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm, Linear, SPPF, channel_shuffle,
-    make_divisible,
+    BatchNorm2d, Bottleneck, C3, Conv2d, ConvBnAct, LayerNorm, Linear, SPPF, make_divisible,
 )
 from lightdet.tensor import (ACT_PAIRS, BN_MOMENTUM, Tensor, activate, count_flops, grad_check,
                              no_grad, toposort)
@@ -90,31 +89,6 @@ class TestNorms:
     def test_layernorm_plain_has_no_params(self):
         assert LayerNorm(8, affine=False).param_count() == 0
         assert LayerNorm(8).param_count() == 16
-
-
-class TestShuffle:
-    def test_hand_case_groups2(self):
-        x = Tensor(np.arange(4, dtype=np.float32).reshape(1, 4, 1, 1))
-        y = channel_shuffle(x).numpy().reshape(-1)
-        assert list(y) == [0.0, 2.0, 1.0, 3.0]
-
-    def test_is_a_permutation(self, rng):
-        x = rng.standard_normal((2, 8, 3, 3))
-        y = channel_shuffle(Tensor(x)).numpy()
-        assert np.allclose(np.sort(y, axis=1), np.sort(x, axis=1))
-
-    def test_odd_channels_rejected(self):
-        with pytest.raises(ValueError):
-            channel_shuffle(Tensor(np.zeros((1, 5, 2, 2))))
-
-    def test_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal((1, 4, 2, 2)))
-
-        def f(t):
-            return channel_shuffle(t).tanh().sum()
-
-        err, _ = grad_check(f, [x])
-        assert err <= 1e-4
 
 
 class TestModules:

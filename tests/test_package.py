@@ -18,8 +18,9 @@ MAX_DEFAULTED_PARAMS = 41
 # NMS, eval_toy op_ms_norm -14%. 3258 -> 3277: synth blobs rendered on their own
 # windows and a split decoded into one buffer, detect_448 setup_s -34%. 3277 -> 3242:
 # detections travel as plain rows, Box and Detection gone. 3242 -> 3249: training
-# im2col in blocks of whole images, train_toy peak_rss_mb -12%.
-MAX_SRC_LINES = 3249
+# im2col in blocks of whole images, train_toy peak_rss_mb -12%. 3249 -> 3239: DSSConv's
+# channel shuffle gone, training im2col pads each image block on its own.
+MAX_SRC_LINES = 3239
 # Parameter names of the run settings whose one default is RunConfig's (cli.py)
 RUN_SETTINGS = {"act", "box_kind", "nc", "width", "img_size", "batch", "lr", "momentum",
                 "seed", "rng"}

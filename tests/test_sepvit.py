@@ -107,7 +107,7 @@ class TestBlock:
     def test_param_count_closed_form(self, rng):
         d = 128
         block = SepViTBlock(d, rng=rng)
-        assert block.param_count() == 11 * d * d + 10 * d == 181504
+        assert block.param_count() == 11 * d * d + 9 * d == 181376
 
     def test_block_gradcheck(self, rng):
         block = cast_f64(SepViTBlock(8, rng=rng))

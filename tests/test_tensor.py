@@ -875,6 +875,21 @@ class TestConvPaths:
         held = y.data.nbytes + x.grad.nbytes + w.grad.nbytes  # input and g predate the trace
         assert peak - held < 16 * 3 * 36 * 64 * 64 * 4 / 4
 
+    def test_training_stem_forward_never_pads_the_whole_batch(self):
+        # the toy stem's forward with gradients: each image block is padded on
+        # its own, so the transient peak stays below one padded copy of the batch
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((16, 3, 128, 128)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 3, 6, 6)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = conv2d(x, w, stride=2, padding=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert peak - y.data.nbytes < 16 * 3 * 132 * 132 * 4  # 3.35 MB
+
     @pytest.mark.parametrize("shape, cout, k, s, p", [
         ((4, 16, 32, 32), 16, 3, 1, 1),
         ((4, 3, 128, 128), 8, 6, 2, 2),  # the toy stem

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lightdet import train
-from lightdet.data import synth_scene
+from lightdet.cli import PROFILES, RunConfig, _build
+from lightdet.data import load_split, synth_generate, synth_scene
 from lightdet.model import Light, training_loss
 from lightdet.tensor import Tensor
 from lightdet.train import (
@@ -30,6 +31,15 @@ def _toy_batch(n, img=32, seed=11):
         imgs.append(scene.transpose(2, 0, 1).astype(np.float32) / 255.0)
         targets.append(labels)
     return np.stack(imgs), targets
+
+
+@pytest.fixture(scope="module")
+def toy_train_split(tmp_path_factory):
+    """The train split of the seed-0 toy set, as `train --profile toy` makes it."""
+    cfg, root = RunConfig(**PROFILES["toy"]), str(tmp_path_factory.mktemp("toy"))
+    synth_generate(cfg.images, cfg.seed, root, size=cfg.img)
+    images, targets, _ = load_split(root, cfg.seed, "train", cfg.nc, cfg.img)
+    return images, targets
 
 
 @pytest.fixture
@@ -116,6 +126,21 @@ class TestFit:
         touched = sum(1 for p in params
                       if p.grad is not None and np.abs(p.grad).sum() > 0)
         assert touched / len(params) >= 0.99
+
+    @pytest.mark.parametrize("kind", ["baseline", "light"])
+    def test_no_parameter_learns_from_float_noise(self, kind, toy_train_split):
+        # a parameter whose whole gradient is float32 rounding noise, such as a
+        # bias that a training BatchNorm subtracts again, can learn nothing
+        cfg = RunConfig(**PROFILES["toy"])
+        images, targets = toy_train_split
+        model = _build(cfg, kind)
+        preds = model(Tensor(images[:cfg.batch]))
+        total, _ = training_loss(preds, targets[:cfg.batch], model.detect, cfg.box)
+        total.backward()
+        rms = {n: 0.0 if p.grad is None else float(np.sqrt(np.mean(np.square(p.grad, dtype="f8"))))
+               for n, p in model.named_parameters()}
+        noise = {n: r for n, r in rms.items() if r < 1e-6}
+        assert not noise, f"gradient RMS below 1e-6: {noise}"
 
     def test_loss_improves_on_fixed_batch(self):
         model = _toy_model()
